@@ -430,6 +430,7 @@ def cmd_experiment(args) -> int:
         "n_obs": cfg["n_obs"],
         "test_obs": cfg["test_obs"],
     }
+    failed = 0
     t0 = time.perf_counter()
     for kind in cfg["target_kinds"]:
         for n in cfg["n_vars"]:
@@ -488,6 +489,7 @@ def cmd_experiment(args) -> int:
                             )
                         except (ValueError, OSError) as exc:
                             print(f"cell {key} failed: {exc}", file=sys.stderr)
+                            failed += 1
                             continue
                         rows.append(row)
                         done.add(key)
@@ -495,6 +497,9 @@ def cmd_experiment(args) -> int:
     _write(results_path, results_to_csv(sorted(rows, key=ResultRow.sort_key)))
     print(f"experiment complete: {len(rows)} result rows in {results_path}")
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    if failed:
+        print(f"error: {failed} cell(s) failed", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

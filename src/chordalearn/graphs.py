@@ -91,6 +91,11 @@ class UndirectedGraph:
     def neighbor_mask(self, v: int) -> int:
         return self._mask[v]
 
+    @property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """Neighbor bitmask of every vertex, indexed by vertex id."""
+        return self._mask
+
     def degree(self, v: int) -> int:
         return len(self._nbr[v])
 
@@ -389,6 +394,37 @@ class ChordalGraph:
     @classmethod
     def from_text(cls, text: str) -> "ChordalGraph":
         return cls.from_graph(UndirectedGraph.from_text(text))
+
+
+def reach(masks: Sequence[int], src: int, blocked: int) -> int:
+    """Bitmask of the vertices reachable from the vertex bitmask ``src``.
+
+    ``masks[v]`` is the bitmask of the vertices one step from v.  Paths
+    never enter a vertex in the ``blocked`` bitmask; the source vertices
+    themselves are always in the result.
+    """
+    seen = frontier = src
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen & ~blocked
+        seen |= frontier
+    return seen
+
+
+def addition_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
+    """True when adding the absent line a-b leaves ``g`` chordal.
+
+    For a chordal graph this holds exactly when the common neighbors of a
+    and b separate a from b (Giudici & Green, Biometrika 1999; Deshpande,
+    Garofalakis & Jordan, UAI 2001): a path avoiding them would close a
+    chordless cycle through the new line.
+    """
+    masks = g.graph.neighbor_masks
+    return not (reach(masks, 1 << a, masks[a] & masks[b]) >> b) & 1
 
 
 def peo_with_prefix(g: ChordalGraph, prefix: Sequence[int]) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .graphs import ChordalGraph, Dag, is_chordal
+from .graphs import ChordalGraph, Dag, addition_keeps_chordal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .search import Move
@@ -260,7 +260,7 @@ def move_delta(
     elif move.kind == "add":
         if g.has_line(a, b):
             raise ValueError(f"line {a}-{b} already present")
-        if not is_chordal(g.graph.with_line(a, b)):
+        if not addition_keeps_chordal(g, a, b):
             raise ValueError(f"adding {a}-{b} breaks chordality")
         sign = 1.0
     else:

@@ -303,6 +303,25 @@ class TestExperiment:
         assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
         assert tree_bytes(out) == before
 
+    def test_failed_cell_exit_code(self, tmp_path, monkeypatch, capsys):
+        cfg = self.exp_config(tmp_path, replicates=1)
+        out = tmp_path / "e"
+        eval_row = cli._eval_row
+
+        def failing(*args):
+            if args[-1]["learner"] == "dag":
+                raise ValueError("evaluation failed")
+            return eval_row(*args)
+
+        monkeypatch.setattr(cli, "_eval_row", failing)
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "2 cell(s) failed" in capsys.readouterr().err
+        rows = results_from_csv((out / "results.csv").read_text())
+        # 2 n_obs x (chordal + target); both dag cells failed
+        assert sorted((r.n_obs, r.learner) for r in rows) == [
+            (60, "chordal"), (60, "target"), (200, "chordal"), (200, "target"),
+        ]
+
 
 class TestParserPlumbing:
     def test_no_subcommand_usage_error(self):

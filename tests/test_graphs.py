@@ -23,6 +23,7 @@ from chordalearn.graphs import (
     moralize,
     orient_by_ordering,
     peo_with_prefix,
+    reach,
     separated,
 )
 
@@ -321,6 +322,22 @@ class TestSeparation:
                             assert separated(g, [a], [b], c) == path_separated(
                                 g, [a], [b], c
                             )
+
+    def test_reach_agrees_with_path_enumeration_exhaustive_n4(self):
+        for g in all_graphs(4):
+            for src in range(1, 16):
+                for blocked in range(16):
+                    if src & blocked:
+                        continue
+                    a = [v for v in range(4) if src >> v & 1]
+                    c = [v for v in range(4) if blocked >> v & 1]
+                    expected = src
+                    for v in range(4):
+                        if (src | blocked) >> v & 1:
+                            continue
+                        if not path_separated(g, a, [v], c):
+                            expected |= 1 << v
+                    assert reach(g.neighbor_masks, src, blocked) == expected
 
     def test_set_arguments(self):
         g = UndirectedGraph(5, [(0, 2), (1, 2), (2, 3), (2, 4)])

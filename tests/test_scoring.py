@@ -12,6 +12,7 @@ from chordalearn.graphs import (
     ChordalGraph,
     Dag,
     UndirectedGraph,
+    is_chordal,
     is_perfect_order,
     orient_by_ordering,
 )
@@ -29,7 +30,7 @@ from chordalearn.scoring import (
 from chordalearn.search import Move, inclusion_boundary
 from chordalearn.synthetic import ancestral_sample, rng_from
 
-from conftest import random_chordal_graph
+from conftest import all_graphs, random_chordal_graph
 
 mpmath.mp.dps = 60
 
@@ -250,6 +251,24 @@ class TestMoveDelta:
             move_delta(g, Move("remove", 1, 3), data)
         with pytest.raises(ValueError):
             move_delta(g, Move("add", 0, 1), data)
+
+    def test_additions_accepted_iff_chordal_exhaustively_n5(self):
+        for n in range(2, 6):
+            data = Dataset(np.zeros((1, n), dtype=int), arities=(2,) * n)
+            cache = ScoreCache(data)
+            for graph in all_graphs(n):
+                if not is_chordal(graph):
+                    continue
+                g = ChordalGraph.from_graph(graph)
+                for a, b in itertools.combinations(range(n), 2):
+                    if graph.has_line(a, b):
+                        continue
+                    move = Move("add", a, b)
+                    if is_chordal(graph.with_line(a, b)):
+                        move_delta(g, move, data, cache=cache)
+                    else:
+                        with pytest.raises(ValueError, match="breaks chordality"):
+                            move_delta(g, move, data, cache=cache)
 
 
 class TestAsymptoticBehaviour:

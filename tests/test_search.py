@@ -80,10 +80,11 @@ class TestInclusionBoundary:
             for a, b in itertools.combinations(range(4), 2)
         ]
 
-    def test_matches_definition_exhaustively_n5(self):
+    def test_matches_definition_exhaustively_n6(self):
         # definitional cross-check: a move is on the boundary iff the
-        # edited graph is chordal
-        for n in range(1, 6):
+        # edited graph is chordal (the global test is the oracle for the
+        # local criteria the boundary uses)
+        for n in range(1, 7):
             for graph in all_graphs(n):
                 if not is_chordal(graph):
                     continue
