@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -29,7 +30,7 @@ from .evaluation import (
     results_to_csv,
 )
 from .graphs import ChordalGraph, Dag, UndirectedGraph, moralize
-from .scoring import Dataset, ScoreCache, dimension, dimension_dag
+from .scoring import Dataset, ScoreCache, check_ess, dimension, dimension_dag
 from .search import BDeuScorer, greedy_chordal, greedy_dag
 from .synthetic import (
     DiscreteBayesNet,
@@ -56,6 +57,7 @@ class _Parser(argparse.ArgumentParser):
     # verification violations, so remap usage problems to 1
     def error(self, message):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -126,6 +128,10 @@ def _check_fields(cfg: dict, prefix: str = "config") -> None:
     for name in ("target_kind",):
         if name in cfg and cfg[name] not in ("chordal", "dag"):
             fail(name, "one of 'chordal', 'dag'")
+    if "ess" in cfg:
+        v = cfg["ess"]
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+            fail("ess", "a finite positive number")
     for name in ("target_kinds", "learners"):
         if name in cfg:
             allowed = ("chordal", "dag")
@@ -133,6 +139,18 @@ def _check_fields(cfg: dict, prefix: str = "config") -> None:
                 x in allowed for x in cfg[name]
             ):
                 fail(name, f"a list drawn from {allowed}")
+
+
+def _ess_arg(text: str) -> float:
+    """argparse type for --ess: a finite number > 0, else a usage error."""
+    try:
+        value = float(text)
+        check_ess(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number, got {text!r}"
+        ) from None
+    return value
 
 
 def _write(path: Path, text: str) -> None:
@@ -521,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     ln.add_argument("--data", required=True, help="training CSV")
     ln.add_argument("--arities", help="JSON list of variable arities")
     ln.add_argument("--learner", choices=("chordal", "dag"), default="chordal")
-    ln.add_argument("--ess", type=float, default=1.0)
+    ln.add_argument("--ess", type=_ess_arg, default=1.0)
     ln.add_argument("--out", required=True)
     ln.set_defaults(fn=cmd_learn)
 
@@ -539,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--target-kind", default="chordal")
     e.add_argument("--replicate", type=int, default=0)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--ess", type=float, default=1.0)
+    e.add_argument("--ess", type=_ess_arg, default=1.0)
     e.add_argument("--dim-target", type=int)
     e.add_argument("--out")
     e.set_defaults(fn=cmd_eval)

@@ -14,7 +14,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, orient_by_ordering
-from .scoring import Dataset, _parent_config_codes
+from .scoring import Dataset, _parent_config_codes, check_ess
 from .synthetic import DiscreteBayesNet
 
 EXACT_STATE_BOUND = 1 << 20
@@ -30,8 +30,7 @@ def fit_parameters(
     prior spread uniformly over the ess.  Chordal structures are oriented
     along their perfect ordering first.
     """
-    if ess <= 0:
-        raise ValueError("ess must be positive")
+    check_ess(ess)
     dag = (
         orient_by_ordering(structure, structure.ordering)
         if isinstance(structure, ChordalGraph)

@@ -339,7 +339,12 @@ class ChordalGraph:
                 f"graph has a chordless cycle {res.chordless_cycle}",
                 cycle=res.chordless_cycle or (),
             )
-        return cls(graph, res.ordering)
+        # check_chordality has just verified the ordering; skip the re-check
+        # that the public constructor makes
+        chordal = cls.__new__(cls)
+        chordal.graph = graph
+        chordal.ordering = tuple(res.ordering)
+        return chordal
 
     @classmethod
     def from_lines(cls, n: int, lines: Iterable[tuple[int, int]] = ()) -> "ChordalGraph":
@@ -520,7 +525,11 @@ class Dag:
 
     def reachable_from(self, v: int) -> set:
         """Vertices reachable along arrows starting at v (excluding v
-        unless it lies on a cycle, which cannot happen here)."""
+        unless it lies on a cycle, which cannot happen here).
+
+        The search does not call this: ``search.dag_moves`` decides
+        legality from descendant bitmasks.  It is kept as the plain
+        reachability oracle for tests and as a named trace point."""
         out = set()
         stack = [v]
         while stack:

@@ -128,6 +128,13 @@ def _parent_config_codes(
     return codes, q
 
 
+def check_ess(ess: float) -> None:
+    """Reject an equivalent sample size that is not finite and positive
+    (nan, infinities and values <= 0 would make every score meaningless)."""
+    if not 0 < ess < math.inf:  # false for nan
+        raise ValueError(f"ess must be finite and positive, got {ess!r}")
+
+
 def bdeu_local_score(
     v: int, parents: Iterable[int], data: Dataset, ess: float = 1.0
 ) -> float:
@@ -137,8 +144,7 @@ def bdeu_local_score(
     is ess/(r*q) per cell and ess/q per configuration.  Configurations
     with no data contribute zero, so the empty dataset scores 0.
     """
-    if ess <= 0:
-        raise ValueError("ess must be positive")
+    check_ess(ess)
     parents = tuple(sorted(set(parents)))
     if v in parents:
         raise ValueError(f"vertex {v} cannot be its own parent")
@@ -170,8 +176,7 @@ class ScoreCache:
     """
 
     def __init__(self, data: Dataset, ess: float = 1.0):
-        if ess <= 0:
-            raise ValueError("ess must be positive")
+        check_ess(ess)
         self.data = data
         self.ess = float(ess)
         self._table: dict[LocalScoreKey, float] = {}

@@ -376,40 +376,43 @@ def _score_delta(new, old):
 
 def dag_moves(d: Dag) -> list[Move]:
     """Legal arrow edits: additions, removals, and reversals that keep the
-    digraph acyclic, in deterministic order."""
+    digraph acyclic, in ``Move.sort_key`` order.
+
+    Legality comes from the proper-descendant bitmask of every vertex,
+    built in one reverse pass over the topological order (Chickering,
+    JMLR 2002, for the neighbourhood):
+
+    * adding u->v (no arrow between them) is legal iff u is not a
+      descendant of v;
+    * reversing u->v is legal iff no child c != v of u has v among its
+      descendants, i.e. u->v is the only directed path from u to v.
+
+    Every removal is legal.
+    """
+    n = d.n
+    parents = d.parents
+    desc = [0] * n  # proper descendants of each vertex
+    via_children = [0] * n  # union of the children's proper descendants
+    for v in reversed(d.topological_order()):
+        below = desc[v]
+        for p in parents[v]:
+            via_children[p] |= below
+            desc[p] |= below | (1 << v)
     moves = []
-    for u in range(d.n):
-        for v in range(d.n):
-            if u == v or d.has_arc(u, v) or d.has_arc(v, u):
+    for u in range(n):
+        for v in range(n):
+            if u == v or u in parents[v] or v in parents[u]:
                 continue
-            if u not in d.reachable_from(v):
+            if not (desc[v] >> u) & 1:
                 moves.append(Move("add", u, v))
     for u, v in d.arcs:
         moves.append(Move("remove", u, v))
     for u, v in d.arcs:
-        trimmed = d.without_arc(u, v)
-        if v not in trimmed.reachable_from(u) and u not in trimmed.reachable_from(v):
+        # v is not its own descendant, so only a path through another
+        # child of u can put v in via_children[u]
+        if not (via_children[u] >> v) & 1:
             moves.append(Move("reverse", u, v))
-    return sorted(moves, key=Move.sort_key)
-
-
-def _dag_move_delta(d: Dag, move: Move, cache: ScoreCache) -> float:
-    u, v = move.a, move.b
-    if move.kind == "add":
-        return cache.local_score(v, d.parents[v] | {u}) - cache.local_score(
-            v, d.parents[v]
-        )
-    if move.kind == "remove":
-        return cache.local_score(v, d.parents[v] - {u}) - cache.local_score(
-            v, d.parents[v]
-        )
-    # reversal u->v becomes v->u: two local terms change
-    return (
-        cache.local_score(v, d.parents[v] - {u})
-        - cache.local_score(v, d.parents[v])
-        + cache.local_score(u, d.parents[u] | {v})
-        - cache.local_score(u, d.parents[u])
-    )
+    return moves
 
 
 def apply_dag_move(d: Dag, move: Move) -> Dag:
@@ -425,16 +428,42 @@ def greedy_dag(cache: ScoreCache, start: Optional[Dag] = None) -> tuple[Dag, Sea
 
     Starts from the empty DAG unless told otherwise; steepest ascent with
     the same deterministic tie-breaking as the chordal search.
+
+    A move changes the parent set of its child only (and of its parent,
+    for a reversal), so the local terms of every other vertex carry over
+    to the next step.  Per child v the search keeps f(v, P_v) and, filled
+    on first use, f(v, P_v with u toggled) for each listed move touching
+    v; a move clears the terms of the vertices whose parents it changed.
     """
     d = start if start is not None else Dag(cache.data.n_vars)
     total = score_dag(d, cache.data, cache.ess, cache)
     trace = SearchTrace(start_fingerprint=d.to_text(), start_score=total)
+    base: list = [None] * d.n  # f(v, P_v)
+    toggled: list = [{} for _ in range(d.n)]  # u -> f(v, P_v ^ {u})
+
+    def term(v: int) -> float:
+        if base[v] is None:
+            base[v] = cache.local_score(v, d.parents[v])
+        return base[v]
+
+    def toggle(v: int, u: int) -> float:
+        terms = toggled[v]
+        if u not in terms:
+            terms[u] = cache.local_score(v, d.parents[v] ^ {u})
+        return terms[u]
+
     step = 0
     while True:
         best = None
         best_delta = 0.0
         for move in dag_moves(d):
-            delta = _dag_move_delta(d, move, cache)
+            u, v = move.a, move.b
+            if move.kind == "reverse":
+                # f(v,P_v-u) - f(v,P_v) + f(u,P_u+v) - f(u,P_u), left to
+                # right, so the float delta equals a full rescoring's
+                delta = toggle(v, u) - term(v) + toggle(u, v) - term(u)
+            else:
+                delta = toggle(v, u) - term(v)
             if delta > best_delta:
                 best = move
                 best_delta = delta
@@ -443,5 +472,8 @@ def greedy_dag(cache: ScoreCache, start: Optional[Dag] = None) -> tuple[Dag, Sea
             return d, trace
         step += 1
         d = apply_dag_move(d, best)
+        for w in (best.b, best.a) if best.kind == "reverse" else (best.b,):
+            base[w] = None
+            toggled[w] = {}
         total += best_delta
         trace.steps.append(TraceStep(step, best, best_delta, total, d.to_text()))

@@ -172,6 +172,27 @@ class TestLearn:
             == 3
         )
 
+    @pytest.mark.parametrize("ess", ["-1", "0", "nan", "inf"])
+    def test_invalid_ess_usage_error(self, gen_run, tmp_path, ess, capsys):
+        _, run = gen_run
+        out = tmp_path / "learned"
+        rc = cli.main(
+            [
+                "learn",
+                "--data",
+                str(run / "data/chordal_n4_r0/train_80.csv"),
+                "--learner",
+                "dag",
+                "--ess",
+                ess,
+                "--out",
+                str(out),
+            ]
+        )
+        assert rc == 1
+        assert "finite positive number" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_rows_with_target(self, gen_run, tmp_path):
@@ -220,6 +241,32 @@ class TestEval:
             assert r.dim_target > 0
         target_row = rows[-1]
         assert target_row.fp_lines == 0 and target_row.fn_lines == 0
+
+    @pytest.mark.parametrize("ess", ["-1", "0", "nan", "inf"])
+    def test_invalid_ess_usage_error(self, gen_run, tmp_path, ess):
+        _, run = gen_run
+        cell = "chordal_n4_r0"
+        out_csv = tmp_path / "rows.csv"
+        rc = cli.main(
+            [
+                "eval",
+                "--net",
+                str(run / f"targets/{cell}/net.json"),
+                "--lines",
+                str(run / f"targets/{cell}/lines.txt"),
+                "--train",
+                str(run / f"data/{cell}/train_80.csv"),
+                "--test",
+                str(run / f"data/{cell}/test.csv"),
+                "--include-target",
+                "--ess",
+                ess,
+                "--out",
+                str(out_csv),
+            ]
+        )
+        assert rc == 1
+        assert not out_csv.exists()
 
 
 class TestVerify:
@@ -321,6 +368,14 @@ class TestExperiment:
         assert sorted((r.n_obs, r.learner) for r in rows) == [
             (60, "chordal"), (60, "target"), (200, "chordal"), (200, "target"),
         ]
+
+    @pytest.mark.parametrize("ess", [-1, 0, float("nan"), float("inf"), "1", True])
+    def test_invalid_ess_usage_error(self, tmp_path, ess, capsys):
+        cfg = self.exp_config(tmp_path, ess=ess)
+        out = tmp_path / "e"
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config.ess" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestParserPlumbing:

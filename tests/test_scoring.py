@@ -149,6 +149,14 @@ class TestLocalScore:
         with pytest.raises(ValueError):
             bdeu_local_score(0, (), data, ess=0.0)
 
+    @pytest.mark.parametrize("ess", [-1.0, 0.0, math.nan, math.inf])
+    def test_ess_must_be_finite_and_positive(self, ess):
+        data = Dataset([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="finite and positive"):
+            bdeu_local_score(0, (1,), data, ess=ess)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ScoreCache(data, ess=ess)
+
     def test_own_parent_rejected(self):
         data = Dataset([[0, 1]])
         with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal
+from chordalearn import search
+from chordalearn.graphs import ChordalGraph, CycleError, Dag, UndirectedGraph, is_chordal
 from chordalearn.independence import (
     DependencyModel,
     inclusion_optimal,
@@ -18,6 +19,8 @@ from chordalearn.search import (
     BDeuScorer,
     Move,
     OracleScore,
+    SearchTrace,
+    TraceStep,
     apply_dag_move,
     apply_move,
     dag_moves,
@@ -27,7 +30,13 @@ from chordalearn.search import (
     removal_keeps_chordal,
     statement_local_optimum,
 )
-from chordalearn.synthetic import DiscreteBayesNet, ancestral_sample, rng_from
+from chordalearn.synthetic import (
+    DiscreteBayesNet,
+    ancestral_sample,
+    random_dag,
+    random_parameters,
+    rng_from,
+)
 
 from conftest import all_graphs, random_chordal_graph
 
@@ -324,27 +333,113 @@ class TestDagMoves:
             apply_dag_move(d, move)  # must not raise
 
     def test_moves_exhaustive_on_small_dag(self):
-        d = Dag(3, [(0, 1), (1, 2)])
-        got = {(m.kind, m.a, m.b) for m in dag_moves(d)}
-        expected = set()
-        for u, v in itertools.permutations(range(3), 2):
-            if d.has_arc(u, v):
-                expected.add(("remove", min(u, v), max(u, v)))
-                try:
-                    d.without_arc(u, v).with_arc(v, u)
-                    expected.add(("reverse", min(u, v), max(u, v)))
-                except ValueError:
-                    pass
-            else:
-                try:
-                    d.with_arc(u, v)
-                    expected.add(("add", u, v) if u < v else ("add", v, u))
-                except ValueError:
-                    pass
-        # arcs are directed: move endpoints keep their direction sense
-        assert {(m.kind,) + ((m.a, m.b)) for m in dag_moves(d)} == {
-            (k, a, b) for k, a, b in got
-        }
+        # every labeled DAG with n <= 4: a move is listed iff applying it
+        # yields a DAG, and the list is in Move.sort_key order
+        count = 0
+        for n in range(1, 5):
+            for d in all_dags(n):
+                count += 1
+                moves = dag_moves(d)
+                assert moves == sorted(moves, key=Move.sort_key), d
+                assert len(set(moves)) == len(moves), d
+                assert moves == slow_dag_moves(d), d
+        assert count == 1 + 3 + 25 + 543
+
+    def test_matches_reachability_oracle(self):
+        # the rules the parent used, via Dag.reachable_from, on larger DAGs
+        rng = np.random.default_rng(37)
+        for _ in range(40):
+            n = int(rng.integers(2, 10))
+            d = random_dag(n, min(4, n - 1), rng)
+            want = []
+            for u in range(d.n):
+                for v in range(d.n):
+                    if u != v and not d.has_arc(u, v) and not d.has_arc(v, u):
+                        if u not in d.reachable_from(v):
+                            want.append(Move("add", u, v))
+            want += [Move("remove", u, v) for u, v in d.arcs]
+            for u, v in d.arcs:
+                if v not in d.without_arc(u, v).reachable_from(u):
+                    want.append(Move("reverse", u, v))
+            assert dag_moves(d) == want, d
+
+
+def all_dags(n):
+    """Every labeled DAG on n vertices: each pair unlinked or oriented
+    either way, keeping the acyclic ones."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+        arcs = [
+            (a, b) if s == 1 else (b, a)
+            for (a, b), s in zip(pairs, states)
+            if s
+        ]
+        try:
+            yield Dag(n, arcs)
+        except CycleError:
+            pass
+
+
+def slow_dag_moves(d):
+    """Candidate edits in sort order, kept iff the edited digraph is
+    acyclic (decided by Dag's own topological sort)."""
+    candidates = [
+        Move("add", u, v)
+        for u in range(d.n)
+        for v in range(d.n)
+        if u != v and not d.has_arc(u, v)
+    ]
+    candidates += [Move(kind, u, v) for kind in ("remove", "reverse") for u, v in d.arcs]
+    legal = []
+    for move in candidates:
+        try:
+            apply_dag_move(d, move)
+        except CycleError:
+            continue
+        legal.append(move)
+    return legal
+
+
+def _dag_move_delta(d: Dag, move: Move, cache: ScoreCache) -> float:
+    """Reference delta: every local term looked up afresh."""
+    u, v = move.a, move.b
+    if move.kind == "add":
+        return cache.local_score(v, d.parents[v] | {u}) - cache.local_score(
+            v, d.parents[v]
+        )
+    if move.kind == "remove":
+        return cache.local_score(v, d.parents[v] - {u}) - cache.local_score(
+            v, d.parents[v]
+        )
+    # reversal u->v becomes v->u: two local terms change
+    return (
+        cache.local_score(v, d.parents[v] - {u})
+        - cache.local_score(v, d.parents[v])
+        + cache.local_score(u, d.parents[u] | {v})
+        - cache.local_score(u, d.parents[u])
+    )
+
+
+def reference_greedy_dag(cache: ScoreCache, start: Dag) -> tuple[Dag, SearchTrace]:
+    """Steepest ascent that rescores every move from scratch."""
+    d = start
+    total = score_dag(d, cache.data, cache.ess, cache)
+    trace = SearchTrace(start_fingerprint=d.to_text(), start_score=total)
+    while True:
+        best = None
+        best_delta = 0.0
+        for move in slow_dag_moves(d):
+            delta = _dag_move_delta(d, move, cache)
+            if delta > best_delta:
+                best, best_delta = move, delta
+        if best is None:
+            trace.terminal = True
+            return d, trace
+        d = apply_dag_move(d, best)
+        total += best_delta
+        trace.steps.append(
+            TraceStep(len(trace.steps) + 1, best, best_delta, total, d.to_text())
+        )
 
 
 class TestGreedyDag:
@@ -387,3 +482,38 @@ class TestGreedyDag:
             total += step.delta
             assert abs(total - step.total) <= 1e-6
         assert abs(score_dag(final, data, cache=cache) - total) <= 1e-6
+
+    def test_trace_equals_reference_search(self, monkeypatch):
+        # the per-child score reuse must reproduce the from-scratch search
+        # exactly: same moves, and deltas and totals equal as floats
+        applied = []
+
+        def capped_apply(d, move):
+            # a stale local term can make the climb cycle; fail, not hang
+            applied.append(move)
+            assert len(applied) < 200, "greedy_dag did not terminate"
+            return apply_dag_move(d, move)
+
+        monkeypatch.setattr(search, "apply_dag_move", capped_apply)
+        kinds = set()
+        for seed in range(24):
+            rng = rng_from(41, seed)
+            n = 4 + seed % 5
+            arity = 2 + seed % 2
+            net = random_parameters(random_dag(n, 3, rng), (arity,) * n, rng)
+            data = ancestral_sample(net, 400, rng)
+            # from every third run, start at the generating DAG reversed so
+            # that reversals pay off
+            start = (
+                Dag(n, [(v, u) for u, v in net.dag.arcs]) if seed % 3 == 0 else Dag(n)
+            )
+            applied.clear()
+            got_dag, got = greedy_dag(ScoreCache(data), start)
+            want_dag, want = reference_greedy_dag(ScoreCache(data), start)
+            assert got_dag == want_dag
+            assert got.steps == want.steps
+            assert got.start_score == want.start_score
+            assert got.terminal and want.terminal
+            assert got.to_jsonl() == want.to_jsonl()
+            kinds.update(step.move.kind for step in got.steps)
+        assert kinds == {"add", "remove", "reverse"}
