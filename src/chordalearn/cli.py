@@ -108,22 +108,40 @@ def _load_config(path: Optional[str], defaults: dict) -> dict:
     return cfg
 
 
-def _check_fields(cfg: dict, prefix: str = "config") -> None:
+def _check_fields(cfg: dict, grid: bool = False, prefix: str = "config") -> None:
+    """Reject a bad field with a usage error before any work starts.
+    ``grid`` marks the experiment config, whose ``n_vars`` is a list."""
+
     def fail(name, want):
         raise UsageError(f"{prefix}.{name}: expected {want}, got {cfg[name]!r}")
 
-    for name in ("n_vars", "seed", "replicate", "test_obs", "arity", "replicates"):
-        if name in cfg and not (
-            isinstance(cfg[name], int)
-            or (name == "n_vars" and isinstance(cfg[name], list))
-        ):
-            fail(name, "an integer")
+    def is_int(x, low):
+        return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+    n_vars = cfg["n_vars"]
+    if grid and not (
+        isinstance(n_vars, list) and n_vars and all(is_int(x, 1) for x in n_vars)
+    ):
+        fail("n_vars", "a non-empty list of integers >= 1")
+    if not grid and not is_int(n_vars, 1):
+        fail("n_vars", "an integer >= 1")
+    bounds = {"arity": 1, "test_obs": 1, "seed": 0, "replicate": 0, "replicates": 0}
+    for name, low in bounds.items():
+        if name in cfg and not is_int(cfg[name], low):
+            fail(name, f"an integer >= {low}")
+    if cfg["max_parents"] is not None and not is_int(cfg["max_parents"], 0):
+        fail("max_parents", "null or an integer >= 0")
+    v = cfg["min_prob"]
+    if v is not None and (
+        isinstance(v, bool)
+        or not isinstance(v, (int, float))
+        or not 0 <= v * cfg["arity"] <= 1  # the rule random_parameters applies
+    ):
+        fail("min_prob", "null or a number in [0, 1/arity]")
     for name in ("n_obs",):
         if name in cfg:
             v = cfg[name]
-            if not isinstance(v, list) or not all(
-                isinstance(x, int) and x > 0 for x in v
-            ):
+            if not isinstance(v, list) or not all(is_int(x, 1) for x in v):
                 fail(name, "a list of positive integers")
     for name in ("target_kind",):
         if name in cfg and cfg[name] not in ("chordal", "dag"):
@@ -429,7 +447,7 @@ def cmd_experiment(args) -> int:
     cfg = _load_config(args.config, EXPERIMENT_DEFAULTS)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    _check_fields(cfg)
+    _check_fields(cfg, grid=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n")

@@ -99,6 +99,9 @@ class UndirectedGraph:
     def degree(self, v: int) -> int:
         return len(self._nbr[v])
 
+    def common_neighbors(self, a: int, b: int) -> frozenset:
+        return self._nbr[a] & self._nbr[b]
+
     def is_complete_set(self, vertices: Iterable[int]) -> bool:
         """True when the given vertices are pairwise adjacent."""
         vs = list(vertices)
@@ -370,6 +373,9 @@ class ChordalGraph:
     def neighbors(self, v: int) -> frozenset:
         return self.graph.neighbors(v)
 
+    def common_neighbors(self, a: int, b: int) -> frozenset:
+        return self.graph.common_neighbors(a, b)
+
     def oriented_parents(self) -> tuple[frozenset, ...]:
         """Parent sets induced by the stored ordering: parents of v are its
         earlier-ordered neighbors.  Indexed by vertex id."""
@@ -401,6 +407,14 @@ class ChordalGraph:
         return cls.from_graph(UndirectedGraph.from_text(text))
 
 
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """Bitmask with bit v set for every vertex v of ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 def reach(masks: Sequence[int], src: int, blocked: int) -> int:
     """Bitmask of the vertices reachable from the vertex bitmask ``src``.
 
@@ -430,6 +444,16 @@ def addition_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
     """
     masks = g.graph.neighbor_masks
     return not (reach(masks, 1 << a, masks[a] & masks[b]) >> b) & 1
+
+
+def removal_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
+    """True when removing the present line a-b leaves ``g`` chordal.
+
+    The test is necessary and sufficient: the endpoints' common neighbors
+    must be pairwise adjacent.  Two non-adjacent common neighbors would
+    close a chordless 4-cycle once the line is gone, and conversely any
+    new chordless cycle would force such a pair."""
+    return g.graph.is_complete_set(g.common_neighbors(a, b))
 
 
 def peo_with_prefix(g: ChordalGraph, prefix: Sequence[int]) -> tuple[int, ...]:
@@ -671,44 +695,52 @@ def separated(
     sb = _as_vertex_set(b, g.n, "b")
     sc = _as_vertex_set(c, g.n, "c")
     _check_disjoint_triple(sa, sb, sc)
-    seen = set(sa)
-    queue = deque(sa)
-    while queue:
-        u = queue.popleft()
-        if u in sb:
-            return False
-        for w in g.neighbors(u):
-            if w not in seen and w not in sc:
-                seen.add(w)
-                queue.append(w)
-    return True
+    reached = reach(g.neighbor_masks, vertex_mask(sa), vertex_mask(sc))
+    return not reached & vertex_mask(sb)
 
 
-def ancestors_of(d: Dag, vertices: Iterable[int]) -> set:
-    """The given vertices together with all their ancestors."""
-    out = set(vertices)
-    stack = list(out)
-    while stack:
-        v = stack.pop()
-        for p in d.parents[v]:
-            if p not in out:
-                out.add(p)
-                stack.append(p)
-    return out
+def d_separated_masks(parent_masks: Sequence[int], a: int, b: int, c: int) -> bool:
+    """d-separation of the vertex bitmasks ``a`` and ``b`` given ``c``.
+
+    ``parent_masks[v]`` is the parent bitmask of v.  Uses the
+    ancestral-moral criterion (Lauritzen, Dawid, Larsen & Leimer,
+    "Independence properties of directed Markov fields", Networks 1990):
+    A and B are d-separated by C iff C separates them in the moral graph
+    of the subgraph induced on the ancestors of A, B and C.  The masks
+    must be disjoint, with ``a`` and ``b`` nonempty.
+    """
+    anc = reach(parent_masks, a | b | c, 0)
+    adj = [0] * len(parent_masks)
+    rest = anc
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        ps = parent_masks[v]  # inside anc: it is ancestral
+        adj[v] |= ps
+        others = ps
+        while others:
+            p = others & -others
+            others ^= p
+            # marry p to its child and to every co-parent
+            adj[p.bit_length() - 1] |= low | (ps ^ p)
+    return not reach(adj, a, c) & b
 
 
 def d_separated(
     d: Dag, a: Iterable[int], b: Iterable[int], c: Iterable[int] = ()
 ) -> bool:
-    """d-separation via the ancestral moral graph.
-
-    Restrict to the ancestors of ``a + b + c``, moralize that induced
-    subgraph, and test plain separation there.
-    """
+    """d-separation via the ancestral moral graph (Lauritzen, Dawid,
+    Larsen & Leimer, Networks 1990): restrict to the ancestors of
+    ``a + b + c``, moralize, and test plain separation there.  The sets
+    are validated, then ``d_separated_masks`` decides."""
     sa = _as_vertex_set(a, d.n, "a")
     sb = _as_vertex_set(b, d.n, "b")
     sc = _as_vertex_set(c, d.n, "c")
     _check_disjoint_triple(sa, sb, sc)
-    anc = ancestors_of(d, sa | sb | sc)
-    sub = Dag(d.n, [(u, v) for u, v in d.arcs if u in anc and v in anc])
-    return separated(moralize(sub), sa, sb, sc)
+    return d_separated_masks(
+        [vertex_mask(ps) for ps in d.parents],
+        vertex_mask(sa),
+        vertex_mask(sb),
+        vertex_mask(sc),
+    )

@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .graphs import Dag, UndirectedGraph, d_separated, separated
+from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, reach
+from .graphs import removal_keeps_chordal, vertex_mask
 
 ENUMERATION_BOUND = 7  # observed-vertex cap for statement enumeration
 
@@ -62,9 +63,9 @@ class DependencyModel:
     """Queryable independence oracle over a graph backend.
 
     Use the ``from_undirected`` / ``from_dag`` / ``from_latent_dag``
-    factories.  Queries are memoized; for the undirected backend the
-    connected components after deleting each conditioning set are cached,
-    which makes exhaustive sweeps cheap.
+    factories.  Queries are memoized per statement and answered on vertex
+    bitmasks: plain reachability for the undirected backend, the
+    ancestral-moral criterion for the DAG backends.
     """
 
     def __init__(self, kind, graph, observed):
@@ -73,7 +74,12 @@ class DependencyModel:
         self.observed = tuple(sorted(observed))
         self._obs_set = frozenset(self.observed)
         self._cache: dict = {}
-        self._comp_cache: dict = {}
+        # neighbor masks (undirected) or parent masks (DAG) of the graph
+        self._masks = (
+            graph.neighbor_masks
+            if kind == "ug"
+            else tuple(vertex_mask(ps) for ps in graph.parents)
+        )
 
     @classmethod
     def from_undirected(cls, g: UndirectedGraph) -> "DependencyModel":
@@ -114,45 +120,20 @@ class DependencyModel:
 
     def independent(self, a: Iterable[int], b: Iterable[int], c: Iterable[int] = ()) -> bool:
         sa, sb, sc = self._validate(a, b, c)
-        key = (sa, sb, sc) if sa <= sb else (sb, sa, sc)
+        am, bm, cm = vertex_mask(sa), vertex_mask(sb), vertex_mask(sc)
+        key = (am, bm, cm) if am < bm else (bm, am, cm)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         if self.kind == "ug":
-            out = self._ug_separated(sa, sb, sc)
+            out = not reach(self._masks, am, cm) & bm
         else:
-            out = d_separated(self.graph, sa, sb, sc)
+            out = d_separated_masks(self._masks, am, bm, cm)
         self._cache[key] = out
         return out
 
     def holds(self, s: IndependenceStatement) -> bool:
         return self.independent(s.a, s.b, s.c)
-
-    def _ug_separated(self, sa, sb, sc) -> bool:
-        comp = self._comp_cache.get(sc)
-        if comp is None:
-            comp = self._component_labels(sc)
-            self._comp_cache[sc] = comp
-        labels = {comp[v] for v in sa}
-        return all(comp[v] not in labels for v in sb)
-
-    def _component_labels(self, removed: frozenset) -> tuple[int, ...]:
-        g = self.graph
-        labels = [-1] * g.n
-        nxt = 0
-        for v in range(g.n):
-            if v in removed or labels[v] >= 0:
-                continue
-            labels[v] = nxt
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in g.neighbors(u):
-                    if w not in removed and labels[w] < 0:
-                        labels[w] = nxt
-                        stack.append(w)
-            nxt += 1
-        return tuple(labels)
 
 
 def enumerate_independencies(
@@ -182,7 +163,7 @@ def enumerate_independencies(
 # model comparison
 
 
-def model_included(g, target: DependencyModel):
+def model_included(g: ChordalGraph, target: DependencyModel):
     """Is every separation of the chordal graph ``g`` true in ``target``?
 
     Returns (included, witness): the witness is a statement separating in
@@ -194,7 +175,7 @@ def model_included(g, target: DependencyModel):
     all non-adjacent pairs imply every separation of the graph.  For
     latent-margin targets the comparison enumerates both statement sets.
     """
-    graph = g.graph if hasattr(g, "graph") else g
+    graph = g.graph
     n = graph.n
     if tuple(range(n)) != target.observed:
         raise ValueError("graph vertices must match the target's observed set")
@@ -215,7 +196,7 @@ def model_included(g, target: DependencyModel):
     return True, None
 
 
-def inclusion_optimal(g, target: DependencyModel) -> bool:
+def inclusion_optimal(g: ChordalGraph, target: DependencyModel) -> bool:
     """True when ``g``'s model is included in the target and no chordal
     single-line subgraph of ``g`` is also included.
 
@@ -223,17 +204,13 @@ def inclusion_optimal(g, target: DependencyModel) -> bool:
     model corresponds to a proper chordal subgraph, and chordal subgraph
     pairs are connected by single-line chordal chains.
     """
-    from .graphs import ChordalGraph, is_chordal  # local to avoid cycles
-
-    graph = g.graph if hasattr(g, "graph") else g
     ok, _ = model_included(g, target)
     if not ok:
         return False
-    for a, b in graph.lines:
-        smaller = graph.without_line(a, b)
-        if not is_chordal(smaller):
+    for a, b in g.lines:
+        if not removal_keeps_chordal(g, a, b):
             continue
-        ok, _ = model_included(ChordalGraph.from_graph(smaller), target)
+        ok, _ = model_included(ChordalGraph.from_graph(g.graph.without_line(a, b)), target)
         if ok:
             return False
     return True

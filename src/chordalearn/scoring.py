@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .graphs import ChordalGraph, Dag, addition_keeps_chordal
+from .graphs import ChordalGraph, Dag, addition_keeps_chordal, removal_keeps_chordal
 
 if TYPE_CHECKING:  # pragma: no cover
     from .search import Move
@@ -226,9 +226,20 @@ def score_chordal(
     return math.fsum(cache.local_score(v, parents[v]) for v in range(g.n))
 
 
-def common_neighbors(graph, a: int, b: int) -> frozenset:
-    g = graph.graph if hasattr(graph, "graph") else graph
-    return g.neighbors(a) & g.neighbors(b)
+def line_delta(cache: ScoreCache, g: ChordalGraph, move: "Move") -> float:
+    """Score change of a single-line edit, new minus old, without checking
+    that the edit is legal.
+
+    Let S be the common neighbors of the endpoints (unaffected by the edit
+    itself).  Both the edited and the original graph admit perfect
+    orderings that differ only at one endpoint's parent set, so the score
+    difference collapses to two local terms at the higher endpoint:
+    removal scores f(b, S) - f(b, S + {a}); addition is the negation.
+    """
+    s = g.common_neighbors(move.a, move.b)
+    child = max(move.a, move.b)
+    d = cache.local_score(child, s | {min(move.a, move.b)}) - cache.local_score(child, s)
+    return d if move.kind == "add" else -d
 
 
 def move_delta(
@@ -238,43 +249,27 @@ def move_delta(
     ess: float = 1.0,
     cache: Optional[ScoreCache] = None,
 ) -> float:
-    """Score change of a legal single-line edit, new minus old.
-
-    Let S be the common neighbors of the endpoints (unaffected by the edit
-    itself).  Both the edited and the original graph admit perfect
-    orderings that differ only at one endpoint's parent set, so the score
-    difference collapses to two local terms at the higher endpoint:
-    removal scores f(b, S) - f(b, S + {a}); addition is the negation.
+    """Score change of a legal single-line edit, new minus old (see
+    ``line_delta``).
 
     Illegal moves (edits whose result is not chordal, or edits of
     absent/present lines) are rejected.
     """
     cache = _resolve_cache(data, ess, cache)
     a, b = move.a, move.b
-    s = common_neighbors(g, a, b)
     if move.kind == "remove":
         if not g.has_line(a, b):
             raise ValueError(f"line {a}-{b} not present")
-        # removal keeps chordality exactly when the common neighborhood is
-        # complete: otherwise two non-adjacent common neighbors close a
-        # chordless 4-cycle, and conversely any new chordless cycle would
-        # force such a pair
-        if not g.graph.is_complete_set(s):
+        if not removal_keeps_chordal(g, a, b):
             raise ValueError(f"removing {a}-{b} breaks chordality")
-        sign = -1.0
     elif move.kind == "add":
         if g.has_line(a, b):
             raise ValueError(f"line {a}-{b} already present")
         if not addition_keeps_chordal(g, a, b):
             raise ValueError(f"adding {a}-{b} breaks chordality")
-        sign = 1.0
     else:
         raise ValueError(f"unknown move kind {move.kind!r}")
-    child = max(a, b)
-    other = min(a, b)
-    with_line = cache.local_score(child, s | {other})
-    without_line = cache.local_score(child, s)
-    return sign * (with_line - without_line)
+    return line_delta(cache, g, move)
 
 
 def dimension(g: ChordalGraph, arities: Sequence[int]) -> int:

@@ -16,13 +16,13 @@ lexicographically smallest move, so runs are deterministic.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, addition_keeps_chordal
+from .graphs import reach, removal_keeps_chordal, vertex_mask
 from .independence import DependencyModel
-from .scoring import Dataset, ScoreCache, common_neighbors, score_dag
+from .scoring import Dataset, ScoreCache, _resolve_cache, line_delta, score_chordal, score_dag
 
 _KIND_ORDER = {"add": 0, "remove": 1, "reverse": 2}
 
@@ -85,16 +85,6 @@ class SearchTrace:
         return "\n".join(out) + ("\n" if out else "")
 
 
-def removal_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
-    """True when removing the present line a-b leaves ``g`` chordal.
-
-    The test is necessary and sufficient: the endpoints' common neighbors
-    must be pairwise adjacent.  Two non-adjacent common neighbors would
-    close a chordless 4-cycle once the line is gone, and conversely any
-    new chordless cycle would force such a pair."""
-    return g.graph.is_complete_set(common_neighbors(g, a, b))
-
-
 def inclusion_boundary(g: ChordalGraph) -> list[Move]:
     """All legal single-line moves: additions first, then removals, each
     group in lexicographic endpoint order.
@@ -140,24 +130,15 @@ class BDeuScorer:
     incrementally from two cached local terms."""
 
     def __init__(self, data: Dataset, ess: float = 1.0, cache: Optional[ScoreCache] = None):
-        self.cache = cache if cache is not None else ScoreCache(data, ess)
-        if self.cache.data is not data or self.cache.ess != ess:
-            raise ValueError("cache does not match the given dataset and ess")
+        self.cache = _resolve_cache(data, ess, cache)
         self.data = data
         self.ess = ess
 
     def score(self, g: ChordalGraph) -> float:
-        parents = g.oriented_parents()
-        return math.fsum(
-            self.cache.local_score(v, parents[v]) for v in range(g.n)
-        )
+        return score_chordal(g, self.data, self.ess, self.cache)
 
     def delta(self, g: ChordalGraph, move: Move) -> float:
-        s = common_neighbors(g, move.a, move.b)
-        child = max(move.a, move.b)
-        other = min(move.a, move.b)
-        d = self.cache.local_score(child, s | {other}) - self.cache.local_score(child, s)
-        return d if move.kind == "add" else -d
+        return line_delta(self.cache, g, move)
 
     def move_score(self, g: ChordalGraph, current: float, move: Move) -> float:
         return current + self.delta(g, move)
@@ -220,27 +201,10 @@ class OracleScore:
 
     @staticmethod
     def _connected_table(graph: UndirectedGraph) -> list[bool]:
-        n = graph.n
-        table = [False] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & -m
-            if m == low:
-                table[m] = True
-                continue
-            # grow a component from the lowest vertex inside the mask
-            reach = low
-            frontier = low
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= graph.neighbor_mask(b.bit_length() - 1) & m
-                frontier = nxt & ~reach
-                reach |= frontier
-            table[m] = reach == m
-        return table
+        # a nonempty set is connected when its lowest vertex reaches all of
+        # it without leaving it
+        masks = graph.neighbor_masks
+        return [m != 0 and reach(masks, m & -m, ~m) == m for m in range(1 << graph.n)]
 
     def set_entropy(self, mask: int) -> int:
         """Number of connected target sets meeting the masked vertex set."""
@@ -262,9 +226,7 @@ class OracleScore:
         parents = g.oriented_parents()
         total = 0
         for v in range(g.n):
-            pmask = 0
-            for p in parents[v]:
-                pmask |= 1 << p
+            pmask = vertex_mask(parents[v])
             total += self.set_entropy(pmask | (1 << v)) - self.set_entropy(pmask)
         return total - self._total_entropy
 
@@ -277,11 +239,8 @@ class OracleScore:
         return (-self.violation_weight(g), -dim)
 
     def move_score(self, g: ChordalGraph, current: tuple[int, int], move: Move):
-        s = common_neighbors(g, move.a, move.b)
-        s_mask = 0
-        for v in s:
-            s_mask |= 1 << v
-        info = self.conditional_info(move.a, move.b, s_mask)
+        s = g.common_neighbors(move.a, move.b)
+        info = self.conditional_info(move.a, move.b, vertex_mask(s))
         viol = -current[0]
         dim = -current[1]
         # denser graphs assert fewer separations: additions can only lower
@@ -305,7 +264,7 @@ def statement_local_optimum(g: ChordalGraph, target: DependencyModel) -> bool:
     for move in inclusion_boundary(g):
         # S is the same before and after the edit, so one statement decides
         # both kinds: a removal improves when it holds, an addition when not
-        s = common_neighbors(g, move.a, move.b)
+        s = g.common_neighbors(move.a, move.b)
         if target.independent([move.a], [move.b], s) == (move.kind == "remove"):
             return False
     return True

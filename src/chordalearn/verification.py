@@ -20,7 +20,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
-from .graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal
+from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, is_chordal
+from .graphs import reach, vertex_mask
 from .independence import (
     DependencyModel,
     enumerate_independencies,
@@ -29,7 +30,6 @@ from .independence import (
     inclusion_optimal,
     model_included,
 )
-from .scoring import common_neighbors
 from .search import Move, OracleScore, inclusion_boundary, statement_local_optimum
 from .synthetic import rng_from
 
@@ -57,8 +57,8 @@ def naive_is_chordal(graph: UndirectedGraph) -> bool:
                 (graph.neighbor_mask(v) & smask).bit_count() != 2 for v in sub
             ):
                 continue
-            reach = 1 << sub[0]
-            frontier = reach
+            seen = 1 << sub[0]
+            frontier = seen
             while frontier:
                 nxt = 0
                 m = frontier
@@ -66,9 +66,9 @@ def naive_is_chordal(graph: UndirectedGraph) -> bool:
                     bit = m & -m
                     m ^= bit
                     nxt |= graph.neighbor_mask(bit.bit_length() - 1) & smask
-                frontier = nxt & ~reach
-                reach |= frontier
-            if reach == smask:
+                frontier = nxt & ~seen
+                seen |= frontier
+            if seen == smask:
                 return False
     return True
 
@@ -265,23 +265,18 @@ class _Records:
             fp = []
             dim = 0
             for v, ps in enumerate(cg.oriented_parents()):
-                pmask = 0
-                for p in ps:
-                    pmask |= 1 << p
+                pmask = vertex_mask(ps)
                 fp.append((pmask | (1 << v), pmask))
                 dim += 1 << len(ps)
             self.fam_pa.append(tuple(fp))
             self.dims.append(dim)
             recs = []
             for mv in boundary(cg):
-                s = common_neighbors(cg, mv.a, mv.b)
-                smask = 0
-                for v in s:
-                    smask |= 1 << v
+                s = cg.common_neighbors(mv.a, mv.b)
                 line_bit = self.bit_of[(min(mv.a, mv.b), max(mv.a, mv.b))]
                 result = mask | line_bit if mv.kind == "add" else mask & ~line_bit
                 recs.append(
-                    _MoveRec(mv.kind, mv.a, mv.b, smask, len(s), self.index.get(result))
+                    _MoveRec(mv.kind, mv.a, mv.b, vertex_mask(s), len(s), self.index.get(result))
                 )
             self.moves.append(tuple(recs))
 
@@ -355,7 +350,7 @@ def oracle_self_check(
         for mv in inclusion_boundary(cg):
             if mv.kind != "remove":
                 continue
-            s = common_neighbors(cg, mv.a, mv.b)
+            s = cg.common_neighbors(mv.a, mv.b)
             smaller = ChordalGraph.from_graph(cg.graph.without_line(mv.a, mv.b))
             sscore = oracle.score(smaller)
             holds = model.independent((mv.a,), (mv.b,), s)
@@ -670,47 +665,6 @@ def all_dags(n: int) -> list[Dag]:
     return found
 
 
-def _dsep_mask(parmasks: Sequence[int], a: int, b: int, c: int) -> bool:
-    """d-separation with vertex bit masks: ancestral closure, moral
-    adjacency, then reachability from a avoiding c."""
-    anc = a | b | c
-    while True:
-        grown = anc
-        m = anc
-        while m:
-            bit = m & -m
-            m ^= bit
-            grown |= parmasks[bit.bit_length() - 1]
-        if grown == anc:
-            break
-        anc = grown
-    adj = [0] * len(parmasks)
-    m = anc
-    while m:
-        bit = m & -m
-        m ^= bit
-        v = bit.bit_length() - 1
-        ps = parmasks[v] & anc
-        adj[v] |= ps
-        mm = ps
-        while mm:
-            pb = mm & -mm
-            mm ^= pb
-            adj[pb.bit_length() - 1] |= bit | (ps & ~pb)
-    reach = a
-    frontier = a
-    while frontier:
-        nxt = 0
-        mm = frontier
-        while mm:
-            vb = mm & -mm
-            mm ^= vb
-            nxt |= adj[vb.bit_length() - 1]
-        frontier = nxt & anc & ~c & ~reach
-        reach |= frontier
-    return not reach & b
-
-
 def _observed_triples(observed: Sequence[int]) -> list[tuple[int, int, int]]:
     """All canonical (A, B, C) mask triples over the observed vertices:
     A, B nonempty and disjoint from each other and C, lowest vertex of A
@@ -745,13 +699,7 @@ class _TableModel:
         self._table = table
 
     def independent(self, a, b, c=()) -> bool:
-        am = bm = cm = 0
-        for v in a:
-            am |= 1 << v
-        for v in b:
-            bm |= 1 << v
-        for v in c:
-            cm |= 1 << v
+        am, bm, cm = vertex_mask(a), vertex_mask(b), vertex_mask(c)
         if (am & -am) > (bm & -bm):
             am, bm = bm, am
         return self._table[(am, bm, cm)]
@@ -767,21 +715,8 @@ def _ug_margin_keys(observed: Sequence[int], triples) -> set:
     keys = set()
     k = len(observed)
     for g in all_undirected(k):
-        key = []
-        for am, bm, cm in triples:
-            reach = am
-            frontier = am
-            while frontier:
-                nxt = 0
-                mm = frontier
-                while mm:
-                    vb = mm & -mm
-                    mm ^= vb
-                    nxt |= g.neighbor_mask(vb.bit_length() - 1)
-                frontier = nxt & ~cm & ~reach
-                reach |= frontier
-            key.append(not reach & bm)
-        keys.add(tuple(key))
+        masks = g.neighbor_masks
+        keys.add(tuple(not reach(masks, am, cm) & bm for am, bm, cm in triples))
     return keys
 
 
@@ -836,11 +771,8 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
     skipped = 0
     for dag in dags:
         scanned += 1
-        parmasks = [0] * n
-        for v in range(n):
-            for p in dag.parents[v]:
-                parmasks[v] |= 1 << p
-        key = tuple(_dsep_mask(parmasks, am, bm, cm) for am, bm, cm in triples)
+        parmasks = [vertex_mask(ps) for ps in dag.parents]
+        key = tuple(d_separated_masks(parmasks, am, bm, cm) for am, bm, cm in triples)
         if key in ug_keys:
             skipped += 1
             continue

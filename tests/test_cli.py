@@ -73,6 +73,31 @@ class TestGenerate:
         cfg = write_json(tmp_path / "bad.json", {"n_vars": 4, "wat": 1})
         assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_vars", 0),
+            ("n_vars", [4]),
+            ("n_vars", True),
+            ("arity", 0),
+            ("max_parents", -1),
+            ("max_parents", "x"),
+            ("min_prob", 2),
+            ("min_prob", 0.6),  # above 1/arity for binary variables
+            ("min_prob", "0.1"),
+            ("seed", -1),
+            ("seed", True),
+            ("test_obs", 0),
+            ("replicate", -1),
+        ],
+    )
+    def test_invalid_config_usage_error(self, tmp_path, field, value, capsys):
+        cfg = write_json(tmp_path / "bad.json", {"n_vars": 4, field: value})
+        out = tmp_path / "x"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_config_io_error(self, tmp_path):
         assert (
             cli.main(
@@ -375,6 +400,29 @@ class TestExperiment:
         out = tmp_path / "e"
         assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
         assert "config.ess" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_vars", [4, "a"]),
+            ("n_vars", []),
+            ("n_vars", 4),
+            ("n_vars", [0]),
+            ("n_vars", [True]),
+            ("arity", 0),
+            ("max_parents", -1),
+            ("min_prob", 0.6),
+            ("seed", -1),
+            ("test_obs", 0),
+            ("replicates", 1.5),
+        ],
+    )
+    def test_invalid_config_usage_error(self, tmp_path, field, value, capsys):
+        cfg = self.exp_config(tmp_path, **{field: value})
+        out = tmp_path / "e"
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"config.{field}" in capsys.readouterr().err
         assert not out.exists()
 
 

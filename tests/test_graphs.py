@@ -26,6 +26,7 @@ from chordalearn.graphs import (
     reach,
     separated,
 )
+from chordalearn.independence import DependencyModel
 
 from conftest import (
     all_graphs,
@@ -308,6 +309,15 @@ class TestMinFill:
         assert nx_is_chordal(chordal.graph)
 
 
+def disjoint_triples(n: int):
+    """Every (A, B, C) of pairwise disjoint vertex tuples with A and B
+    nonempty: each vertex takes one of the roles A, B, C or unused."""
+    for roles in itertools.product(range(4), repeat=n):
+        a, b, c = ([v for v in range(n) if roles[v] == r] for r in range(3))
+        if a and b:
+            yield a, b, c
+
+
 class TestSeparation:
     def test_agrees_with_path_enumeration_exhaustive_n4(self):
         for g in all_graphs(4):
@@ -344,6 +354,14 @@ class TestSeparation:
         assert separated(g, [0, 1], [3, 4], [2])
         assert not separated(g, [0, 1], [3, 4], [])
 
+    def test_set_arguments_exhaustive_n4(self):
+        for g in all_graphs(4):
+            model = DependencyModel.from_undirected(g)
+            for a, b, c in disjoint_triples(4):
+                expected = path_separated(g, a, b, c)
+                assert separated(g, a, b, c) == expected, (g, a, b, c)
+                assert model.independent(a, b, c) == expected, (g, a, b, c)
+
     def test_overlap_rejected(self):
         g = UndirectedGraph(3, [(0, 1)])
         with pytest.raises(ValueError):
@@ -370,6 +388,16 @@ class TestDSeparation:
                             assert d_separated(d, [a], [b], c) == naive_d_separated(
                                 d, {a}, {b}, set(c)
                             )
+
+    def test_set_arguments_agree_with_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            d = random_dag(5, rng)
+            model = DependencyModel.from_dag(d)
+            for a, b, c in disjoint_triples(5):
+                expected = naive_d_separated(d, a, b, c)
+                assert d_separated(d, a, b, c) == expected, (d, a, b, c)
+                assert model.independent(a, b, c) == expected, (d, a, b, c)
 
     def test_collider_pattern(self):
         d = Dag(3, [(0, 2), (1, 2)])

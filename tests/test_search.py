@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -38,7 +39,7 @@ from chordalearn.synthetic import (
     rng_from,
 )
 
-from conftest import all_graphs, random_chordal_graph
+from conftest import all_graphs, random_chordal_graph, to_nx
 
 
 class TestMove:
@@ -204,6 +205,21 @@ class TestOracleScore:
                 assert oracle.move_score(g, current, move) == oracle.score(
                     apply_move(g, move)
                 )
+
+    def test_set_entropy_counts_connected_sets_exhaustive_n4(self):
+        # the entropy of W is the number of connected target sets meeting W
+        for n in range(1, 5):
+            for g in all_graphs(n):
+                h = to_nx(g)
+                connected = [
+                    m
+                    for m in range(1, 1 << n)
+                    if nx.is_connected(h.subgraph(v for v in range(n) if m >> v & 1))
+                ]
+                oracle = OracleScore(g)
+                for mask in range(1 << n):
+                    expected = sum(1 for m in connected if m & mask)
+                    assert oracle.set_entropy(mask) == expected, (g, mask)
 
     def test_conditional_info_zero_iff_separated(self):
         g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
