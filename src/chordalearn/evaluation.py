@@ -41,10 +41,10 @@ def fit_parameters(
     tables = []
     for v in range(dag.n):
         r = data.arities[v]
-        parents = sorted(dag.parents[v])
-        codes, q = _parent_config_codes(data.rows, data.arities, parents)
-        counts = np.bincount(codes * r + data.rows[:, v], minlength=q * r).reshape(q, r)
-        alpha_cell = ess / (r * q)
+        cell, rq = _parent_config_codes(data.rows, data.arities, [v, *sorted(dag.parents[v])])
+        q = rq // r
+        counts = np.bincount(cell, minlength=rq).reshape(q, r)
+        alpha_cell = ess / rq
         theta = (counts + alpha_cell) / (counts.sum(axis=1, keepdims=True) + ess / q)
         theta = theta / theta.sum(axis=1, keepdims=True)
         tables.append(theta)

@@ -15,6 +15,7 @@ lexicographically smallest move, so runs are deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
@@ -50,6 +51,13 @@ class Move:
 
     def __str__(self) -> str:
         return self.to_string()
+
+
+# One shared instance per (kind, a, b): the searches list the same moves
+# at every step, and a frozen Move is safe to share.  Validation runs on
+# the first construction of each; the cache holds at most 3*n*(n-1)
+# moves for the largest vertex count n searched.
+_move = functools.cache(Move)
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,10 @@ def inclusion_boundary(g: ChordalGraph) -> list[Move]:
     for a in range(g.n):
         for b in range(a + 1, g.n):
             if not (masks[a] >> b) & 1 and addition_keeps_chordal(g, a, b):
-                moves.append(Move("add", a, b))
+                moves.append(_move("add", a, b))
     for a, b in g.lines:
         if removal_keeps_chordal(g, a, b):
-            moves.append(Move("remove", a, b))
+            moves.append(_move("remove", a, b))
     return moves
 
 
@@ -363,14 +371,14 @@ def dag_moves(d: Dag) -> list[Move]:
             if u == v or u in parents[v] or v in parents[u]:
                 continue
             if not (desc[v] >> u) & 1:
-                moves.append(Move("add", u, v))
+                moves.append(_move("add", u, v))
     for u, v in d.arcs:
-        moves.append(Move("remove", u, v))
+        moves.append(_move("remove", u, v))
     for u, v in d.arcs:
         # v is not its own descendant, so only a path through another
         # child of u can put v in via_children[u]
         if not (via_children[u] >> v) & 1:
-            moves.append(Move("reverse", u, v))
+            moves.append(_move("reverse", u, v))
     return moves
 
 

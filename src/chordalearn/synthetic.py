@@ -217,7 +217,7 @@ def ancestral_sample(net: DiscreteBayesNet, count: int, rng: np.random.Generator
     """Independent rows sampled vertex-by-vertex in topological order."""
     if count < 0:
         raise ValueError("count must be nonnegative")
-    rows = np.zeros((count, net.n), dtype=np.int64)
+    rows = np.zeros((count, net.n), dtype=np.int64, order="F")
     for v in net.dag.topological_order():
         codes, _ = _parent_config_codes(rows, net.arities, sorted(net.dag.parents[v]))
         cum = np.cumsum(net.tables[v][codes], axis=1)

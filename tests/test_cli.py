@@ -197,6 +197,17 @@ class TestLearn:
             == 3
         )
 
+    def test_headerless_csv_io_error(self, tmp_path, capsys):
+        # before, the first record was taken as column names and the
+        # learner ran on the other two with exit 0
+        data = tmp_path / "train.csv"
+        data.write_text("0,1,0\n1,1,0\n1,0,1\n")
+        out = tmp_path / "learned"
+        rc = cli.main(["learn", "--data", str(data), "--out", str(out)])
+        assert rc == 3
+        assert "header row of column names" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ess", ["-1", "0", "nan", "inf"])
     def test_invalid_ess_usage_error(self, gen_run, tmp_path, ess, capsys):
         _, run = gen_run

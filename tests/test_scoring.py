@@ -7,7 +7,11 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import gammaln
 
+from chordalearn.evaluation import fit_parameters
 from chordalearn.graphs import (
     ChordalGraph,
     Dag,
@@ -19,6 +23,7 @@ from chordalearn.graphs import (
 from chordalearn.scoring import (
     Dataset,
     ScoreCache,
+    _is_int,
     _parent_config_codes,
     bdeu_local_score,
     dimension,
@@ -28,7 +33,7 @@ from chordalearn.scoring import (
     score_dag,
 )
 from chordalearn.search import Move, inclusion_boundary
-from chordalearn.synthetic import ancestral_sample, rng_from
+from chordalearn.synthetic import ancestral_sample, random_dag, random_parameters, rng_from
 
 from conftest import all_graphs, random_chordal_graph
 
@@ -61,6 +66,61 @@ def oracle_local_score(v, parents, data, ess=1.0):
     for c in cell.values():
         total += mpmath.loggamma(a_cell + c) - mpmath.loggamma(a_cell)
     return float(total)
+
+
+def reference_parent_codes(rows, arities, parents):
+    """Parent configuration codes as computed before whole families were
+    coded at once: a strided pass per parent, lowest index fastest."""
+    q = 1
+    codes = np.zeros(rows.shape[0], dtype=np.int64)
+    for p in sorted(parents):
+        codes += rows[:, p] * q
+        q *= arities[p]
+    return codes, q
+
+
+def reference_local_score(v, parents, data, ess=1.0):
+    """The sort-based BDeu kernel (``np.unique`` over cell codes, then
+    ``np.add.reduceat`` per configuration) that dense counting replaced,
+    kept as a bit-identity oracle."""
+    parents = tuple(sorted(set(parents)))
+    r = data.arities[v]
+    pcodes, q = reference_parent_codes(data.rows, data.arities, parents)
+    if data.n_rows == 0:
+        return 0.0
+    cell = pcodes * r + data.rows[:, v]
+    uniq, counts = np.unique(cell, return_counts=True)
+    a_cell = ess / (r * q)
+    a_cfg = ess / q
+    total = float(np.sum(gammaln(a_cell + counts) - gammaln(a_cell)))
+    cfg = uniq // r
+    boundaries = np.flatnonzero(np.diff(cfg)) + 1
+    n_cfg = np.add.reduceat(counts, np.concatenate(([0], boundaries)))
+    total += float(np.sum(gammaln(a_cfg) - gammaln(a_cfg + n_cfg)))
+    return total
+
+
+def reference_tables(dag, data, ess):
+    """``fit_parameters``' tables from the per-parent codes and a
+    ``codes * r + child`` bincount."""
+    tables = []
+    for v in range(dag.n):
+        r = data.arities[v]
+        codes, q = reference_parent_codes(data.rows, data.arities, dag.parents[v])
+        counts = np.bincount(codes * r + data.rows[:, v], minlength=q * r).reshape(q, r)
+        theta = (counts + ess / (r * q)) / (counts.sum(axis=1, keepdims=True) + ess / q)
+        tables.append(theta / theta.sum(axis=1, keepdims=True))
+    return tables
+
+
+def in_layout(rows, layout):
+    """``rows`` as a C-ordered, F-ordered or read-only (C-ordered) array."""
+    if layout == "F":
+        return np.asfortranarray(rows)
+    rows = np.ascontiguousarray(rows)
+    if layout == "read-only":
+        rows.setflags(write=False)
+    return rows
 
 
 def random_dataset(n, rows, rng, max_arity=3):
@@ -97,6 +157,54 @@ class TestDataset:
         assert d.names == ("x", "y")
         assert d.arities == (2, 2)
 
+    def test_headerless_csv_rejected(self):
+        # a first row of integers is data, not names: reading it as a
+        # header would silently drop a record
+        with pytest.raises(ValueError, match="header row of column names"):
+            Dataset.from_csv_text("0,1\n1,1\n1,0\n")
+        assert Dataset.from_csv_text("x,1\n0,1\n").names == ("x", "1")
+
+    def test_rows_column_major_read_only_int64(self, tmp_path):
+        made = Dataset([[0, 1], [1, 0], [1, 1]])
+        made.to_csv(tmp_path / "d.csv")
+        net = random_parameters(random_dag(4, 2, rng_from(3)), (2, 3, 2, 4), rng_from(4))
+        for d in (
+            made,
+            Dataset.from_csv(tmp_path / "d.csv"),
+            Dataset.from_csv_text("x,y\n0,1\n1,1\n0,0\n"),
+            ancestral_sample(net, 50, rng_from(5)),
+        ):
+            assert d.rows.flags.f_contiguous and not d.rows.flags.c_contiguous
+            assert not d.rows.flags.writeable
+            assert d.rows.dtype == np.int64
+
+    def test_fortran_int64_input_not_copied(self):
+        rows = np.asfortranarray(rng_from(6).integers(0, 3, size=(40, 4)), dtype=np.int64)
+        assert Dataset(rows, arities=(3, 3, 3, 3)).rows is rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_csv_roundtrip_property(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        n_rows = data.draw(st.integers(0, 12), label="n_rows")
+        arities = data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n), label="arities")
+        names = data.draw(
+            st.lists(st.text(alphabet="ab9 ,\"\n-é", max_size=4), min_size=n, max_size=n),
+            label="names",
+        )
+        assume(not all(_is_int(x) for x in names))
+        rows = [
+            [data.draw(st.integers(0, r - 1)) for r in arities] for _ in range(n_rows)
+        ]
+        d = Dataset(np.array(rows, dtype=np.int64).reshape(n_rows, n), arities, names)
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        d.to_csv(path)
+        e = Dataset.from_csv(path, arities=arities)
+        assert e.names == d.names
+        assert e.arities == d.arities
+        assert np.array_equal(e.rows, d.rows)
+        assert e.rows.flags.f_contiguous
+
 
 class TestParentCodes:
     def test_lowest_index_fastest(self):
@@ -107,11 +215,28 @@ class TestParentCodes:
         assert list(codes) == [1, 2]
 
     def test_parent_order_irrelevant(self):
+        # the columns are coded in the order given, so listing them in
+        # another order relabels the configurations but groups the rows
+        # the same way; callers sort parent sets, which fixes the labels
         rng = np.random.default_rng(0)
         rows = rng.integers(0, 3, size=(50, 4))
         a, qa = _parent_config_codes(rows, (3, 3, 3, 3), (2, 0))
         b, qb = _parent_config_codes(rows, (3, 3, 3, 3), (0, 2))
-        assert qa == qb and np.array_equal(a, b)
+        assert qa == qb
+        assert np.array_equal(a[:, None] == a, b[:, None] == b)
+        assert np.array_equal(b, reference_parent_codes(rows, (3, 3, 3, 3), (2, 0))[0])
+        data = Dataset(rows, arities=(3, 3, 3, 3))
+        assert bdeu_local_score(1, (2, 0), data) == bdeu_local_score(1, (0, 2), data)
+
+    def test_child_first_cell_codes(self):
+        rng = np.random.default_rng(1)
+        arities = (2, 3, 4, 3)
+        rows = rng.integers(0, arities, size=(60, 4))
+        for v, parents in [(1, (0, 2, 3)), (3, (0,)), (0, ())]:
+            cell, rq = _parent_config_codes(rows, arities, (v,) + parents)
+            pcodes, q = reference_parent_codes(rows, arities, parents)
+            assert rq == arities[v] * q
+            assert np.array_equal(cell, pcodes * arities[v] + rows[:, v])
 
     def test_empty_parent_set(self):
         codes, q = _parent_config_codes(np.zeros((5, 2), dtype=int), (2, 2), ())
@@ -161,6 +286,48 @@ class TestLocalScore:
         data = Dataset([[0, 1]])
         with pytest.raises(ValueError):
             bdeu_local_score(0, (0,), data)
+
+
+class TestCountingKernel:
+    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 5000])
+    def test_bit_identical_to_sort_kernel(self, n_rows, layout):
+        rng = np.random.default_rng(100 + n_rows)
+        n = 8
+        arities = tuple(int(r) for r in rng.integers(2, 5, size=n))
+        # skewed marginals leave configurations empty even when the r*q
+        # cells number far fewer than the rows, so the dense branch must
+        # drop zero counts exactly where np.unique never lists them
+        rows = np.column_stack(
+            [rng.choice(r, size=n_rows, p=rng.dirichlet(np.full(r, 0.5))) for r in arities]
+        )
+        data = Dataset(in_layout(rows, layout), arities)
+        dense = set()
+        for k in range(n):
+            for _ in range(6):
+                v = int(rng.integers(n))
+                others = [u for u in range(n) if u != v]
+                parents = tuple(int(p) for p in rng.choice(others, size=k, replace=False))
+                ess = float(rng.choice([0.1, 1.0, 10.0]))
+                got = bdeu_local_score(v, parents, data, ess)
+                assert got == reference_local_score(v, parents, data, ess), (v, parents, ess)
+                dense.add(arities[v] * math.prod(arities[p] for p in parents) <= n_rows)
+        if n_rows >= 7:  # both the bincount and the np.unique branch ran
+            assert dense == {True, False}
+
+    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+    @pytest.mark.parametrize("n_rows", [0, 1, 7, 5000])
+    def test_fit_parameters_tables_unchanged(self, n_rows, layout):
+        rng = np.random.default_rng(200 + n_rows)
+        n = 6
+        arities = tuple(int(r) for r in rng.integers(2, 5, size=n))
+        data = Dataset(in_layout(rng.integers(0, arities, size=(n_rows, n)), layout), arities)
+        for trial in range(4):
+            dag = random_dag(n, 3, rng)
+            ess = float(rng.choice([0.1, 1.0, 10.0]))
+            got = fit_parameters(dag, data, ess).tables
+            for v, want in enumerate(reference_tables(dag, data, ess)):
+                assert np.array_equal(got[v], want), (trial, v)
 
 
 class TestScoreCache:

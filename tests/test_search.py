@@ -1,5 +1,6 @@
 """Boundary enumeration, scorers, and greedy hill-climbing."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -62,6 +63,24 @@ class TestMove:
             Move("add", 2, 3),
             Move("remove", 0, 1),
         ]
+
+
+    def test_listed_moves_are_shared_and_still_frozen(self):
+        g = ChordalGraph.from_graph(UndirectedGraph(4, [(0, 1), (1, 2)]))
+        d = Dag(4, [(0, 1), (1, 2)])
+        listed = inclusion_boundary(g) + dag_moves(d)
+        assert {m.kind for m in listed} == {"add", "remove", "reverse"}
+        for m in listed:
+            fresh = Move(m.kind, m.a, m.b)
+            assert m == fresh and hash(m) == hash(fresh)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                m.a = 3
+        # a second listing hands out the same instances
+        assert all(x is y for x, y in zip(dag_moves(d), dag_moves(d)))
+        with pytest.raises(ValueError):
+            Move("bogus", 0, 1)
+        with pytest.raises(ValueError):
+            Move("add", 1, 1)
 
 
 class TestInclusionBoundary:
