@@ -104,13 +104,7 @@ class UndirectedGraph:
 
     def is_complete_set(self, vertices: Iterable[int]) -> bool:
         """True when the given vertices are pairwise adjacent."""
-        vs = list(vertices)
-        for i, a in enumerate(vs):
-            m = self._mask[a]
-            for b in vs[i + 1 :]:
-                if not (m >> b) & 1:
-                    return False
-        return True
+        return is_complete_mask(self._mask, vertex_mask(vertices))
 
     # -- edits (return new graphs) ---------------------------------------
 
@@ -434,6 +428,18 @@ def reach(masks: Sequence[int], src: int, blocked: int) -> int:
     return seen
 
 
+def is_complete_mask(masks: Sequence[int], s: int) -> bool:
+    """True when the vertices of the bitmask ``s`` are pairwise adjacent,
+    ``masks[v]`` being the neighbor bitmask of v."""
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if rest & ~masks[low.bit_length() - 1]:
+            return False
+    return True
+
+
 def addition_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
     """True when adding the absent line a-b leaves ``g`` chordal.
 
@@ -453,7 +459,8 @@ def removal_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
     must be pairwise adjacent.  Two non-adjacent common neighbors would
     close a chordless 4-cycle once the line is gone, and conversely any
     new chordless cycle would force such a pair."""
-    return g.graph.is_complete_set(g.common_neighbors(a, b))
+    masks = g.graph.neighbor_masks
+    return is_complete_mask(masks, masks[a] & masks[b])
 
 
 def peo_with_prefix(g: ChordalGraph, prefix: Sequence[int]) -> tuple[int, ...]:

@@ -11,6 +11,19 @@ the endpoints (Giudici & Green, Biometrika 1999; Deshpande, Garofalakis &
 Jordan, UAI 2001).  Greedy search repeatedly applies the best strictly
 improving neighbor and stops when none exists; ties break on the
 lexicographically smallest move, so runs are deterministic.
+
+Two memos keep a step cheap without carrying legality state between steps:
+
+* component memo: within one ``inclusion_boundary`` call, every absent
+  pair (a, b) with the same S = N(a) & N(b) looks in the same graph G - S,
+  so each component of G - S is found once, with one ``reach``, and every
+  later pair whose a lies in it reads its legality (b outside it) off the
+  component's bitmask;
+* delta memo: a line's score change depends on the data and on (a, b, S)
+  only, so ``BDeuScorer`` keeps f(b, S + a) - f(b, S) per (a, b, S) for
+  the whole search; a removal reads the exact negation.  Nothing in it is
+  ever invalidated, and only a miss builds the parent sets that
+  ``ScoreCache`` is keyed by.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
-from .graphs import ChordalGraph, Dag, UndirectedGraph, addition_keeps_chordal
+from .graphs import ChordalGraph, Dag, UndirectedGraph, is_complete_mask
 from .graphs import reach, removal_keeps_chordal, vertex_mask
 from .independence import DependencyModel
 from .scoring import Dataset, ScoreCache, _resolve_cache, line_delta, score_chordal, score_dag
@@ -94,23 +107,41 @@ class SearchTrace:
 
 
 def inclusion_boundary(g: ChordalGraph) -> list[Move]:
-    """All legal single-line moves: additions first, then removals, each
-    group in lexicographic endpoint order.
+    """All legal single-line moves, in ``Move.sort_key`` order: additions
+    first, then removals, each group in lexicographic endpoint order.
+    Callers rely on this order for tie-breaking and do not re-sort.
 
     Legality is decided locally on the current graph, with S the common
     neighbors of the endpoints: an absent line can be added iff S
     separates its endpoints, and a present line can be removed iff S is
     complete (Giudici & Green, Biometrika 1999; Deshpande, Garofalakis &
     Jordan, UAI 2001).  No edited graph is built or re-tested.
+
+    S separates a from b iff b lies outside a's component of G - S.  The
+    components found so far are kept per S for the length of the call, so
+    a pair whose a lies in a known component costs no ``reach``.
     """
     masks = g.graph.neighbor_masks
     moves = []
+    components: dict[int, list[int]] = {}  # S -> components of G - S found
     for a in range(g.n):
+        ma = masks[a]
+        bit = 1 << a
         for b in range(a + 1, g.n):
-            if not (masks[a] >> b) & 1 and addition_keeps_chordal(g, a, b):
+            if (ma >> b) & 1:
+                continue
+            s = ma & masks[b]
+            found = components.setdefault(s, [])
+            for comp in found:
+                if comp & bit:
+                    break
+            else:
+                comp = reach(masks, bit, s)
+                found.append(comp)
+            if not (comp >> b) & 1:
                 moves.append(_move("add", a, b))
     for a, b in g.lines:
-        if removal_keeps_chordal(g, a, b):
+        if is_complete_mask(masks, masks[a] & masks[b]):
             moves.append(_move("remove", a, b))
     return moves
 
@@ -134,19 +165,32 @@ class ChordalScorer(Protocol):  # pragma: no cover - typing only
 
 
 class BDeuScorer:
-    """Data-driven scorer: totals are floats, move scores are computed
-    incrementally from two cached local terms."""
+    """Data-driven scorer: totals are floats, move scores are the current
+    total plus a line delta of two cached local terms.
+
+    Line deltas are memoized for the scorer's lifetime by (a, b, S), with
+    a < b and S the common-neighbor bitmask, in the add sense
+    f(b, S + a) - f(b, S).  They depend on nothing else, so no entry is
+    ever stale; a removal returns the exact negation, the same float
+    ``line_delta`` returns."""
 
     def __init__(self, data: Dataset, ess: float = 1.0, cache: Optional[ScoreCache] = None):
         self.cache = _resolve_cache(data, ess, cache)
         self.data = data
         self.ess = ess
+        self._line_deltas: dict[tuple[int, int, int], float] = {}
 
     def score(self, g: ChordalGraph) -> float:
         return score_chordal(g, self.data, self.ess, self.cache)
 
     def delta(self, g: ChordalGraph, move: Move) -> float:
-        return line_delta(self.cache, g, move)
+        a, b = (move.a, move.b) if move.a < move.b else (move.b, move.a)
+        masks = g.graph.neighbor_masks
+        key = (a, b, masks[a] & masks[b])
+        d = self._line_deltas.get(key)
+        if d is None:
+            d = self._line_deltas[key] = line_delta(self.cache, g, _move("add", a, b))
+        return d if move.kind == "add" else -d
 
     def move_score(self, g: ChordalGraph, current: float, move: Move) -> float:
         return current + self.delta(g, move)
@@ -247,15 +291,16 @@ class OracleScore:
         return (-self.violation_weight(g), -dim)
 
     def move_score(self, g: ChordalGraph, current: tuple[int, int], move: Move):
-        s = g.common_neighbors(move.a, move.b)
-        info = self.conditional_info(move.a, move.b, vertex_mask(s))
+        masks = g.graph.neighbor_masks
+        s = masks[move.a] & masks[move.b]
+        info = self.conditional_info(move.a, move.b, s)
         viol = -current[0]
         dim = -current[1]
         # denser graphs assert fewer separations: additions can only lower
         # the violation weight, removals raise it by the blocked information
         if move.kind == "add":
-            return (-(viol - info), -(dim + (1 << len(s))))
-        return (-(viol + info), -(dim - (1 << len(s))))
+            return (-(viol - info), -(dim + (1 << s.bit_count())))
+        return (-(viol + info), -(dim - (1 << s.bit_count())))
 
 
 def statement_local_optimum(g: ChordalGraph, target: DependencyModel) -> bool:
@@ -283,9 +328,10 @@ def statement_local_optimum(g: ChordalGraph, target: DependencyModel) -> bool:
 
 
 def _best_move(g, scorer, current, moves):
+    # moves come in sort-key order, so the first of equal scores is kept
     best = None
     best_score = current
-    for move in sorted(moves, key=Move.sort_key):
+    for move in moves:
         cand = scorer.move_score(g, current, move)
         if cand > best_score:
             best = move
@@ -318,7 +364,7 @@ def greedy_chordal(
         if policy == "best":
             chosen, new_total = _best_move(g, scorer, total, moves)
         else:
-            for move in sorted(moves, key=Move.sort_key):
+            for move in moves:
                 cand = scorer.move_score(g, total, move)
                 if cand > total:
                     chosen, new_total = move, cand

@@ -112,13 +112,19 @@ class DiscreteBayesNet:
 
     @classmethod
     def from_json(cls, text: str) -> "DiscreteBayesNet":
+        """Parse ``to_json`` output.  Any malformed document (bad JSON, a
+        missing field, a field of the wrong type or length) raises
+        ``ValueError``."""
         doc = json.loads(text)
-        dag = Dag(doc["n"], [tuple(a) for a in doc["arcs"]])
-        arities = doc["arities"]
-        tables = []
-        for v in range(dag.n):
-            q = math.prod(arities[p] for p in dag.parents[v])
-            tables.append(np.asarray(doc["tables"][v]).reshape(q, arities[v]))
+        try:
+            dag = Dag(doc["n"], [tuple(a) for a in doc["arcs"]])
+            arities = doc["arities"]
+            tables = []
+            for v in range(dag.n):
+                q = math.prod(arities[p] for p in dag.parents[v])
+                tables.append(np.asarray(doc["tables"][v]).reshape(q, arities[v]))
+        except (KeyError, TypeError, IndexError) as exc:
+            raise ValueError(f"malformed net JSON: {exc!r}") from exc
         return cls(dag, arities, tables)
 
     def __eq__(self, other) -> bool:

@@ -305,6 +305,57 @@ class TestEval:
         assert not out_csv.exists()
 
 
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("net", "{"),
+            ("net", '{"n": 4}'),
+            ("net", '{"n": 4, "arcs": [], "arities": [2, 2, 2, 2], "tables": [[0.5, 0.5]]}'),
+            ("lines", "4\n0 1\n"),
+            ("lines", "n 4\n0 9\n"),
+            ("chordal", "n 4\n0 1\n1 2\n2 3\n0 3\n"),
+            ("chordal", "n 4\n0 x\n"),
+            ("dag", "n 4\n0 1\n1 0\n"),
+        ],
+    )
+    def test_malformed_input_io_error(self, gen_run, tmp_path, capsys, field, text):
+        _, run = gen_run
+        cell = "chordal_n4_r0"
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        paths = {
+            "net": run / f"targets/{cell}/net.json",
+            "lines": run / f"targets/{cell}/lines.txt",
+        }
+        structure = run / f"targets/{cell}/lines.txt"
+        if field in paths:
+            paths[field] = bad
+        else:
+            structure = bad
+        learner = "dag" if field == "dag" else "chordal"
+        out_csv = tmp_path / "rows.csv"
+        rc = cli.main(
+            [
+                "eval",
+                "--net",
+                str(paths["net"]),
+                "--lines",
+                str(paths["lines"]),
+                "--train",
+                str(run / f"data/{cell}/train_80.csv"),
+                "--test",
+                str(run / f"data/{cell}/test.csv"),
+                "--structure",
+                f"{learner}:{structure}",
+                "--out",
+                str(out_csv),
+            ]
+        )
+        assert rc == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+
 class TestVerify:
     def test_fast_suite_passes(self, tmp_path, monkeypatch, capsys):
         # keep runtime low: swap in two tiny real suites

@@ -17,6 +17,7 @@ from chordalearn.graphs import (
     d_separated,
     find_chordless_cycle,
     is_chordal,
+    is_complete_mask,
     is_perfect_order,
     maximum_cardinality_order,
     min_fill_chordalize,
@@ -91,6 +92,86 @@ class TestUndirectedGraph:
     def test_complete_and_empty(self):
         assert UndirectedGraph.complete(4).line_count == 6
         assert UndirectedGraph.empty(4).line_count == 0
+
+
+class TestCompleteMask:
+    def test_agrees_with_definition_exhaustive_n5(self):
+        for n in range(6):
+            for g in all_graphs(n):
+                for m in range(1 << n):
+                    vertices = [v for v in range(n) if m >> v & 1]
+                    expected = all(
+                        g.has_line(a, b) for a, b in itertools.combinations(vertices, 2)
+                    )
+                    assert is_complete_mask(g.neighbor_masks, m) == expected
+                    assert g.is_complete_set(vertices) == expected
+
+
+@st.composite
+def graph_lines(draw, directed=False):
+    """A vertex count and a line (or acyclic arc) list over it."""
+    n = draw(st.integers(0, 9))
+    order = draw(st.permutations(range(n)))
+    pairs = [
+        (order[i], order[j]) if directed else (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+    ]
+    lines = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return n, lines
+
+
+def messy_text(n, pairs, draw):
+    """Graph text with the rows shuffled, padded and spaced out."""
+    rows = [f"  {a}   {b} " for a, b in draw(st.permutations(pairs))]
+    return f"\n n {n}\n\n" + "\n".join(rows) + "\n\n"
+
+
+class TestGraphText:
+    @given(graph_lines(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_undirected_roundtrip(self, drawn, data):
+        n, lines = drawn
+        g = UndirectedGraph(n, lines)
+        text = g.to_text()
+        assert UndirectedGraph.from_text(text) == g
+        assert UndirectedGraph.from_text(text).to_text() == text
+        # endpoint order, row order and blank space do not matter
+        flipped = [(b, a) if data.draw(st.booleans()) else (a, b) for a, b in lines]
+        assert UndirectedGraph.from_text(messy_text(n, flipped, data.draw)) == g
+
+    @given(graph_lines(directed=True), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_dag_roundtrip(self, drawn, data):
+        n, arcs = drawn
+        d = Dag(n, arcs)
+        text = d.to_text()
+        assert Dag.from_text(text) == d
+        assert Dag.from_text(text).to_text() == text
+        assert Dag.from_text(messy_text(n, arcs, data.draw)) == d
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "4\n0 1\n",
+            "n four\n",
+            "n -1\n",
+            "n 3\n0 1 2\n",
+            "n 3\n0\n",
+            "n 3\n0 x\n",
+            "n 3\n0 3\n",
+            "n 3\n1 1\n",
+        ],
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(ValueError):
+            UndirectedGraph.from_text(text)
+        with pytest.raises(ValueError):
+            Dag.from_text(text)
+
+    def test_cyclic_dag_text_rejected(self):
+        with pytest.raises(CycleError):
+            Dag.from_text("n 3\n0 1\n1 2\n2 0\n")
 
 
 class TestChordality:

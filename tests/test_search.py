@@ -11,12 +11,13 @@ import pytest
 
 from chordalearn import search
 from chordalearn.graphs import ChordalGraph, CycleError, Dag, UndirectedGraph, is_chordal
+from chordalearn.graphs import addition_keeps_chordal
 from chordalearn.independence import (
     DependencyModel,
     inclusion_optimal,
     model_included,
 )
-from chordalearn.scoring import Dataset, ScoreCache, score_chordal, score_dag
+from chordalearn.scoring import Dataset, ScoreCache, line_delta, score_chordal, score_dag
 from chordalearn.search import (
     BDeuScorer,
     Move,
@@ -128,6 +129,26 @@ class TestInclusionBoundary:
                 expected.sort(key=Move.sort_key)
                 assert inclusion_boundary(g) == expected
 
+    def test_component_memo_equals_per_pair_oracle_n6(self):
+        # the per-call components of G - S decide every addition exactly as
+        # one reach per absent pair does
+        for n in range(1, 7):
+            for graph in all_graphs(n):
+                if not is_chordal(graph):
+                    continue
+                g = ChordalGraph.from_graph(graph)
+                expected = [
+                    Move("add", a, b)
+                    for a, b in itertools.combinations(range(n), 2)
+                    if not graph.has_line(a, b) and addition_keeps_chordal(g, a, b)
+                ]
+                expected += [
+                    Move("remove", a, b)
+                    for a, b in graph.lines
+                    if removal_keeps_chordal(g, a, b)
+                ]
+                assert inclusion_boundary(g) == expected
+
     def test_removal_prefilter_equals_chordality(self):
         for graph in all_graphs(5):
             if not is_chordal(graph):
@@ -172,6 +193,47 @@ class TestBDeuScorer:
             for move in inclusion_boundary(g):
                 expected = scorer.score(apply_move(g, move))
                 assert abs(scorer.move_score(g, current, move) - expected) <= 1e-9
+
+    def test_delta_memo_equals_line_delta_exhaustive_n5(self):
+        # one scorer across every chordal graph with n <= 5, so entries
+        # filled on one graph are read back on others with the same
+        # (a, b, S); the unmemoized line_delta on a fresh cache is the oracle
+        rng = np.random.default_rng(11)
+        data = Dataset(rng.integers(0, 3, size=(150, 5)))
+        scorer = BDeuScorer(data)
+        checked = 0
+        for n in range(2, 6):
+            for graph in all_graphs(n):
+                if not is_chordal(graph):
+                    continue
+                g = ChordalGraph.from_graph(graph)
+                for move in inclusion_boundary(g):
+                    assert scorer.delta(g, move) == line_delta(ScoreCache(data), g, move)
+                    checked += 1
+        # 10 pairs times 8 subsets of the other three vertices
+        assert len(scorer._line_deltas) == 80
+        assert checked > 80
+
+    def test_delta_memo_keys_on_common_neighbors(self):
+        # x0 and x1 are noisy copies of x2: dependent, but not given x2
+        rng = np.random.default_rng(2)
+        x2 = rng.integers(0, 2, size=400)
+        noise = rng.random((400, 2)) < 0.1
+        data = Dataset(np.column_stack([x2 ^ noise[:, 0], x2 ^ noise[:, 1], x2]))
+        scorer = BDeuScorer(data)
+        add = Move("add", 0, 1)
+        apart = ChordalGraph.empty(3)
+        via = ChordalGraph.from_lines(3, [(0, 2), (1, 2)])
+        d_apart = scorer.delta(apart, add)
+        d_via = scorer.delta(via, add)
+        assert set(scorer._line_deltas) == {(0, 1, 0), (0, 1, 0b100)}
+        assert d_apart == line_delta(ScoreCache(data), apart, add)
+        assert d_via == line_delta(ScoreCache(data), via, add)
+        assert d_apart > 0 > d_via
+        # a removal reads the exact negation of the add-sense entry
+        full = ChordalGraph.from_lines(3, [(0, 1), (0, 2), (1, 2)])
+        assert scorer.delta(full, Move("remove", 0, 1)) == -d_via
+        assert len(scorer._line_deltas) == 2
 
 
 def ug_model(n, lines):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chordalearn.graphs import Dag, is_chordal, moralize
 from chordalearn.synthetic import (
@@ -76,6 +78,47 @@ class TestDiscreteBayesNet:
     def test_json_deterministic(self):
         net = self.chain_net()
         assert net.to_json() == net.to_json()
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(1, 3), min_size=n, max_size=n),
+                st.integers(0, n - 1),
+                st.integers(0, 2**32 - 1),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_json_roundtrip_property(self, drawn):
+        arities, max_parents, seed = drawn
+        rng = rng_from(seed)
+        net = random_parameters(random_dag(len(arities), max_parents, rng), arities, rng)
+        text = net.to_json()
+        again = DiscreteBayesNet.from_json(text)
+        assert again == net
+        assert again.to_json() == text
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            "[]",
+            "null",
+            '{"n": 2}',
+            '{"n": "2", "arcs": [], "arities": [2, 2], "tables": [[0.5, 0.5], [0.5, 0.5]]}',
+            '{"n": 2, "arcs": 5, "arities": [2, 2], "tables": [[0.5, 0.5], [0.5, 0.5]]}',
+            '{"n": 2, "arcs": [[0]], "arities": [2, 2], "tables": [[0.5, 0.5], [0.5, 0.5]]}',
+            '{"n": 2, "arcs": [[0, 1], [1, 0]], "arities": [2, 2], "tables": [[0.5, 0.5], [0.5, 0.5]]}',
+            '{"n": 2, "arcs": [], "arities": [2], "tables": [[0.5, 0.5], [0.5, 0.5]]}',
+            '{"n": 2, "arcs": [], "arities": [2, 2], "tables": [[0.5, 0.5]]}',
+            '{"n": 2, "arcs": [[0, 1]], "arities": [2, 2], "tables": [[0.5, 0.5], [0.5, 0.5]]}',
+            '{"n": 2, "arcs": [], "arities": [2, 2], "tables": [[0.5, 0.5], [0.5, 0.6]]}',
+            '{"n": 2, "arcs": [], "arities": [2, 2], "tables": [[0.5, 0.5], [0.5, "x"]]}',
+        ],
+    )
+    def test_malformed_json_rejected(self, text):
+        with pytest.raises(ValueError):
+            DiscreteBayesNet.from_json(text)
 
 
 class TestAllJointRows:
