@@ -93,6 +93,7 @@ EXPERIMENT_DEFAULTS = {
 }
 
 _KIND_PARENTS = {"chordal": 3, "dag": 5}
+_KINDS = ("chordal", "dag")  # target kinds, and the learners that match them
 
 
 def _load_config(path: Optional[str], defaults: dict) -> dict:
@@ -138,25 +139,27 @@ def _check_fields(cfg: dict, grid: bool = False, prefix: str = "config") -> None
         or not 0 <= v * cfg["arity"] <= 1  # the rule random_parameters applies
     ):
         fail("min_prob", "null or a number in [0, 1/arity]")
-    for name in ("n_obs",):
-        if name in cfg:
-            v = cfg[name]
-            if not isinstance(v, list) or not all(is_int(x, 1) for x in v):
-                fail(name, "a list of positive integers")
-    for name in ("target_kind",):
-        if name in cfg and cfg[name] not in ("chordal", "dag"):
-            fail(name, "one of 'chordal', 'dag'")
+    v = cfg["n_obs"]
+    if not (isinstance(v, list) and (v or not grid) and all(is_int(x, 1) for x in v)):
+        fail("n_obs", f"a {'non-empty ' if grid else ''}list of positive integers")
+    if "target_kind" in cfg and cfg["target_kind"] not in _KINDS:
+        fail("target_kind", "one of 'chordal', 'dag'")
+    if "include_target" in cfg and not isinstance(cfg["include_target"], bool):
+        fail("include_target", "true or false")
     if "ess" in cfg:
         v = cfg["ess"]
         if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
             fail("ess", "a finite positive number")
-    for name in ("target_kinds", "learners"):
-        if name in cfg:
-            allowed = ("chordal", "dag")
-            if not isinstance(cfg[name], list) or not all(
-                x in allowed for x in cfg[name]
-            ):
-                fail(name, f"a list drawn from {allowed}")
+    if "target_kinds" in cfg and not (
+        isinstance(cfg["target_kinds"], list)
+        and cfg["target_kinds"]
+        and all(x in _KINDS for x in cfg["target_kinds"])
+    ):
+        fail("target_kinds", f"a non-empty list drawn from {_KINDS}")
+    if "learners" in cfg and not (
+        isinstance(cfg["learners"], list) and all(x in _KINDS for x in cfg["learners"])
+    ):
+        fail("learners", f"a list drawn from {_KINDS}")
 
 
 def _ess_arg(text: str) -> float:
@@ -174,6 +177,11 @@ def _ess_arg(text: str) -> float:
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
+
+
+def _write_learned(out: Path, structure, trace) -> None:
+    _write(out / "structure.txt", structure.to_text())
+    _write(out / "trace.jsonl", trace.to_jsonl())
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +253,7 @@ def _read_dataset(path: Path, arities_path: Optional[Path] = None) -> Dataset:
 def _learn(data: Dataset, learner: str, ess: float):
     """Run one greedy learner from the empty structure."""
     if learner == "chordal":
-        scorer = BDeuScorer(data, ess)
-        start = ChordalGraph.from_graph(UndirectedGraph(data.n_vars, []))
-        structure, trace = greedy_chordal(scorer, start)
-        return structure, trace
+        return greedy_chordal(BDeuScorer(data, ess), ChordalGraph.empty(data.n_vars))
     if learner == "dag":
         return greedy_dag(ScoreCache(data, ess))
     raise UsageError(f"unknown learner {learner!r}")
@@ -326,13 +331,7 @@ def cmd_learn(args) -> int:
     structure, trace = _learn(data, args.learner, args.ess)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    text = (
-        structure.graph.to_text()
-        if isinstance(structure, ChordalGraph)
-        else structure.to_text()
-    )
-    _write(out / "structure.txt", text)
-    _write(out / "trace.jsonl", trace.to_jsonl())
+    _write_learned(out, structure, trace)
     print(f"learned {args.learner} structure in {len(trace.steps)} moves")
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return EXIT_OK
@@ -342,10 +341,18 @@ def _load_structure(path: Path, learner: str):
     text = path.read_text()
     if learner == "dag":
         return Dag.from_text(text)
-    return ChordalGraph.from_graph(UndirectedGraph.from_text(text))
+    return ChordalGraph.from_text(text)
 
 
 def cmd_eval(args) -> int:
+    structures = []
+    for item in args.structure or []:
+        learner, _, path = item.partition(":")
+        if not path:
+            raise UsageError("--structure takes learner:path")
+        if learner not in _KINDS:
+            raise UsageError(f"--structure: learner must be one of {_KINDS}, got {learner!r}")
+        structures.append((learner, Path(path)))
     target_net = DiscreteBayesNet.from_json(Path(args.net).read_text())
     target_lines = UndirectedGraph.from_text(Path(args.lines).read_text())
     train = _read_dataset(Path(args.train))
@@ -361,11 +368,8 @@ def cmd_eval(args) -> int:
         "replicate": args.replicate,
         "seed": args.seed,
     }
-    for item in args.structure or []:
-        learner, _, path = item.partition(":")
-        if not path:
-            raise UsageError("--structure takes learner:path")
-        structure = _load_structure(Path(path), learner)
+    for learner, path in structures:
+        structure = _load_structure(path, learner)
         rows.append(
             _eval_row(
                 structure,
@@ -491,13 +495,7 @@ def cmd_experiment(args) -> int:
                         structure, trace = _learn(train, lrn, cfg["ess"])
                         structures[lrn] = structure
                         ldir = out / "learned" / arts["cell"] / f"N{n_obs}_{lrn}"
-                        text = (
-                            structure.graph.to_text()
-                            if isinstance(structure, ChordalGraph)
-                            else structure.to_text()
-                        )
-                        _write(ldir / "structure.txt", text)
-                        _write(ldir / "trace.jsonl", trace.to_jsonl())
+                        _write_learned(ldir, structure, trace)
                     for lrn in learners:
                         key = (kind, n, n_obs, rep, lrn)
                         if key in done:
@@ -556,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     ln = sub.add_parser("learn", help="greedy structure search on a dataset")
     ln.add_argument("--data", required=True, help="training CSV")
     ln.add_argument("--arities", help="JSON list of variable arities")
-    ln.add_argument("--learner", choices=("chordal", "dag"), default="chordal")
+    ln.add_argument("--learner", choices=_KINDS, default="chordal")
     ln.add_argument("--ess", type=_ess_arg, default=1.0)
     ln.add_argument("--out", required=True)
     ln.set_defaults(fn=cmd_learn)
@@ -572,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="learner:path pair; repeatable",
     )
     e.add_argument("--include-target", action="store_true")
-    e.add_argument("--target-kind", default="chordal")
+    e.add_argument("--target-kind", choices=_KINDS, default="chordal")
     e.add_argument("--replicate", type=int, default=0)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--ess", type=_ess_arg, default=1.0)

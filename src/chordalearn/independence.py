@@ -6,10 +6,18 @@ with designated latent vertices (queries may only mention observed
 vertices).  Statements are triples of disjoint vertex sets A, B, C read as
 "A independent of B given C"; the canonical form sorts each side and puts
 the lexicographically smaller of A, B first.
+
+Queries are answered on vertex bitmasks.  Arguments are validated only at
+the public entry points that take vertex collections
+(``DependencyModel.independent``, ``graphoid_report``, ``model_included``,
+``chain_disjunction_holds``); internal callers enumerate role bitmasks with
+``role_masks``/``canonical_triples`` and query
+``DependencyModel.independent_masks``, which trusts its arguments.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -104,7 +112,9 @@ class DependencyModel:
     def n_observed(self) -> int:
         return len(self.observed)
 
-    def _validate(self, a, b, c) -> tuple[frozenset, frozenset, frozenset]:
+    def independent(self, a: Iterable[int], b: Iterable[int], c: Iterable[int] = ()) -> bool:
+        """Is A independent of B given C?  Raises ``ValueError`` unless A
+        and B are nonempty, the sets pairwise disjoint and all observed."""
         sa, sb, sc = frozenset(a), frozenset(b), frozenset(c)
         if not sa or not sb:
             raise ValueError("both endpoint sets must be nonempty")
@@ -116,11 +126,12 @@ class DependencyModel:
                 raise ValueError(
                     f"vertices {sorted(bad)} are not observable in this model"
                 )
-        return sa, sb, sc
+        return self.independent_masks(vertex_mask(sa), vertex_mask(sb), vertex_mask(sc))
 
-    def independent(self, a: Iterable[int], b: Iterable[int], c: Iterable[int] = ()) -> bool:
-        sa, sb, sc = self._validate(a, b, c)
-        am, bm, cm = vertex_mask(sa), vertex_mask(sb), vertex_mask(sc)
+    def independent_masks(self, am: int, bm: int, cm: int) -> bool:
+        """``independent`` on vertex bitmasks, without validation: A and B
+        must be nonempty, the three masks pairwise disjoint and every
+        vertex observed."""
         key = (am, bm, cm) if am < bm else (bm, am, cm)
         hit = self._cache.get(key)
         if hit is not None:
@@ -136,27 +147,59 @@ class DependencyModel:
         return self.independent(s.a, s.b, s.c)
 
 
+def _vertices(mask: int) -> tuple[int, ...]:
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def _roles(observed: Sequence[int], assign: Iterable[int], parts: int) -> tuple[int, ...]:
+    """Role bitmasks of one assignment to roles 0..parts (parts = unused)."""
+    roles = [0] * (parts + 1)
+    for v, k in zip(observed, assign):
+        roles[k] |= 1 << v
+    return tuple(roles[:parts])
+
+
+@functools.cache
+def role_masks(observed: tuple[int, ...], parts: int) -> tuple[tuple[int, ...], ...]:
+    """Every assignment of each observed vertex to one of ``parts`` roles
+    or to none, as tuples of ``parts`` role bitmasks, in
+    ``itertools.product`` order (the first observed vertex varies slowest)."""
+    return tuple(
+        _roles(observed, assign, parts)
+        for assign in itertools.product(range(parts + 1), repeat=len(observed))
+    )
+
+
+@functools.cache
+def canonical_triples(observed: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """Every canonical statement (A, B, C) over the observed vertices as
+    bitmasks: A and B nonempty, the lowest vertex of A below that of B.
+    Sorted in statement order, by the vertex tuples of A, then B, then C."""
+    triples = [
+        (a, b, c) for a, b, c in role_masks(observed, 3) if a and b and a & -a < b & -b
+    ]
+    return tuple(sorted(triples, key=lambda t: tuple(map(_vertices, t))))
+
+
 def enumerate_independencies(
     m: DependencyModel, bound: int = ENUMERATION_BOUND
 ) -> set:
     """All true canonical statements of the model over its observed
     vertices.  Exhaustive: every assignment of each observed vertex to one
     of (A, B, C, unused) is tried, so the observed count is bounded."""
-    obs = m.observed
+    _check_bound(m.observed, bound)
+    return {
+        IndependenceStatement(*map(_vertices, t))
+        for t in canonical_triples(m.observed)
+        if m.independent_masks(*t)
+    }
+
+
+def _check_bound(obs: tuple[int, ...], bound: int = ENUMERATION_BOUND) -> None:
     if len(obs) > bound:
         raise ValueError(
             f"{len(obs)} observed vertices exceeds enumeration bound {bound}"
         )
-    out = set()
-    for assign in itertools.product(range(4), repeat=len(obs)):
-        a = tuple(v for v, k in zip(obs, assign) if k == 0)
-        b = tuple(v for v, k in zip(obs, assign) if k == 1)
-        c = tuple(v for v, k in zip(obs, assign) if k == 2)
-        if not a or not b or b < a:
-            continue  # canonical orientation only
-        if m.independent(a, b, c):
-            out.add(IndependenceStatement(a, b, c))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +216,28 @@ def model_included(g: ChordalGraph, target: DependencyModel):
     applies: those models satisfy the semi-graphoid axioms plus
     intersection, under which the full-conditioning pairwise statements of
     all non-adjacent pairs imply every separation of the graph.  For
-    latent-margin targets the comparison enumerates both statement sets.
+    latent-margin targets the comparison enumerates both statement sets,
+    so their observed count is bounded by ``ENUMERATION_BOUND``.
     """
     graph = g.graph
     n = graph.n
     if tuple(range(n)) != target.observed:
         raise ValueError("graph vertices must match the target's observed set")
     if target.kind in ("ug", "dag"):
-        rest = set(range(n))
+        full = (1 << n) - 1
         for a in range(n):
             for b in range(a + 1, n):
                 if graph.has_line(a, b):
                     continue
-                cond = rest - {a, b}
-                if not target.independent([a], [b], cond):
-                    return False, IndependenceStatement((a,), (b,), tuple(cond))
+                cm = full & ~(1 << a | 1 << b)
+                if not target.independent_masks(1 << a, 1 << b, cm):
+                    return False, IndependenceStatement((a,), (b,), _vertices(cm))
         return True, None
+    _check_bound(target.observed)
     own = DependencyModel.from_undirected(graph)
-    for stmt in sorted(enumerate_independencies(own), key=lambda s: (s.a, s.b, s.c)):
-        if not target.holds(stmt):
-            return False, stmt
+    for t in canonical_triples(target.observed):
+        if own.independent_masks(*t) and not target.independent_masks(*t):
+            return False, IndependenceStatement(*map(_vertices, t))
     return True, None
 
 
@@ -233,12 +278,14 @@ class AxiomResult:
     def passed(self) -> bool:
         return self.failure_count == 0
 
-    def record(self, ok: bool, witness) -> None:
+    def record(self, ok: bool, masks: tuple = (), tail: tuple = ()) -> None:
+        """Count one check.  A failure stores its witness: the vertex tuples
+        of the role bitmasks ``masks``, followed by ``tail`` as given."""
         self.checked += 1
         if not ok:
             self.failure_count += 1
             if len(self.failures) < self.MAX_STORED:
-                self.failures.append(witness)
+                self.failures.append(tuple(map(_vertices, masks)) + tail)
 
     def to_dict(self) -> dict:
         return {
@@ -277,78 +324,70 @@ AXIOM_NAMES = (
 EXHAUSTIVE_AXIOM_BOUND = 6
 
 
-def _partitions(obs: Sequence[int], parts: int):
-    """Assign each observed vertex to one of ``parts`` roles (last role =
-    unused), yielding the role tuples."""
-    for assign in itertools.product(range(parts + 1), repeat=len(obs)):
-        yield tuple(
-            tuple(v for v, k in zip(obs, assign) if k == r) for r in range(parts)
-        )
-
-
 def _check_symmetry(m, result, tuples):
+    q = m.independent_masks
     for x, y, z in tuples:
         if not x or not y:
             continue
-        ok = m.independent(x, y, z) == m.independent(y, x, z)
-        result.record(ok, (x, y, z))
+        result.record(q(x, y, z) == q(y, x, z), (x, y, z))
 
 
 def _check_decomposition(m, result, tuples):
+    q = m.independent_masks
     for x, y, w, z in tuples:
         if not x or not y or not w:
             continue
-        if m.independent(x, y + w, z):
-            ok = m.independent(x, y, z) and m.independent(x, w, z)
-            result.record(ok, (x, y, w, z))
+        if q(x, y | w, z):
+            result.record(q(x, y, z) and q(x, w, z), (x, y, w, z))
         else:
-            result.record(True, None)
+            result.record(True)
 
 
 def _check_intersection(m, result, tuples):
+    q = m.independent_masks
     for x, y, w, z in tuples:
         if not x or not y or not w:
             continue
-        if m.independent(x, y, z + w) and m.independent(x, w, z + y):
-            ok = m.independent(x, y + w, z)
-            result.record(ok, (x, y, w, z))
+        if q(x, y, z | w) and q(x, w, z | y):
+            result.record(q(x, y | w, z), (x, y, w, z))
         else:
-            result.record(True, None)
+            result.record(True)
 
 
 def _check_strong_union(m, result, tuples):
+    q = m.independent_masks
     for x, y, z, w in tuples:
         if not x or not y or not w:
             continue
-        if m.independent(x, y, z):
-            ok = m.independent(x, y, z + w)
-            result.record(ok, (x, y, z, w))
+        if q(x, y, z):
+            result.record(q(x, y, z | w), (x, y, z, w))
         else:
-            result.record(True, None)
+            result.record(True)
 
 
 def _check_transitivity(m, result, tuples):
+    q = m.independent_masks
+    observed = vertex_mask(m.observed)
     for x, y, z in tuples:
         if not x or not y:
             continue
-        used = set(x) | set(y) | set(z)
-        gammas = [v for v in m.observed if v not in used]
-        if not gammas or not m.independent(x, y, z):
+        gammas = observed & ~(x | y | z)
+        if not gammas or not q(x, y, z):
             continue
-        for gamma in gammas:
-            ok = m.independent(x, (gamma,), z) or m.independent((gamma,), y, z)
-            result.record(ok, (x, y, z, gamma))
+        for gamma in _vertices(gammas):
+            g = 1 << gamma
+            result.record(q(x, g, z) or q(g, y, z), (x, y, z), (gamma,))
 
 
 def _check_composition(m, result, tuples):
+    q = m.independent_masks
     for x, y, w, z in tuples:
         if not x or not y or not w:
             continue
-        if m.independent(x, y, z) and m.independent(x, w, z):
-            ok = m.independent(x, y + w, z)
-            result.record(ok, (x, y, w, z))
+        if q(x, y, z) and q(x, w, z):
+            result.record(q(x, y | w, z), (x, y, w, z))
         else:
-            result.record(True, None)
+            result.record(True)
 
 
 _AXIOM_CHECKS = {
@@ -360,14 +399,6 @@ _AXIOM_CHECKS = {
     # composition is not part of the standard report but is checkable
     "composition": (_check_composition, 4),
 }
-
-
-def _random_tuples(obs, parts, samples, rng):
-    for _ in range(samples):
-        assign = [rng.randrange(parts + 1) for _ in obs]
-        yield tuple(
-            tuple(v for v, k in zip(obs, assign) if k == r) for r in range(parts)
-        )
 
 
 def graphoid_report(
@@ -391,14 +422,24 @@ def graphoid_report(
         raise ValueError(
             f"exhaustive axiom check bounded to {EXHAUSTIVE_AXIOM_BOUND} observed vertices"
         )
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled mode needs samples >= 1, got {samples!r}")
+    unknown = [name for name in axioms if name not in _AXIOM_CHECKS]
+    if unknown:
+        raise ValueError(f"unknown axiom(s) {unknown}; known: {sorted(_AXIOM_CHECKS)}")
+    obs = m.observed
     results = {}
     for name in axioms:
         check, parts = _AXIOM_CHECKS[name]
         result = AxiomResult(name=name)
         if mode == "exhaustive":
-            tuples = _partitions(m.observed, parts)
+            tuples = role_masks(obs, parts)
         else:
-            tuples = _random_tuples(m.observed, parts, samples, random.Random(seed))
+            rng = random.Random(seed)
+            tuples = (
+                _roles(obs, [rng.randrange(parts + 1) for _ in obs], parts)
+                for _ in range(samples)
+            )
         check(m, result, tuples)
         results[name] = result
     return GraphoidReport(mode=mode, axioms=results)

@@ -314,11 +314,14 @@ def statement_local_optimum(g: ChordalGraph, target: DependencyModel) -> bool:
     choosing a particular score, which is what the latent-target searches
     need (no numeric oracle exists there).
     """
+    if target.observed[: g.n] != tuple(range(g.n)):
+        raise ValueError("every graph vertex must be observed in the target")
+    masks = g.graph.neighbor_masks
     for move in inclusion_boundary(g):
         # S is the same before and after the edit, so one statement decides
         # both kinds: a removal improves when it holds, an addition when not
-        s = g.common_neighbors(move.a, move.b)
-        if target.independent([move.a], [move.b], s) == (move.kind == "remove"):
+        s = masks[move.a] & masks[move.b]
+        if target.independent_masks(1 << move.a, 1 << move.b, s) == (move.kind == "remove"):
             return False
     return True
 

@@ -24,7 +24,7 @@ from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, is_ch
 from .graphs import reach, vertex_mask
 from .independence import (
     DependencyModel,
-    enumerate_independencies,
+    canonical_triples,
     graphoid_report,
     chain_disjunction_holds,
     inclusion_optimal,
@@ -281,15 +281,6 @@ class _Records:
             self.moves.append(tuple(recs))
 
 
-def _mask_vertices(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        out.append(bit.bit_length() - 1)
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # oracle-score self-check
 
@@ -347,13 +338,14 @@ def oracle_self_check(
             )
     local = []
     for cg, score in zip(graphs, scores):
+        masks = cg.graph.neighbor_masks
         for mv in inclusion_boundary(cg):
             if mv.kind != "remove":
                 continue
-            s = cg.common_neighbors(mv.a, mv.b)
             smaller = ChordalGraph.from_graph(cg.graph.without_line(mv.a, mv.b))
             sscore = oracle.score(smaller)
-            holds = model.independent((mv.a,), (mv.b,), s)
+            s = masks[mv.a] & masks[mv.b]
+            holds = model.independent_masks(1 << mv.a, 1 << mv.b, s)
             if holds != (sscore > score) or (not holds) != (sscore < score):
                 local.append(
                     {
@@ -439,7 +431,6 @@ def sweep_local_optima(
         for line in t.lines:
             tmask |= recs.bit_of[line]
         model = DependencyModel.from_undirected(t)
-        stmt_cache: dict = {}
         scores = []
         for fp, dim in zip(recs.fam_pa, recs.dims):
             e = 0
@@ -473,13 +464,7 @@ def sweep_local_optima(
                 if scores[j] > scores[i]:
                     better = True
                 if mv.kind == "remove":
-                    key = (mv.a, mv.b, mv.s_mask)
-                    holds = stmt_cache.get(key)
-                    if holds is None:
-                        holds = model.independent(
-                            (mv.a,), (mv.b,), _mask_vertices(mv.s_mask)
-                        )
-                        stmt_cache[key] = holds
+                    holds = model.independent_masks(1 << mv.a, 1 << mv.b, mv.s_mask)
                     if holds != (scores[j] > scores[i]):
                         self_check.append(
                             {
@@ -665,29 +650,6 @@ def all_dags(n: int) -> list[Dag]:
     return found
 
 
-def _observed_triples(observed: Sequence[int]) -> list[tuple[int, int, int]]:
-    """All canonical (A, B, C) mask triples over the observed vertices:
-    A, B nonempty and disjoint from each other and C, lowest vertex of A
-    below lowest vertex of B."""
-    triples = []
-    k = len(observed)
-    for assign in itertools.product(range(4), repeat=k):
-        am = bm = cm = 0
-        for v, role in zip(observed, assign):
-            if role == 0:
-                am |= 1 << v
-            elif role == 1:
-                bm |= 1 << v
-            elif role == 2:
-                cm |= 1 << v
-        if not am or not bm:
-            continue
-        if (am & -am) > (bm & -bm):
-            continue
-        triples.append((am, bm, cm))
-    return triples
-
-
 class _TableModel:
     """Duck-typed dependency model answering from a precomputed triple
     table; used to sweep many identical latent margins only once."""
@@ -698,14 +660,10 @@ class _TableModel:
         self.observed = tuple(observed)
         self._table = table
 
-    def independent(self, a, b, c=()) -> bool:
-        am, bm, cm = vertex_mask(a), vertex_mask(b), vertex_mask(c)
+    def independent_masks(self, am: int, bm: int, cm: int) -> bool:
         if (am & -am) > (bm & -bm):
             am, bm = bm, am
         return self._table[(am, bm, cm)]
-
-    def holds(self, stmt) -> bool:
-        return self.independent(stmt.a, stmt.b, stmt.c)
 
 
 def _ug_margin_keys(observed: Sequence[int], triples) -> set:
@@ -761,7 +719,7 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
     n = observed_count + 1
     latent = n - 1
     observed = tuple(range(observed_count))
-    triples = _observed_triples(observed)
+    triples = canonical_triples(observed)
     ug_keys = _ug_margin_keys(observed, triples)
     graphs = enumerate_chordal(observed_count)
     dags = all_dags(n)

@@ -98,6 +98,17 @@ class TestGenerate:
         assert f"config.{field}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_n_obs_writes_target_and_test_only(self, tmp_path):
+        # unlike the experiment grid, generate takes an empty n_obs list
+        cfg = write_json(
+            tmp_path / "gen.json", {"n_vars": 4, "n_obs": [], "test_obs": 300}
+        )
+        out = tmp_path / "run"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "targets/chordal_n4_r0/net.json").is_file()
+        assert (out / "data/chordal_n4_r0/test.csv").is_file()
+        assert not list(out.glob("data/*/train_*.csv"))
+
     def test_missing_config_io_error(self, tmp_path):
         assert (
             cli.main(
@@ -355,6 +366,57 @@ class TestEval:
         assert "error:" in capsys.readouterr().err
         assert not out_csv.exists()
 
+    def eval_args(self, run, out_csv, *extra):
+        cell = "chordal_n4_r0"
+        return [
+            "eval",
+            "--net",
+            str(run / f"targets/{cell}/net.json"),
+            "--lines",
+            str(run / f"targets/{cell}/lines.txt"),
+            "--train",
+            str(run / f"data/{cell}/train_80.csv"),
+            "--test",
+            str(run / f"data/{cell}/test.csv"),
+            "--out",
+            str(out_csv),
+            *extra,
+        ]
+
+    @pytest.mark.parametrize("label", ["dgg", "target", "Chordal", ""])
+    def test_unknown_structure_label_usage_error(self, gen_run, tmp_path, capsys, label):
+        _, run = gen_run
+        out_csv = tmp_path / "rows.csv"
+        lines = run / "targets/chordal_n4_r0/lines.txt"
+        rc = cli.main(
+            self.eval_args(
+                run,
+                out_csv,
+                "--structure",
+                f"chordal:{lines}",
+                "--structure",
+                f"{label}:{lines}",
+            )
+        )
+        assert rc == 1
+        assert "--structure" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+    def test_unknown_target_kind_usage_error(self, gen_run, tmp_path):
+        _, run = gen_run
+        out_csv = tmp_path / "rows.csv"
+        rc = cli.main(self.eval_args(run, out_csv, "--include-target", "--target-kind", "ug"))
+        assert rc == 1
+        assert not out_csv.exists()
+
+    def test_dag_target_kind_written(self, gen_run, tmp_path):
+        _, run = gen_run
+        out_csv = tmp_path / "rows.csv"
+        rc = cli.main(self.eval_args(run, out_csv, "--include-target", "--target-kind", "dag"))
+        assert rc == 0
+        rows = results_from_csv(out_csv.read_text())
+        assert [(r.target_kind, r.learner) for r in rows] == [("dag", "target")]
+
 
 class TestVerify:
     def test_fast_suite_passes(self, tmp_path, monkeypatch, capsys):
@@ -478,6 +540,9 @@ class TestExperiment:
             ("seed", -1),
             ("test_obs", 0),
             ("replicates", 1.5),
+            ("include_target", "no"),
+            ("target_kinds", []),
+            ("n_obs", []),
         ],
     )
     def test_invalid_config_usage_error(self, tmp_path, field, value, capsys):

@@ -1,6 +1,7 @@
 """Dependency models, statement enumeration, model comparison, axioms."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,16 +11,27 @@ from hypothesis import strategies as st
 from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal
 from chordalearn.independence import (
     AXIOM_NAMES,
+    AxiomResult,
     DependencyModel,
+    GraphoidReport,
     IndependenceStatement,
+    canonical_triples,
     chain_disjunction_holds,
     enumerate_independencies,
     graphoid_report,
     inclusion_optimal,
     model_included,
+    role_masks,
 )
+from chordalearn.verification import all_dags
 
-from conftest import all_graphs, naive_d_separated, path_separated, random_dag
+from conftest import (
+    all_graphs,
+    naive_d_separated,
+    path_separated,
+    random_dag,
+    random_graph,
+)
 
 
 class TestStatement:
@@ -133,6 +145,16 @@ class TestEnumeration:
         m = DependencyModel.from_undirected(UndirectedGraph(9))
         with pytest.raises(ValueError):
             enumerate_independencies(m)
+
+    def test_bound_enforced_for_latent_model_included(self):
+        # 9 observed vertices, one latent parent of all of them
+        d = Dag(10, [(9, v) for v in range(9)])
+        target = DependencyModel.from_latent_dag(d, [9])
+        g = ChordalGraph.empty(9)
+        cached = canonical_triples.cache_info().currsize
+        with pytest.raises(ValueError, match="enumeration bound"):
+            model_included(g, target)
+        assert canonical_triples.cache_info().currsize == cached
 
 
 class TestModelIncluded:
@@ -337,3 +359,268 @@ class TestChainDisjunction:
         length = int(rng.integers(4, 7))
         chain = [(v,) for v in vs[:length]]
         assert chain_disjunction_holds(m, chain)
+
+
+# ---------------------------------------------------------------------------
+# the tuple-based slow path, kept as the oracle for the bitmask kernels
+
+
+def ref_partitions(obs, parts):
+    """Assign each observed vertex to one of ``parts`` roles (last role =
+    unused), yielding the role tuples."""
+    for assign in itertools.product(range(parts + 1), repeat=len(obs)):
+        yield tuple(
+            tuple(v for v, k in zip(obs, assign) if k == r) for r in range(parts)
+        )
+
+
+def ref_random_tuples(obs, parts, samples, rng):
+    for _ in range(samples):
+        assign = [rng.randrange(parts + 1) for _ in obs]
+        yield tuple(
+            tuple(v for v, k in zip(obs, assign) if k == r) for r in range(parts)
+        )
+
+
+def ref_record(result, ok, witness=None):
+    result.checked += 1
+    if not ok:
+        result.failure_count += 1
+        if len(result.failures) < result.MAX_STORED:
+            result.failures.append(witness)
+
+
+def ref_symmetry(m, result, tuples):
+    for x, y, z in tuples:
+        if not x or not y:
+            continue
+        ok = m.independent(x, y, z) == m.independent(y, x, z)
+        ref_record(result, ok, (x, y, z))
+
+
+def ref_decomposition(m, result, tuples):
+    for x, y, w, z in tuples:
+        if not x or not y or not w:
+            continue
+        if m.independent(x, y + w, z):
+            ok = m.independent(x, y, z) and m.independent(x, w, z)
+            ref_record(result, ok, (x, y, w, z))
+        else:
+            ref_record(result, True)
+
+
+def ref_intersection(m, result, tuples):
+    for x, y, w, z in tuples:
+        if not x or not y or not w:
+            continue
+        if m.independent(x, y, z + w) and m.independent(x, w, z + y):
+            ok = m.independent(x, y + w, z)
+            ref_record(result, ok, (x, y, w, z))
+        else:
+            ref_record(result, True)
+
+
+def ref_strong_union(m, result, tuples):
+    for x, y, z, w in tuples:
+        if not x or not y or not w:
+            continue
+        if m.independent(x, y, z):
+            ok = m.independent(x, y, z + w)
+            ref_record(result, ok, (x, y, z, w))
+        else:
+            ref_record(result, True)
+
+
+def ref_transitivity(m, result, tuples):
+    for x, y, z in tuples:
+        if not x or not y:
+            continue
+        used = set(x) | set(y) | set(z)
+        gammas = [v for v in m.observed if v not in used]
+        if not gammas or not m.independent(x, y, z):
+            continue
+        for gamma in gammas:
+            ok = m.independent(x, (gamma,), z) or m.independent((gamma,), y, z)
+            ref_record(result, ok, (x, y, z, gamma))
+
+
+def ref_composition(m, result, tuples):
+    for x, y, w, z in tuples:
+        if not x or not y or not w:
+            continue
+        if m.independent(x, y, z) and m.independent(x, w, z):
+            ok = m.independent(x, y + w, z)
+            ref_record(result, ok, (x, y, w, z))
+        else:
+            ref_record(result, True)
+
+
+REF_CHECKS = {
+    "symmetry": (ref_symmetry, 3),
+    "decomposition": (ref_decomposition, 4),
+    "intersection": (ref_intersection, 4),
+    "strong_union": (ref_strong_union, 4),
+    "transitivity": (ref_transitivity, 3),
+    "composition": (ref_composition, 4),
+}
+ALL_AXIOMS = AXIOM_NAMES + ("composition",)
+
+
+def ref_graphoid_report(m, mode="exhaustive", samples=2000, seed=0, axioms=ALL_AXIOMS):
+    results = {}
+    for name in axioms:
+        check, parts = REF_CHECKS[name]
+        result = AxiomResult(name=name)
+        if mode == "exhaustive":
+            tuples = ref_partitions(m.observed, parts)
+        else:
+            tuples = ref_random_tuples(m.observed, parts, samples, random.Random(seed))
+        check(m, result, tuples)
+        results[name] = result
+    return GraphoidReport(mode=mode, axioms=results)
+
+
+def ref_enumerate_independencies(m):
+    obs = m.observed
+    out = set()
+    for assign in itertools.product(range(4), repeat=len(obs)):
+        a = tuple(v for v, k in zip(obs, assign) if k == 0)
+        b = tuple(v for v, k in zip(obs, assign) if k == 1)
+        c = tuple(v for v, k in zip(obs, assign) if k == 2)
+        if not a or not b or b < a:
+            continue  # canonical orientation only
+        if m.independent(a, b, c):
+            out.add(IndependenceStatement(a, b, c))
+    return out
+
+
+def ref_model_included(g, target):
+    graph = g.graph
+    n = graph.n
+    if target.kind in ("ug", "dag"):
+        rest = set(range(n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                if graph.has_line(a, b):
+                    continue
+                cond = rest - {a, b}
+                if not target.independent([a], [b], cond):
+                    return False, IndependenceStatement((a,), (b,), tuple(cond))
+        return True, None
+    own = DependencyModel.from_undirected(graph)
+    for stmt in sorted(ref_enumerate_independencies(own), key=lambda s: (s.a, s.b, s.c)):
+        if not target.holds(stmt):
+            return False, stmt
+    return True, None
+
+
+def fresh(m):
+    """The same model with an empty memo."""
+    return DependencyModel(m.kind, m.graph, m.observed)
+
+
+def vertices(mask):
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def oracle_models():
+    """Every UG with n <= 4, every DAG with n <= 3, and seeded samples of
+    DAGs and one-latent margins with four observed vertices."""
+    rng = np.random.default_rng(17)
+    models = [
+        DependencyModel.from_undirected(g) for n in range(1, 5) for g in all_graphs(n)
+    ]
+    models += [DependencyModel.from_dag(d) for n in range(1, 4) for d in all_dags(n)]
+    models += [DependencyModel.from_dag(random_dag(4, rng)) for _ in range(12)]
+    models += [latent_margin(rng) for _ in range(12)]
+    return models
+
+
+def latent_margin(rng):
+    return DependencyModel.from_latent_dag(random_dag(5, rng, p=0.5), [4])
+
+
+class TestRoleMasks:
+    def test_product_order_matches_partitions(self):
+        for obs in [(), (0,), (0, 2, 3), (1, 2, 4, 5)]:
+            for parts in (3, 4):
+                got = [tuple(map(vertices, r)) for r in role_masks(obs, parts)]
+                assert got == list(ref_partitions(obs, parts))
+
+    def test_canonical_triples_are_the_canonical_statements(self):
+        for obs in [(0, 1), (0, 1, 2), (1, 3, 4, 6)]:
+            got = [
+                IndependenceStatement(*map(vertices, t)) for t in canonical_triples(obs)
+            ]
+            expected = {
+                IndependenceStatement(a, b, c)
+                for a, b, c in ref_partitions(obs, 3)
+                if a and b
+            }
+            assert len(got) == len(set(got)) == len(expected)
+            assert set(got) == expected
+            assert got == sorted(got, key=lambda s: (s.a, s.b, s.c))
+
+
+class TestMaskKernelsMatchSlowPath:
+    def test_graphoid_reports_and_witnesses(self):
+        for m in oracle_models():
+            ref = ref_graphoid_report(fresh(m))
+            got = graphoid_report(fresh(m), axioms=ALL_AXIOMS)
+            assert got.to_dict() == ref.to_dict()
+            for name in ALL_AXIOMS:
+                assert got.axioms[name].failures == ref.axioms[name].failures
+
+    def test_sampled_mode(self):
+        rng = np.random.default_rng(23)
+        models = [
+            DependencyModel.from_undirected(
+                UndirectedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+            ),
+            DependencyModel.from_dag(Dag(4, [(0, 2), (1, 2), (2, 3)])),
+            DependencyModel.from_undirected(UndirectedGraph(7)),
+        ] + [latent_margin(rng) for _ in range(4)]
+        for m in models:
+            for seed in (0, 4):
+                kw = dict(mode="sampled", samples=300, seed=seed)
+                ref = ref_graphoid_report(fresh(m), **kw)
+                got = graphoid_report(fresh(m), axioms=ALL_AXIOMS, **kw)
+                assert got.to_dict() == ref.to_dict()
+                for name in ALL_AXIOMS:
+                    assert got.axioms[name].failures == ref.axioms[name].failures
+
+    def test_enumeration_and_every_canonical_triple(self):
+        for m in oracle_models():
+            masked, public = fresh(m), fresh(m)
+            for am, bm, cm in canonical_triples(m.observed):
+                a, b, c = vertices(am), vertices(bm), vertices(cm)
+                assert masked.independent_masks(am, bm, cm) == public.independent(a, b, c)
+                assert masked.independent_masks(bm, am, cm) == public.independent(b, a, c)
+            assert enumerate_independencies(fresh(m)) == ref_enumerate_independencies(
+                fresh(m)
+            )
+
+    def test_model_included_witnesses(self):
+        rng = np.random.default_rng(29)
+        chordals = [ChordalGraph.from_graph(g) for g in all_graphs(4) if is_chordal(g)]
+        targets = [latent_margin(rng) for _ in range(10)]
+        targets += [DependencyModel.from_dag(random_dag(4, rng)) for _ in range(5)]
+        targets += [DependencyModel.from_undirected(random_graph(4, rng)) for _ in range(5)]
+        for target in targets:
+            for g in chordals:
+                assert model_included(g, fresh(target)) == ref_model_included(
+                    g, fresh(target)
+                )
+
+
+class TestGraphoidReportBoundary:
+    def test_unknown_axiom_named(self):
+        m = DependencyModel.from_undirected(UndirectedGraph(3))
+        with pytest.raises(ValueError, match="contraction"):
+            graphoid_report(m, axioms=("symmetry", "contraction"))
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_sampled_needs_a_sample(self, samples):
+        m = DependencyModel.from_undirected(UndirectedGraph(3))
+        with pytest.raises(ValueError, match="samples"):
+            graphoid_report(m, mode="sampled", samples=samples)

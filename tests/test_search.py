@@ -336,6 +336,14 @@ class TestStatementLocalOptimum:
                 )
                 assert statement_local_optimum(g, target) == numeric
 
+    def test_unobserved_graph_vertex_rejected(self):
+        # vertex 1 is latent, so a graph on vertices 0..2 asks about it
+        target = DependencyModel.from_latent_dag(Dag(4, [(1, 0), (1, 2), (2, 3)]), [1])
+        with pytest.raises(ValueError, match="observed"):
+            statement_local_optimum(ChordalGraph.empty(3), target)
+        # a graph on an observed prefix is fine
+        assert statement_local_optimum(ChordalGraph.empty(1), target)
+
 
 class TestGreedyChordal:
     def test_oracle_guided_search_reaches_inclusion_optimum(self):
