@@ -453,8 +453,17 @@ def cmd_experiment(args) -> int:
         cfg["seed"] = args.seed
     _check_fields(cfg, grid=True)
     out = Path(args.out)
+    cfg_text = json.dumps(cfg, sort_keys=True, indent=2) + "\n"
+    # results.csv rows are resumed by grid key alone, which holds no seed,
+    # arity or other config field: only the same config may resume
+    cfg_path = out / "config.json"
+    if cfg_path.exists() and cfg_path.read_text() != cfg_text:
+        raise UsageError(
+            f"{out} holds a config.json for a different config; "
+            "resume with the same config or use a new --out directory"
+        )
     out.mkdir(parents=True, exist_ok=True)
-    _write(out / "config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n")
+    _write(cfg_path, cfg_text)
     results_path = out / "results.csv"
     done: set = set()
     rows: list = []

@@ -8,6 +8,10 @@ chordal graphs, the oracle score's consistency and local consistency, the
 targets, graphoid axioms, separation-chain disjunctions, and the search
 for a latent-margin target with a non-optimal local optimum.
 
+The oracle self-checks and the local-optimum sweep share one per-n
+catalogue of the labeled chordal graphs (``_Records``); the chain sweep
+reads only the graphs and their ``line_mask``.
+
 Reports are plain dataclasses with an ``ok`` property and a deterministic
 JSON form (no timestamps or runtimes inside, so identical runs serialize
 identically).
@@ -17,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, is_chordal
@@ -30,10 +34,13 @@ from .independence import (
     inclusion_optimal,
     model_included,
 )
-from .search import Move, OracleScore, inclusion_boundary, statement_local_optimum
+from .search import OracleScore, inclusion_boundary, statement_local_optimum
 from .synthetic import rng_from
 
 MAX_ENUM_VERTICES = 6
+# all_dags walks 3^(n(n-1)/2) orientation states: n=6 would exhaust
+# memory, and the largest suite (the latent-witness search) needs n=5
+MAX_DAG_VERTICES = 5
 
 
 class VerificationError(RuntimeError):
@@ -50,9 +57,7 @@ def naive_is_chordal(graph: UndirectedGraph) -> bool:
     n = graph.n
     for size in range(4, n + 1):
         for sub in itertools.combinations(range(n), size):
-            smask = 0
-            for v in sub:
-                smask |= 1 << v
+            smask = vertex_mask(sub)
             if any(
                 (graph.neighbor_mask(v) & smask).bit_count() != 2 for v in sub
             ):
@@ -78,6 +83,20 @@ def all_undirected(n: int) -> Iterable[UndirectedGraph]:
     pairs = list(itertools.combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield UndirectedGraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def _line_bit(n: int, a: int, b: int) -> int:
+    # position of (a, b), a < b, in itertools.combinations(range(n), 2)
+    return 1 << (a * (2 * n - a - 1) // 2 + b - a - 1)
+
+
+def line_mask(g) -> int:
+    """Line mask of an undirected or chordal graph, in the pair order of
+    ``all_undirected``."""
+    m = 0
+    for a, b in g.lines:
+        m |= _line_bit(g.n, a, b)
+    return m
 
 
 def enumerate_chordal(n: int, cross_check: bool = False) -> list[ChordalGraph]:
@@ -178,21 +197,12 @@ def sweep_chordal_chains(n: int) -> ChainSweepReport:
     n vertices.  Runs on line masks for speed; a deterministic sample of
     pairs is re-run through the object-level chordal_chain as well.
     """
-    pairs = list(itertools.combinations(range(n), 2))
-    bit_of = {p: 1 << i for i, p in enumerate(pairs)}
     graphs = enumerate_chordal(n)
-    masks = []
-    chordal_set = set()
-    for cg in graphs:
-        m = 0
-        for line in cg.lines:
-            m |= bit_of[line]
-        masks.append(m)
-        chordal_set.add(m)
+    masks = [line_mask(cg) for cg in graphs]
+    chordal_set = set(masks)
     failures: list = []
     checked = 0
     sampled = 0
-    by_index = {m: i for i, m in enumerate(masks)}
     for hi, hm in enumerate(masks):
         for gi, gm in enumerate(masks):
             if hm & ~gm or hm == gm:
@@ -227,7 +237,7 @@ def sweep_chordal_chains(n: int) -> ChainSweepReport:
 
 
 # ---------------------------------------------------------------------------
-# chordal-graph records shared by the score sweeps
+# the chordal-graph catalogue shared by the score sweeps
 
 
 @dataclass(frozen=True)
@@ -236,26 +246,21 @@ class _MoveRec:
     a: int
     b: int
     s_mask: int
-    s_size: int
     result_index: Optional[int]
 
 
 class _Records:
-    """Per-graph precomputation for all chordal graphs on n vertices:
-    line masks, family/parent vertex masks of a perfect orientation,
-    all-binary dimension, and the move neighborhood."""
+    """Catalogue of all chordal graphs on n vertices, shared by
+    ``oracle_self_check`` (one per n in ``sweep_self_checks``) and
+    ``sweep_local_optima``.  Per graph, in line-mask order: line mask
+    (``index`` inverts it), family/parent vertex masks of a perfect
+    orientation, all-binary dimension, and boundary moves with their S
+    mask and result index (None when not chordal)."""
 
     def __init__(self, n: int, neighbor_fn: Optional[Callable] = None):
         self.n = n
-        self.pairs = list(itertools.combinations(range(n), 2))
-        self.bit_of = {p: 1 << i for i, p in enumerate(self.pairs)}
         self.graphs = enumerate_chordal(n)
-        self.masks = []
-        for cg in self.graphs:
-            m = 0
-            for line in cg.lines:
-                m |= self.bit_of[line]
-            self.masks.append(m)
+        self.masks = [line_mask(cg) for cg in self.graphs]
         self.index = {m: i for i, m in enumerate(self.masks)}
         self.fam_pa = []
         self.dims = []
@@ -271,12 +276,14 @@ class _Records:
             self.fam_pa.append(tuple(fp))
             self.dims.append(dim)
             recs = []
+            nbr = cg.graph.neighbor_masks
             for mv in boundary(cg):
-                s = cg.common_neighbors(mv.a, mv.b)
-                line_bit = self.bit_of[(min(mv.a, mv.b), max(mv.a, mv.b))]
-                result = mask | line_bit if mv.kind == "add" else mask & ~line_bit
+                bit = _line_bit(n, min(mv.a, mv.b), max(mv.a, mv.b))
+                result = mask | bit if mv.kind == "add" else mask & ~bit
                 recs.append(
-                    _MoveRec(mv.kind, mv.a, mv.b, vertex_mask(s), len(s), self.index.get(result))
+                    _MoveRec(
+                        mv.kind, mv.a, mv.b, nbr[mv.a] & nbr[mv.b], self.index.get(result)
+                    )
                 )
             self.moves.append(tuple(recs))
 
@@ -298,7 +305,7 @@ class SelfCheckReport:
 
 
 def oracle_self_check(
-    target: UndirectedGraph, graphs: Optional[Sequence[ChordalGraph]] = None
+    target: UndirectedGraph, cat: Optional[_Records] = None
 ) -> SelfCheckReport:
     """Certify the oracle score against ``target`` on all chordal graphs.
 
@@ -311,10 +318,13 @@ def oracle_self_check(
       set S, the full scores of the two graphs compare as the statement
       "a independent of b given S" (decided by graph separation) demands,
       strictly in both directions.
+
+    ``cat`` is the ``_Records`` catalogue for ``target.n`` (built when
+    omitted); a removal's score is read from its result's entry.
     """
-    n = target.n
-    if graphs is None:
-        graphs = enumerate_chordal(n)
+    if cat is None:
+        cat = _Records(target.n)
+    graphs = cat.graphs
     oracle = OracleScore(target)
     model = DependencyModel.from_undirected(target)
     scores = [oracle.score(cg) for cg in graphs]
@@ -337,20 +347,17 @@ def oracle_self_check(
                 }
             )
     local = []
-    for cg, score in zip(graphs, scores):
-        masks = cg.graph.neighbor_masks
-        for mv in inclusion_boundary(cg):
+    for cg, score, moves in zip(graphs, scores, cat.moves):
+        for mv in moves:
             if mv.kind != "remove":
                 continue
-            smaller = ChordalGraph.from_graph(cg.graph.without_line(mv.a, mv.b))
-            sscore = oracle.score(smaller)
-            s = masks[mv.a] & masks[mv.b]
-            holds = model.independent_masks(1 << mv.a, 1 << mv.b, s)
+            sscore = scores[mv.result_index]
+            holds = model.independent_masks(1 << mv.a, 1 << mv.b, mv.s_mask)
             if holds != (sscore > score) or (not holds) != (sscore < score):
                 local.append(
                     {
                         "graph": cg.fingerprint(),
-                        "move": mv.to_string(),
+                        "move": f"remove {mv.a} {mv.b}",
                         "statement_holds": holds,
                         "score": list(score),
                         "removed_score": list(sscore),
@@ -375,10 +382,10 @@ def sweep_self_checks(max_n: int = 4) -> SelfCheckSweepReport:
     targets = 0
     failures = []
     for n in range(2, max_n + 1):
-        graphs = enumerate_chordal(n)
+        cat = _Records(n)
         for t in all_undirected(n):
             targets += 1
-            rep = oracle_self_check(t, graphs)
+            rep = oracle_self_check(t, cat)
             if not rep.ok:
                 failures.append(asdict(rep))
     return SelfCheckSweepReport(max_n, targets, failures)
@@ -427,9 +434,7 @@ def sweep_local_optima(
         oracle = OracleScore(t)
         ent = [oracle.set_entropy(m) for m in range(1 << n)]
         total_ent = ent[full]
-        tmask = 0
-        for line in t.lines:
-            tmask |= recs.bit_of[line]
+        tmask = line_mask(t)
         model = DependencyModel.from_undirected(t)
         scores = []
         for fp, dim in zip(recs.fam_pa, recs.dims):
@@ -589,12 +594,9 @@ def sample_chain_disjunctions(
         far = sorted(set(range(nv)) - reached)
         depths = []
         for d in range(3, len(layers) + 1):
-            if all(layers[i] for i in range(1, d)) and (
-                far or any(len(layers) > j for j in (d,))
-            ):
-                later = [v for j in range(d, len(layers)) for v in layers[j]] + far
-                if later:
-                    depths.append((d, later))
+            later = [v for j in range(d, len(layers)) for v in layers[j]] + far
+            if later:
+                depths.append((d, later))
         if not depths:
             continue
         d, later = depths[int(rng.integers(len(depths)))]
@@ -631,39 +633,20 @@ def sample_chain_disjunctions(
 def all_dags(n: int) -> list[Dag]:
     """Every labeled DAG on n vertices, ordered by arc count then by arc
     list; built from the 3 states (absent, forward, backward) of each
-    vertex pair, filtered for acyclicity."""
+    vertex pair, filtered for acyclicity.  Raises ``ValueError`` above
+    ``MAX_DAG_VERTICES``."""
+    if n > MAX_DAG_VERTICES:
+        raise ValueError(f"DAG enumeration supports at most {MAX_DAG_VERTICES} vertices")
     pairs = list(itertools.combinations(range(n), 2))
     found = []
     for states in itertools.product(range(3), repeat=len(pairs)):
-        arcs = []
-        for (u, v), s in zip(pairs, states):
-            if s == 1:
-                arcs.append((u, v))
-            elif s == 2:
-                arcs.append((v, u))
+        arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
         try:
-            d = Dag(n, arcs)
+            found.append(Dag(n, arcs))
         except ValueError:
-            continue
-        found.append(d)
+            pass  # cyclic
     found.sort(key=lambda d: (len(d.arcs), d.arcs))
     return found
-
-
-class _TableModel:
-    """Duck-typed dependency model answering from a precomputed triple
-    table; used to sweep many identical latent margins only once."""
-
-    kind = "latent-dag"
-
-    def __init__(self, observed: Sequence[int], table: dict):
-        self.observed = tuple(observed)
-        self._table = table
-
-    def independent_masks(self, am: int, bm: int, cm: int) -> bool:
-        if (am & -am) > (bm & -bm):
-            am, bm = bm, am
-        return self._table[(am, bm, cm)]
 
 
 def _ug_margin_keys(observed: Sequence[int], triples) -> set:
@@ -684,11 +667,11 @@ class WitnessReport:
     targets_scanned: int
     margins_swept: int
     skipped_realizable: int
-    arcs: Optional[list]
-    latent: Optional[int]
-    graph: Optional[str]
-    local_optimum_confirmed: Optional[bool]
-    inclusion_optimal_result: Optional[bool]
+    arcs: Optional[list] = None
+    latent: Optional[int] = None
+    graph: Optional[str] = None
+    local_optimum_confirmed: Optional[bool] = None
+    inclusion_optimal_result: Optional[bool] = None
 
     @property
     def ok(self) -> bool:
@@ -709,21 +692,24 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
     evaluated on all chordal graphs over the observed vertices: a graph
     with no forced-improving boundary move (the local-maximum condition
     shared by every locally consistent score) that fails
-    inclusion_optimal is a witness.  Margins exactly realizable by an
-    undirected graph are skipped, since the undirected sweep proves those
-    targets clean; identical margins are swept once.
+    inclusion_optimal is a witness.  Each margin is a real latent-DAG
+    ``DependencyModel``, keyed by its answer vector over the observed
+    triples: margins some undirected graph realizes exactly are skipped,
+    since the undirected sweep proves those targets clean, and identical
+    answer vectors are swept once.
 
-    The first witness in enumeration order is rechecked with the real
-    latent-margin oracle before being returned.
+    The first witness in enumeration order is rechecked on a fresh
+    margin model before being returned.  Raises ``ValueError`` when
+    observed_count + 1 exceeds ``MAX_DAG_VERTICES``.
     """
     n = observed_count + 1
+    dags = all_dags(n)  # first, so an oversized n raises before other work
     latent = n - 1
     observed = tuple(range(observed_count))
     triples = canonical_triples(observed)
     ug_keys = _ug_margin_keys(observed, triples)
     graphs = enumerate_chordal(observed_count)
-    dags = all_dags(n)
-    outcome_cache: dict = {}
+    seen: set = set()
     scanned = 0
     swept = 0
     skipped = 0
@@ -734,44 +720,24 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
         if key in ug_keys:
             skipped += 1
             continue
-        if key in outcome_cache:
-            witness = outcome_cache[key]
-        else:
-            swept += 1
-            table = dict(zip(triples, key))
-            margin = _TableModel(observed, table)
-            witness = None
-            for cg in graphs:
-                if statement_local_optimum(cg, margin) and not inclusion_optimal(
-                    cg, margin
-                ):
-                    witness = cg
-                    break
-            outcome_cache[key] = witness
-        if witness is not None:
+        if key in seen:
+            continue
+        seen.add(key)
+        swept += 1
+        margin = DependencyModel.from_latent_dag(dag, [latent])
+        for cg in graphs:
+            if not statement_local_optimum(cg, margin) or inclusion_optimal(cg, margin):
+                continue
             real = DependencyModel.from_latent_dag(dag, [latent])
             return WitnessReport(
-                found=True,
-                targets_scanned=scanned,
-                margins_swept=swept,
-                skipped_realizable=skipped,
+                True, scanned, swept, skipped,
                 arcs=[list(a) for a in dag.arcs],
                 latent=latent,
-                graph=witness.fingerprint(),
-                local_optimum_confirmed=statement_local_optimum(witness, real),
-                inclusion_optimal_result=inclusion_optimal(witness, real),
+                graph=cg.fingerprint(),
+                local_optimum_confirmed=statement_local_optimum(cg, real),
+                inclusion_optimal_result=inclusion_optimal(cg, real),
             )
-    return WitnessReport(
-        found=False,
-        targets_scanned=scanned,
-        margins_swept=swept,
-        skipped_realizable=skipped,
-        arcs=None,
-        latent=None,
-        graph=None,
-        local_optimum_confirmed=None,
-        inclusion_optimal_result=None,
-    )
+    return WitnessReport(False, scanned, swept, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -793,12 +759,14 @@ class DagProbeReport:
 def probe_dag_targets(n: int) -> DagProbeReport:
     """Sweep every fully observed DAG target on n vertices: are all
     forced local optima inclusion-optimal?  Failures are reported, not
-    raised; no claim guarantees this family is clean."""
+    raised; no claim guarantees this family is clean.  Raises
+    ``ValueError`` above ``MAX_DAG_VERTICES``."""
+    dags = all_dags(n)  # first, so an oversized n raises before other work
     graphs = enumerate_chordal(n)
     targets = 0
     optima = 0
     failures = []
-    for dag in all_dags(n):
+    for dag in dags:
         targets += 1
         model = DependencyModel.from_dag(dag)
         for cg in graphs:

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism, resume."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -453,6 +454,27 @@ class TestVerify:
     def test_bad_level_usage_error(self):
         assert cli.main(["verify", "--level", "bogus"]) == 1
 
+    # sha256 of every fast-level report; the reports hold no timings, so a
+    # changed digest means a suite now checks or finds something else
+    FAST_REPORT_SHA256 = {
+        "chain_samples_2k.json": "aa2bf479776ad1dc426e6fb0300eacf5a2395868f43fc090e52bc4fa48dee0cf",
+        "chordal_chains_n4.json": "f42db919b8dda7df5f820ac8a7327a47c39562ae00d858614a9a058641b74d9e",
+        "chordality_n5.json": "ae4d5d31f21152cd563906acf509689016aa9d39bb24f08ec77f45aadcf29c34",
+        "dag_probe_n3.json": "82ba1e44c6ce86489150e9cf423e1c7916034b0eccce906f54173a28886e2e72",
+        "graphoids_n4.json": "7554c26da22e5b2c5208b71483d07dce3674d5d74131a5caf4228aa60c5d8355",
+        "local_optima_n4.json": "c894c8144a033cb8abc18a03cd534928192e70f83d789b36819236b75720a960",
+        "self_checks_n4.json": "d097526816939f8abc0c76342ae1457eb8fdec4bc74bba5e7b05d8902b1b2998",
+    }
+
+    def test_fast_reports_pinned(self, tmp_path):
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--level", "fast", "--out", str(out)]) == 0
+        got = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in (out / "reports").iterdir()
+        }
+        assert got == self.FAST_REPORT_SHA256
+
 
 class TestExperiment:
     def exp_config(self, tmp_path, **overrides):
@@ -497,6 +519,20 @@ class TestExperiment:
         assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
         before = tree_bytes(out)
         assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        assert tree_bytes(out) == before
+
+    def test_rerun_with_changed_config_refused(self, tmp_path, capsys):
+        # resumed rows are matched by grid key, which holds no seed: a
+        # rerun under another seed must not keep the old seed's rows
+        cfg = self.exp_config(tmp_path, replicates=1, n_obs=[60])
+        out = tmp_path / "e"
+        argv = ["experiment", "--config", str(cfg), "--out", str(out)]
+        assert cli.main(argv + ["--seed", "1"]) == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert cli.main(argv + ["--seed", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "config.json" in err and str(out) in err
         assert tree_bytes(out) == before
 
     def test_failed_cell_exit_code(self, tmp_path, monkeypatch, capsys):

@@ -5,14 +5,18 @@ variants and require the sweeps to flag violations: a checker that cannot
 catch a planted bug proves nothing when it passes.
 """
 
+import itertools
 import json
 
 import pytest
 
 from chordalearn.graphs import ChordalGraph, UndirectedGraph, is_chordal
-from chordalearn.search import Move, inclusion_boundary
+from chordalearn.independence import DependencyModel, model_included
+from chordalearn.search import Move, OracleScore, inclusion_boundary
 from chordalearn.verification import (
+    MAX_DAG_VERTICES,
     ChainSampleReport,
+    SelfCheckReport,
     VerificationError,
     all_dags,
     all_undirected,
@@ -20,6 +24,7 @@ from chordalearn.verification import (
     chordality_cross_check,
     enumerate_chordal,
     find_nonoptimal_local_optimum,
+    line_mask,
     naive_is_chordal,
     oracle_self_check,
     probe_dag_targets,
@@ -68,6 +73,17 @@ class TestEnumerateChordal:
         assert got == want
 
 
+class TestLineMask:
+    def test_inverts_all_undirected(self):
+        for n in range(1, 6):
+            masks = [line_mask(g) for g in all_undirected(n)]
+            assert masks == list(range(1 << (n * (n - 1) // 2)))
+
+    def test_chordal_graph_mask_matches_its_graph(self):
+        for cg in enumerate_chordal(4):
+            assert line_mask(cg) == line_mask(cg.graph)
+
+
 class TestChordalChain:
     def test_chain_steps_single_lines(self):
         h = ChordalGraph.empty(5)
@@ -94,7 +110,80 @@ class TestChordalChain:
         assert rep.object_level_samples > 0
 
 
+def reference_oracle_self_check(target, graphs):
+    """The self-check with its original removal path, kept as the oracle
+    for the catalogue-based one: every legal removal is re-listed from the
+    boundary, the smaller graph rebuilt and rescored."""
+    oracle = OracleScore(target)
+    model = DependencyModel.from_undirected(target)
+    scores = [oracle.score(cg) for cg in graphs]
+    included = [model_included(cg, model)[0] for cg in graphs]
+    dims = [-s[1] for s in scores]
+    consistency = []
+    for i, j in itertools.permutations(range(len(graphs)), 2):
+        if included[j] and not included[i] and not scores[j] > scores[i]:
+            consistency.append(
+                {"included": graphs[j].fingerprint(), "excluded": graphs[i].fingerprint()}
+            )
+        if included[i] and included[j] and dims[i] > dims[j] and not scores[j] > scores[i]:
+            consistency.append(
+                {"smaller": graphs[j].fingerprint(), "larger": graphs[i].fingerprint()}
+            )
+    local = []
+    for cg, score in zip(graphs, scores):
+        masks = cg.graph.neighbor_masks
+        for mv in inclusion_boundary(cg):
+            if mv.kind != "remove":
+                continue
+            smaller = ChordalGraph.from_graph(cg.graph.without_line(mv.a, mv.b))
+            sscore = oracle.score(smaller)
+            s = masks[mv.a] & masks[mv.b]
+            holds = model.independent_masks(1 << mv.a, 1 << mv.b, s)
+            if holds != (sscore > score) or (not holds) != (sscore < score):
+                local.append(
+                    {
+                        "graph": cg.fingerprint(),
+                        "move": mv.to_string(),
+                        "statement_holds": holds,
+                        "score": list(score),
+                        "removed_score": list(sscore),
+                    }
+                )
+    return SelfCheckReport(target.fingerprint(), len(graphs), consistency, local)
+
+
+def self_check_pairs(max_n=4):
+    """(catalogue report, reference report) for every target with n <= max_n."""
+    for n in range(1, max_n + 1):
+        graphs = enumerate_chordal(n)
+        for t in all_undirected(n):
+            yield oracle_self_check(t), reference_oracle_self_check(t, graphs)
+
+
 class TestSelfChecks:
+    def test_matches_reference_for_every_target(self):
+        pairs = list(self_check_pairs())
+        assert len(pairs) == 1 + 2 + 8 + 64
+        for got, want in pairs:
+            assert got == want
+            assert got.ok
+
+    def test_matches_reference_under_planted_fault(self, monkeypatch):
+        # penalize every graph holding line 0-1: removing that line now
+        # looks better than it should, so both checks must flag it
+        score = OracleScore.score
+
+        def faulty(self, g):
+            viol, dim = score(self, g)
+            return (viol - 1, dim) if g.has_line(0, 1) else (viol, dim)
+
+        monkeypatch.setattr(OracleScore, "score", faulty)
+        pairs = list(self_check_pairs())
+        for got, want in pairs:
+            assert got == want
+        assert any(got.consistency_violations for got, _ in pairs)
+        assert any(got.local_consistency_violations for got, _ in pairs)
+
     def test_single_target(self):
         rep = oracle_self_check(UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)]))
         assert rep.ok
@@ -197,6 +286,20 @@ class TestAllDags:
     def test_all_acyclic_distinct(self):
         ds = all_dags(3)
         assert len({d.arcs for d in ds}) == len(ds)
+
+    # each call below raises before enumerating anything; an unbounded
+    # n=6 enumeration would walk 3^15 orientation states
+    def test_bound_enforced(self):
+        with pytest.raises(ValueError, match="at most 5 vertices"):
+            all_dags(MAX_DAG_VERTICES + 1)
+
+    def test_probe_bound_enforced(self):
+        with pytest.raises(ValueError, match="at most 5 vertices"):
+            probe_dag_targets(MAX_DAG_VERTICES + 1)
+
+    def test_witness_search_bound_enforced(self):
+        with pytest.raises(ValueError, match="at most 5 vertices"):
+            find_nonoptimal_local_optimum(MAX_DAG_VERTICES)
 
 
 class TestDagProbe:
