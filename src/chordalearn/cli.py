@@ -30,7 +30,7 @@ from .evaluation import (
     results_to_csv,
 )
 from .graphs import ChordalGraph, Dag, UndirectedGraph, moralize
-from .scoring import Dataset, ScoreCache, check_ess, dimension, dimension_dag
+from .scoring import Dataset, ScoreCache, check_arities, check_ess, dimension, dimension_dag
 from .search import BDeuScorer, greedy_chordal, greedy_dag
 from .synthetic import (
     DiscreteBayesNet,
@@ -244,10 +244,19 @@ def _read_dataset(path: Path, arities_path: Optional[Path] = None) -> Dataset:
     if arities_path is None:
         candidate = path.parent / "arities.json"
         arities_path = candidate if candidate.exists() else None
-    arities = (
-        json.loads(arities_path.read_text()) if arities_path is not None else None
-    )
+    arities = _read_arities(arities_path) if arities_path is not None else None
     return Dataset.from_csv(path, arities=arities)
+
+
+def _read_arities(path: Path) -> tuple[int, ...]:
+    """A JSON list of integers >= 1; anything else is an error naming the file."""
+    doc = json.loads(path.read_text())
+    if not isinstance(doc, list):
+        raise ValueError(f"{path}: arities must be a JSON list of integers >= 1")
+    try:
+        return check_arities(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _learn(data: Dataset, learner: str, ess: float):

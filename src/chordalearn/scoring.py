@@ -15,6 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
+import warnings
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
@@ -56,11 +58,9 @@ class Dataset:
             if rows.shape[0] == 0:
                 raise ValueError("arities are required for an empty dataset")
             arities = tuple(int(x) + 1 for x in rows.max(axis=0))
-        arities = tuple(int(r) for r in arities)
+        arities = check_arities(arities)
         if len(arities) != n:
             raise ValueError("arity count does not match column count")
-        if any(r < 1 for r in arities):
-            raise ValueError("arities must be >= 1")
         if rows.size:
             too_big = rows.max(axis=0) >= np.asarray(arities)
             if too_big.any():
@@ -95,15 +95,38 @@ class Dataset:
     @classmethod
     def from_csv(cls, path, arities: Optional[Sequence[int]] = None) -> "Dataset":
         with open(path, "r", newline="") as fh:
-            return cls._read_csv(fh, arities)
+            return cls._read_csv(fh.read(), arities)
 
     @classmethod
     def from_csv_text(cls, text: str, arities=None) -> "Dataset":
-        return cls._read_csv(io.StringIO(text), arities)
+        return cls._read_csv(text, arities)
 
     @classmethod
-    def _read_csv(cls, fh, arities) -> "Dataset":
-        reader = csv.reader(fh)
+    def _read_csv(cls, text: str, arities) -> "Dataset":
+        """Parse a header row of column names, then rows of integer states.
+
+        The header goes through ``csv.reader``, so quoted names may hold
+        commas and newlines.  The data rows take one of two paths:
+
+        * fast path: one ``np.loadtxt`` call over the rest of the text.
+          Its C parser accepts a subset of what the fallback accepts and
+          reads it as ``int()`` does (blank and ``\\r\\n`` lines skipped,
+          surrounding whitespace and a sign allowed); ``comments=None``
+          keeps a ``#`` in a cell from being taken for a comment.  A text
+          holding \\x1c-\\x1f, which loadtxt strips as whitespace and
+          ``int()`` rejects, skips it.
+        * fallback: whenever loadtxt raises, warns (no data rows) or
+          returns another column count, the rows are read again with
+          ``csv.reader`` and ``int()`` per cell.  That reads what loadtxt
+          does not (quoted cells, ``1_0``) and raises the line-numbered
+          errors: "non-integer state on line N", "wrong column count on
+          line N", counting records from the header as line 1.
+
+        Both paths give the same array for every text the fallback
+        accepts, and texts it rejects never pass the fast path.
+        """
+        buf = io.StringIO(text)
+        reader = csv.reader(buf)
         try:
             names = next(reader)
         except StopIteration:
@@ -113,18 +136,44 @@ class Dataset:
                 "dataset CSV must start with a header row of column names; "
                 "the first row holds only integers"
             )
-        data = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                data.append([int(x) for x in row])
-            except ValueError as exc:
-                raise ValueError(f"non-integer state on line {lineno}") from exc
-            if len(row) != len(names):
-                raise ValueError(f"wrong column count on line {lineno}")
-        rows = np.array(data, dtype=np.int64, order="F").reshape(len(data), len(names))
+        start = buf.tell()
+        rows = None
+        if not any(c in text for c in _LOADTXT_ONLY_SPACE):
+            rows = _load_int_rows(buf, len(names))
+        if rows is None:
+            buf.seek(start)
+            rows = _parse_int_rows(reader, len(names))
         return cls(rows, arities=arities, names=names)
+
+
+# loadtxt strips these around a number as whitespace; int() rejects them
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _load_int_rows(buf: io.StringIO, n_cols: int) -> Optional[np.ndarray]:
+    """The rest of ``buf`` as an int64 array with ``n_cols`` columns, or
+    None where ``np.loadtxt`` raises, warns or finds another width."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(buf, delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return rows if rows.shape[1] == n_cols else None
+
+
+def _parse_int_rows(reader, n_cols: int) -> np.ndarray:
+    data = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            data.append([int(x) for x in row])
+        except ValueError as exc:
+            raise ValueError(f"non-integer state on line {lineno}") from exc
+        if len(row) != n_cols:
+            raise ValueError(f"wrong column count on line {lineno}")
+    return np.array(data, dtype=np.int64, order="F").reshape(len(data), n_cols)
 
 
 def _is_int(text: str) -> bool:
@@ -149,6 +198,17 @@ def _parent_config_codes(
         codes += rows[:, c]
         q *= arities[c]
     return codes, q
+
+
+def check_arities(arities: Iterable) -> tuple[int, ...]:
+    """Arities as a tuple of ints.  Each must be an integer of at least 1:
+    a bool, a float (even 2.0) or a numeric string is rejected, not
+    coerced, so a malformed arity list cannot pass as a different one."""
+    arities = tuple(arities)
+    for r in arities:
+        if isinstance(r, bool) or not isinstance(r, numbers.Integral) or r < 1:
+            raise ValueError(f"arities must be integers >= 1, got {r!r}")
+    return tuple(int(r) for r in arities)
 
 
 def check_ess(ess: float) -> None:
@@ -188,20 +248,33 @@ def bdeu_local_score(
         return 0.0
     r = data.arities[v]
     cell, rq = _parent_config_codes(data.rows, data.arities, (v,) + parents)
-    q = rq // r
     if rq <= data.n_rows:
-        table = np.bincount(cell, minlength=rq)
-        counts = table[table > 0]
-        n_cfg = table.reshape(q, r).sum(axis=1)
-        n_cfg = n_cfg[n_cfg > 0]
-    else:
-        uniq, counts = np.unique(cell, return_counts=True)
-        boundaries = np.flatnonzero(np.diff(uniq // r)) + 1
-        n_cfg = np.add.reduceat(counts, np.concatenate(([0], boundaries)))
+        return _table_score(np.bincount(cell, minlength=rq), r, ess)
+    q = rq // r
+    uniq, counts = np.unique(cell, return_counts=True)
+    boundaries = np.flatnonzero(np.diff(uniq // r)) + 1
+    n_cfg = np.add.reduceat(counts, np.concatenate(([0], boundaries)))
+    return _dirichlet_sum(counts, n_cfg, rq, q, ess)
+
+
+def _table_score(table: np.ndarray, r: int, ess: float) -> float:
+    """BDeu local score from a dense family table in the child-first cell
+    layout (cell child + r * configuration, parents sorted, the lowest
+    varying fastest): its nonzero cells in ascending code order and its
+    nonzero configuration totals in ascending order."""
+    rq = table.size
+    q = rq // r
+    counts = table[table > 0]
+    n_cfg = table.reshape(q, r).sum(axis=1)
+    return _dirichlet_sum(counts, n_cfg[n_cfg > 0], rq, q, ess)
+
+
+def _dirichlet_sum(counts, n_cfg, rq: int, q: int, ess: float) -> float:
     a_cell = ess / rq
     a_cfg = ess / q
-    total = float(np.sum(gammaln(a_cell + counts) - gammaln(a_cell)))
-    total += float(np.sum(gammaln(a_cfg) - gammaln(a_cfg + n_cfg)))
+    # ndarray.sum is the np.sum reduction without its Python wrapper
+    total = float((gammaln(a_cell + counts) - gammaln(a_cell)).sum())
+    total += float((gammaln(a_cfg) - gammaln(a_cfg + n_cfg)).sum())
     return total
 
 
@@ -226,6 +299,69 @@ class ScoreCache:
             hit = bdeu_local_score(key[0], key[1], self.data, self.ess)
             self._table[key] = hit
         return hit
+
+    def toggled_scores(
+        self, v: int, parents: Iterable[int], toggles: Sequence[int]
+    ) -> list[float]:
+        """f(v, P ^ {u}) for each u in ``toggles``, with P = ``parents``:
+        the values and cache entries ``local_score`` would give, in one
+        call (Moore & Lee, JAIR 1998, on reusing one count across queries
+        that differ from it by one column).
+
+        Only missing keys are computed.  When the family (v, *sorted(P))
+        has r*q <= N cells, its rows are coded once and counted into the
+        f(v, P) table; then
+
+        * a removal (u in P) is that table summed over u's axis;
+        * an addition (u not in P) with r*q*r_u <= N counts the shared
+          codes plus r*q times u's column, with u the slowest digit, and
+          moves u's axis to its sorted place.
+
+        Each table is the integer table ``bdeu_local_score``'s dense
+        branch counts for that family, scored by the same helper, so the
+        floats are the same.  Families past the dense bound go through
+        ``bdeu_local_score`` one by one.
+        """
+        data = self.data
+        parents = tuple(sorted(set(parents)))
+        for w in (v, *parents, *toggles):
+            if not 0 <= w < data.n_vars:
+                raise ValueError(f"vertex {w} out of range")
+        if v in parents or v in toggles:
+            raise ValueError(f"vertex {v} cannot be its own parent")
+        pset = set(parents)
+        keys = [(v, tuple(sorted(pset ^ {u}))) for u in toggles]
+        missing = [(u, key) for u, key in zip(toggles, keys) if key not in self._table]
+        if missing:
+            self._fill_toggled(v, parents, missing)
+        return [self._table[key] for key in keys]
+
+    def _fill_toggled(self, v: int, parents: tuple, missing: list) -> None:
+        data, ess = self.data, self.ess
+        arities = data.arities
+        r = arities[v]
+        rq = r * math.prod(arities[p] for p in parents)
+        if rq > data.n_rows:  # no dense f(v, P) table; additions are wider
+            for _, key in missing:
+                self._table[key] = bdeu_local_score(v, key[1], data, ess)
+            return
+        codes, _ = _parent_config_codes(data.rows, arities, (v,) + parents)
+        table = np.bincount(codes, minlength=rq)
+        for u, key in missing:
+            ru = arities[u]
+            # a canonical cell index is l + lo * (x_u + r_u * h): l < lo
+            # codes the digits below u's (v's and the lower parents'), h
+            # the higher parents'
+            lo = r * math.prod(arities[p] for p in parents if p < u)
+            if u in parents:
+                score = _table_score(table.reshape(-1, ru, lo).sum(axis=1).ravel(), r, ess)
+            elif rq * ru <= data.n_rows:
+                wide = np.bincount(codes + rq * data.rows[:, u], minlength=rq * ru)
+                wide = wide.reshape(ru, rq // lo, lo).transpose(1, 0, 2).ravel()
+                score = _table_score(wide, r, ess)
+            else:
+                score = bdeu_local_score(v, key[1], data, ess)
+            self._table[key] = score
 
     def __len__(self) -> int:
         return len(self._table)

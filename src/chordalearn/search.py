@@ -447,9 +447,13 @@ def greedy_dag(cache: ScoreCache, start: Optional[Dag] = None) -> tuple[Dag, Sea
 
     A move changes the parent set of its child only (and of its parent,
     for a reversal), so the local terms of every other vertex carry over
-    to the next step.  Per child v the search keeps f(v, P_v) and, filled
-    on first use, f(v, P_v with u toggled) for each listed move touching
-    v; a move clears the terms of the vertices whose parents it changed.
+    to the next step.  Per child v the search keeps f(v, P_v) and
+    f(v, P_v with u toggled) for each listed move touching v; a move
+    clears the terms of the vertices whose parents it changed.  Each step
+    first collects the toggled terms its moves need and does not hold,
+    grouped by child, and fetches each child's group with one
+    ``ScoreCache.toggled_scores`` call, which codes the child's family
+    once for the whole group.  The delta loop then only reads.
     """
     d = start if start is not None else Dag(cache.data.n_vars)
     total = score_dag(d, cache.data, cache.ess, cache)
@@ -462,24 +466,29 @@ def greedy_dag(cache: ScoreCache, start: Optional[Dag] = None) -> tuple[Dag, Sea
             base[v] = cache.local_score(v, d.parents[v])
         return base[v]
 
-    def toggle(v: int, u: int) -> float:
-        terms = toggled[v]
-        if u not in terms:
-            terms[u] = cache.local_score(v, d.parents[v] ^ {u})
-        return terms[u]
-
     step = 0
     while True:
+        moves = dag_moves(d)
+        missing: dict[int, set] = {}  # child -> toggles not yet held
+        for move in moves:
+            u, v = move.a, move.b
+            if u not in toggled[v]:
+                missing.setdefault(v, set()).add(u)
+            if move.kind == "reverse" and v not in toggled[u]:
+                missing.setdefault(u, set()).add(v)
+        for v, us in missing.items():
+            us = sorted(us)
+            toggled[v].update(zip(us, cache.toggled_scores(v, d.parents[v], us)))
         best = None
         best_delta = 0.0
-        for move in dag_moves(d):
+        for move in moves:
             u, v = move.a, move.b
             if move.kind == "reverse":
                 # f(v,P_v-u) - f(v,P_v) + f(u,P_u+v) - f(u,P_u), left to
                 # right, so the float delta equals a full rescoring's
-                delta = toggle(v, u) - term(v) + toggle(u, v) - term(u)
+                delta = toggled[v][u] - term(v) + toggled[u][v] - term(u)
             else:
-                delta = toggle(v, u) - term(v)
+                delta = toggled[v][u] - term(v)
             if delta > best_delta:
                 best = move
                 best_delta = delta

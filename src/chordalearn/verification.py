@@ -632,19 +632,30 @@ def sample_chain_disjunctions(
 
 def all_dags(n: int) -> list[Dag]:
     """Every labeled DAG on n vertices, ordered by arc count then by arc
-    list; built from the 3 states (absent, forward, backward) of each
-    vertex pair, filtered for acyclicity.  Raises ``ValueError`` above
-    ``MAX_DAG_VERTICES``."""
+    list.  Each vertex pair is absent, forward or backward.  The pairs are
+    decided one at a time on reachability bitmasks, and an arc a->b is
+    tried only when b does not already reach a, so a cyclic orientation is
+    cut off at the arc that closes its cycle and only acyclic arc sets
+    become ``Dag``s.  Raises ``ValueError`` above ``MAX_DAG_VERTICES``."""
     if n > MAX_DAG_VERTICES:
         raise ValueError(f"DAG enumeration supports at most {MAX_DAG_VERTICES} vertices")
     pairs = list(itertools.combinations(range(n), 2))
     found = []
-    for states in itertools.product(range(3), repeat=len(pairs)):
-        arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
-        try:
+    # (pairs decided, arcs so far, down) where down[w] is the mask of w and
+    # every vertex it reaches over those arcs
+    stack = [(0, (), tuple(1 << w for w in range(n)))]
+    while stack:
+        i, arcs, down = stack.pop()
+        if i == len(pairs):
             found.append(Dag(n, arcs))
-        except ValueError:
-            pass  # cyclic
+            continue
+        u, v = pairs[i]
+        stack.append((i + 1, arcs, down))
+        for a, b in ((u, v), (v, u)):
+            below = down[b]
+            if not (below >> a) & 1:
+                closure = tuple(m | below if (m >> a) & 1 else m for m in down)
+                stack.append((i + 1, arcs + ((a, b),), closure))
     found.sort(key=lambda d: (len(d.arcs), d.arcs))
     return found
 

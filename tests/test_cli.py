@@ -220,6 +220,21 @@ class TestLearn:
         assert "header row of column names" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("arities", ["[2.5, 2]", '["2", 2]', "[true, 2]", '{"a": 2}'])
+    def test_malformed_arities_io_error(self, tmp_path, arities, capsys):
+        # before, int() coerced each entry: 2.5 and "2" learned with exit 0,
+        # true was taken as arity 1, and a JSON object failed without
+        # naming the file
+        data = tmp_path / "train.csv"
+        data.write_text("x,y\n0,1\n1,0\n1,1\n")
+        (tmp_path / "arities.json").write_text(arities)
+        out = tmp_path / "learned"
+        rc = cli.main(["learn", "--data", str(data), "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "arities.json" in err and "integers >= 1" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("ess", ["-1", "0", "nan", "inf"])
     def test_invalid_ess_usage_error(self, gen_run, tmp_path, ess, capsys):
         _, run = gen_run

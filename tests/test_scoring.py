@@ -1,5 +1,7 @@
 """BDeu scoring: high-precision oracle, ordering invariance, deltas."""
 
+import csv
+import io
 import itertools
 import math
 from collections import Counter
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
+from chordalearn import scoring
 from chordalearn.evaluation import fit_parameters
 from chordalearn.graphs import (
     ChordalGraph,
@@ -123,6 +126,45 @@ def in_layout(rows, layout):
     return rows
 
 
+def reference_read_csv(text, arities=None):
+    """The per-cell CSV reader: ``csv.reader`` for every row and ``int()``
+    for every cell, with line-numbered errors."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        names = next(reader)
+    except StopIteration:
+        raise ValueError("dataset CSV is empty") from None
+    if names and all(_is_int(x) for x in names):
+        raise ValueError(
+            "dataset CSV must start with a header row of column names; "
+            "the first row holds only integers"
+        )
+    data = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        try:
+            data.append([int(x) for x in row])
+        except ValueError as exc:
+            raise ValueError(f"non-integer state on line {lineno}") from exc
+        if len(row) != len(names):
+            raise ValueError(f"wrong column count on line {lineno}")
+    rows = np.array(data, dtype=np.int64, order="F").reshape(len(data), len(names))
+    return Dataset(rows, arities=arities, names=names)
+
+
+def csv_outcome(read, text, arities=None):
+    """What a reader makes of ``text``: the dataset's fields, or the type
+    and message of the error it raises."""
+    try:
+        d = read(text, arities)
+    except (ValueError, OverflowError, csv.Error) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    rows = d.rows
+    layout = (rows.dtype, rows.flags.f_contiguous, rows.flags.writeable, rows.shape)
+    return ("ok", d.names, d.arities, rows.tolist(), layout)
+
+
 def random_dataset(n, rows, rng, max_arity=3):
     arities = [int(rng.integers(2, max_arity + 1)) for _ in range(n)]
     data = rng.integers(0, arities, size=(rows, n))
@@ -137,6 +179,15 @@ class TestDataset:
     def test_explicit_arities_validated(self):
         with pytest.raises(ValueError):
             Dataset([[0, 3]], arities=[2, 3])
+
+    @pytest.mark.parametrize("arities", [[2.5, 2], ["2", 2], [True, 2], [2.0, 2], [0, 2]])
+    def test_arities_must_be_integers_at_least_one(self, arities):
+        with pytest.raises(ValueError, match="arities must be integers >= 1"):
+            Dataset([[0, 1]], arities=arities)
+
+    def test_numpy_integer_arities_accepted(self):
+        d = Dataset([[0, 1]], arities=np.array([2, 3]))
+        assert d.arities == (2, 3) and all(type(r) is int for r in d.arities)
 
     def test_rows_read_only(self):
         d = Dataset([[0, 1]])
@@ -204,6 +255,123 @@ class TestDataset:
         assert e.arities == d.arities
         assert np.array_equal(e.rows, d.rows)
         assert e.rows.flags.f_contiguous
+
+
+# cells that int() reads, ones it rejects, and ones a C parser might read
+# differently (quotes, digit separators, comment characters, blanks, and
+# whitespace that int() strips or, for \x1c, rejects)
+CSV_CELLS = [
+    "0", "1", "2", " 1", "1 ", "+1", "-0", "01", '"1"', "1_0", "1.0", "a", "", "#", "1#",
+    "\xa01", "1\x1c",
+]
+
+
+@st.composite
+def csv_texts(draw):
+    """Header, then data lines mixing valid rows, odd cells, short and long
+    rows, blank and whitespace-only lines, ``\\n`` and ``\\r\\n`` endings,
+    and sometimes no final newline."""
+    n = draw(st.integers(1, 4), label="n")
+    names = draw(
+        st.lists(st.text(alphabet="ab9 ,\"\n\r#", max_size=4), min_size=n, max_size=n),
+        label="names",
+    )
+    head = io.StringIO()
+    csv.writer(head, lineterminator="").writerow(names)
+    valid = st.lists(st.sampled_from("0123"), min_size=n, max_size=n)
+    odd = st.lists(st.sampled_from(CSV_CELLS), min_size=n, max_size=n)
+    ragged = st.lists(st.sampled_from("012"), min_size=1, max_size=n + 2)
+    line = st.one_of(
+        valid.map(",".join),
+        valid.map(",".join),
+        odd.map(",".join),
+        ragged.map(",".join),
+        st.sampled_from(["", " ", "\t", "  "]),
+    )
+    lines = [head.getvalue(), *draw(st.lists(line, max_size=8), label="lines")]
+    ends = draw(
+        st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)),
+        label="ends",
+    )
+    text = "".join(x + e for x, e in zip(lines, ends))
+    if draw(st.booleans(), label="cut final newline"):
+        text = text.rstrip("\r\n")
+    return text
+
+
+class TestCsvContract:
+    """The accepted inputs, arrays and error messages of ``Dataset``'s CSV
+    reader, pinned against the per-cell reference reader."""
+
+    def read(self, text, arities=None):
+        return Dataset.from_csv_text(text, arities)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="dataset CSV is empty"):
+            self.read("")
+
+    @pytest.mark.parametrize("cell", ["1.0", "a", ""])
+    def test_non_integer_state_names_line(self, cell):
+        with pytest.raises(ValueError, match="^non-integer state on line 3$"):
+            self.read(f"x,y\n0,1\n{cell},1\n1,1\n")
+
+    @pytest.mark.parametrize("row", ["0", "0,1,1"])
+    def test_wrong_column_count_names_line(self, row):
+        with pytest.raises(ValueError, match="^wrong column count on line 3$"):
+            self.read(f"x,y\n0,1\n{row}\n1,1\n")
+
+    def test_blank_and_crlf_lines_skipped(self):
+        d = self.read("x,y\r\n0,1\r\n\r\n\n1,0\r\n\n")
+        assert d.rows.tolist() == [[0, 1], [1, 0]]
+        # skipped lines still count toward the line numbers
+        with pytest.raises(ValueError, match="^non-integer state on line 5$"):
+            self.read("x,y\n\n0,1\r\n\r\nz,1\n")
+
+    @pytest.mark.parametrize("text", ["x,y\n0,1\n  \n1,0\n", "x\n0\n \t\n1\n"])
+    def test_whitespace_only_line_rejected(self, text):
+        with pytest.raises(ValueError, match="^non-integer state on line 3$"):
+            self.read(text)
+
+    @pytest.mark.parametrize("text", ["x,y\n0,1#\n", "x,y\n#0,1\n", "x,y\n0,1\n#\n"])
+    def test_comment_character_rejected(self, text):
+        with pytest.raises(ValueError, match="^non-integer state on line [23]$"):
+            self.read(text)
+
+    def test_cells_parse_as_int_parses_them(self):
+        d = self.read('x,y,z\n"1",+1,1_0\n 0 ,-0,01\n')
+        assert d.rows.tolist() == [[1, 1, 10], [0, 0, 1]]
+
+    def test_information_separators_rejected(self):
+        # str.isspace() holds for \x1c-\x1f, but int() does not strip them
+        for ch in "\x1c\x1d\x1e\x1f":
+            with pytest.raises(ValueError, match="^non-integer state on line 3$"):
+                self.read(f"x,y\n0,1\n1,0{ch}\n")
+
+    def test_header_only(self):
+        with pytest.raises(ValueError, match="arities are required for an empty dataset"):
+            self.read("x,y\n")
+        d = self.read("x,y", arities=(2, 3))
+        assert d.rows.shape == (0, 2) and d.rows.dtype == np.int64
+        assert d.rows.flags.f_contiguous and not d.rows.flags.writeable
+
+    def test_quoted_header_names(self):
+        d = self.read('"a,b","c\nd"\n0,1\n1,1\n')
+        assert d.names == ("a,b", "c\nd")
+        assert d.rows.tolist() == [[0, 1], [1, 1]]
+        with pytest.raises(ValueError, match="^non-integer state on line 3$"):
+            self.read('"a,b","c\nd"\n0,1\n1,x\n')
+
+    def test_file_and_text_agree(self, tmp_path):
+        text = 'x,"y,z"\r\n0,1\r\n\r\n1,0\r\n'
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert np.array_equal(Dataset.from_csv(path).rows, self.read(text).rows)
+        assert Dataset.from_csv(path).names == ("x", "y,z")
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_texts())
+    def test_matches_reference_reader(self, text):
+        assert csv_outcome(Dataset.from_csv_text, text) == csv_outcome(reference_read_csv, text)
 
 
 class TestParentCodes:
@@ -328,6 +496,82 @@ class TestCountingKernel:
             got = fit_parameters(dag, data, ess).tables
             for v, want in enumerate(reference_tables(dag, data, ess)):
                 assert np.array_equal(got[v], want), (trial, v)
+
+
+def skewed_dataset(n, n_rows, rng):
+    """Arities 2-4 and per-column state frequencies drawn from a sparse
+    Dirichlet, so some states are rare or absent."""
+    arities = [int(r) for r in rng.integers(2, 5, size=n)]
+    cols = [rng.choice(r, size=n_rows, p=rng.dirichlet([0.3] * r)) for r in arities]
+    return Dataset(np.array(cols, dtype=np.int64).T.reshape(n_rows, n), arities)
+
+
+class TestToggledScores:
+    def test_equals_local_kernel(self, monkeypatch):
+        # every toggled family of random parent sets, on empty, tiny and
+        # full-size data: the batch must give bdeu_local_score's floats
+        # through both of its paths
+        ran = Counter()
+        for name in ("_table_score", "bdeu_local_score"):
+            def spy(*args, _inner=getattr(scoring, name), _name=name):
+                ran[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(scoring, name, spy)
+        n = 9
+        for n_rows in (0, 1, 7, 5000):
+            rng = rng_from(53, n_rows)
+            data = skewed_dataset(n, n_rows, rng)
+            for trial in range(24):
+                v = int(rng.integers(n))
+                others = [u for u in range(n) if u != v]
+                size = trial % 7
+                parents = [int(u) for u in rng.choice(others, size=size, replace=False)]
+                ess = (1.0, 3.7)[trial % 2]
+                cache = ScoreCache(data, ess)
+                before = Counter(ran)
+                got = cache.toggled_scores(v, parents, others)
+                batch = ran - before
+                want = [
+                    bdeu_local_score(v, set(parents) ^ {u}, data, ess) for u in others
+                ]
+                assert got == want, (n_rows, trial)
+                # the same entries local_score would have made
+                assert [cache.local_score(v, set(parents) ^ {u}) for u in others] == want
+                assert len(cache) == len(others)
+                if n_rows == 5000 and size <= 2:
+                    assert batch["_table_score"] == len(others)
+                    assert batch["bdeu_local_score"] == 0
+                if n_rows <= 1:
+                    assert batch["bdeu_local_score"] == len(others)
+        assert ran["_table_score"] and ran["bdeu_local_score"]
+
+    def test_only_missing_keys_computed(self, monkeypatch):
+        data = skewed_dataset(5, 300, rng_from(59))
+        cache = ScoreCache(data)
+        known = cache.local_score(0, (1, 3))
+        calls = Counter()
+        inner = scoring._table_score
+
+        def spy(*args):
+            calls["scored"] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(scoring, "_table_score", spy)
+        got = cache.toggled_scores(0, (1,), [3, 2, 3])
+        assert got[0] == got[2] == known
+        assert calls["scored"] == 1
+        assert cache.toggled_scores(0, (1,), [2, 3]) == [got[1], known]
+        assert calls["scored"] == 1
+
+    def test_invalid_vertices_rejected(self):
+        cache = ScoreCache(skewed_dataset(3, 10, rng_from(61)))
+        with pytest.raises(ValueError, match="own parent"):
+            cache.toggled_scores(0, (1,), [0])
+        with pytest.raises(ValueError, match="own parent"):
+            cache.toggled_scores(0, (0,), [1])
+        with pytest.raises(ValueError, match="out of range"):
+            cache.toggled_scores(0, (1,), [3])
 
 
 class TestScoreCache:

@@ -547,6 +547,65 @@ def reference_greedy_dag(cache: ScoreCache, start: Dag) -> tuple[Dag, SearchTrac
         )
 
 
+def lazy_greedy_dag(cache: ScoreCache, start: Dag) -> tuple[Dag, SearchTrace]:
+    """The per-child reuse search with every toggled term fetched on first
+    use, one ``ScoreCache.local_score`` call each."""
+    d = start
+    total = score_dag(d, cache.data, cache.ess, cache)
+    trace = SearchTrace(start_fingerprint=d.to_text(), start_score=total)
+    base: list = [None] * d.n
+    toggled: list = [{} for _ in range(d.n)]
+
+    def term(v):
+        if base[v] is None:
+            base[v] = cache.local_score(v, d.parents[v])
+        return base[v]
+
+    def toggle(v, u):
+        terms = toggled[v]
+        if u not in terms:
+            terms[u] = cache.local_score(v, d.parents[v] ^ {u})
+        return terms[u]
+
+    step = 0
+    while True:
+        best = None
+        best_delta = 0.0
+        for move in dag_moves(d):
+            u, v = move.a, move.b
+            if move.kind == "reverse":
+                delta = toggle(v, u) - term(v) + toggle(u, v) - term(u)
+            else:
+                delta = toggle(v, u) - term(v)
+            if delta > best_delta:
+                best = move
+                best_delta = delta
+        if best is None:
+            trace.terminal = True
+            return d, trace
+        step += 1
+        d = apply_dag_move(d, best)
+        for w in (best.b, best.a) if best.kind == "reverse" else (best.b,):
+            base[w] = None
+            toggled[w] = {}
+        total += best_delta
+        trace.steps.append(TraceStep(step, best, best_delta, total, d.to_text()))
+
+
+def seeded_dag_runs():
+    """The 24 seeded nets, data and starts of the trace-equality tests."""
+    for seed in range(24):
+        rng = rng_from(41, seed)
+        n = 4 + seed % 5
+        arity = 2 + seed % 2
+        net = random_parameters(random_dag(n, 3, rng), (arity,) * n, rng)
+        data = ancestral_sample(net, 400, rng)
+        # from every third run, start at the generating DAG reversed so
+        # that reversals pay off
+        start = Dag(n, [(v, u) for u, v in net.dag.arcs]) if seed % 3 == 0 else Dag(n)
+        yield data, start
+
+
 class TestGreedyDag:
     def test_recovers_collider(self):
         # z is a noisy AND of x and y: both parents matter and each is
@@ -622,3 +681,16 @@ class TestGreedyDag:
             assert got.to_jsonl() == want.to_jsonl()
             kinds.update(step.move.kind for step in got.steps)
         assert kinds == {"add", "remove", "reverse"}
+
+    def test_batched_terms_equal_lazy_search(self):
+        # fetching each step's missing terms in per-child batches must not
+        # change the trace, nor which local scores are computed, nor their
+        # floats
+        for data, start in seeded_dag_runs():
+            got_cache, want_cache = ScoreCache(data), ScoreCache(data)
+            got_dag, got = greedy_dag(got_cache, start)
+            want_dag, want = lazy_greedy_dag(want_cache, start)
+            assert got_dag == want_dag
+            assert got.steps == want.steps
+            assert got.start_score == want.start_score
+            assert got_cache._table == want_cache._table

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from chordalearn.graphs import ChordalGraph, UndirectedGraph, is_chordal
+from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal
 from chordalearn.independence import DependencyModel, model_included
 from chordalearn.search import Move, OracleScore, inclusion_boundary
 from chordalearn.verification import (
@@ -275,7 +275,30 @@ class TestChainSamples:
         assert not broken.ok
 
 
+def reference_all_dags(n):
+    """Every orientation state of every vertex pair built as a ``Dag``,
+    the cyclic ones dropped through the ``ValueError`` they raise."""
+    pairs = list(itertools.combinations(range(n), 2))
+    found = []
+    for states in itertools.product(range(3), repeat=len(pairs)):
+        arcs = [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s]
+        try:
+            found.append(Dag(n, arcs))
+        except ValueError:
+            pass  # cyclic
+    found.sort(key=lambda d: (len(d.arcs), d.arcs))
+    return found
+
+
 class TestAllDags:
+    @pytest.mark.parametrize("n", range(5))
+    def test_equals_reference_enumeration(self, n):
+        assert all_dags(n) == reference_all_dags(n)
+
+    def test_count_n5(self):
+        # labelled DAGs on 5 vertices (OEIS A003024)
+        assert len(all_dags(5)) == 29281
+
     def test_count_n3(self):
         # labelled DAGs on 3 vertices: a known enumeration
         assert len(all_dags(3)) == 25
