@@ -160,6 +160,8 @@ def _check_fields(cfg: dict, grid: bool = False, prefix: str = "config") -> None
         isinstance(cfg["learners"], list) and all(x in _KINDS for x in cfg["learners"])
     ):
         fail("learners", f"a list drawn from {_KINDS}")
+    if grid and not (cfg["learners"] or cfg["include_target"]):
+        fail("learners", "a non-empty list when include_target is false")
 
 
 def _ess_arg(text: str) -> float:

@@ -195,37 +195,21 @@ class ChordalityResult:
         return self.ordering is not None
 
 
-def maximum_cardinality_order(
-    g: UndirectedGraph, forced_prefix: Sequence[int] = ()
-) -> tuple[int, ...]:
+def maximum_cardinality_order(g: UndirectedGraph) -> tuple[int, ...]:
     """Maximum cardinality search order; ties go to the lowest index.
 
     Each step selects an unvisited vertex with the most visited neighbors.
-    A forced prefix must induce a complete subgraph: under that condition
-    the forced choices are themselves maximum-cardinality selections, so
-    the result is still a valid search order.
     """
-    prefix = list(forced_prefix)
-    if len(set(prefix)) != len(prefix):
-        raise ValueError("forced prefix contains duplicates")
-    for v in prefix:
-        if not (0 <= v < g.n):
-            raise ValueError(f"prefix vertex {v} out of range")
-    if not g.is_complete_set(prefix):
-        raise ValueError("forced prefix vertices must be pairwise adjacent")
     weight = [0] * g.n
     visited = [False] * g.n
     order = []
-    for step in range(g.n):
-        if step < len(prefix):
-            v = prefix[step]
-        else:
-            v = -1
-            best = -1
-            for u in range(g.n):
-                if not visited[u] and weight[u] > best:
-                    best = weight[u]
-                    v = u
+    for _ in range(g.n):
+        v = -1
+        best = -1
+        for u in range(g.n):
+            if not visited[u] and weight[u] > best:
+                best = weight[u]
+                v = u
         visited[v] = True
         order.append(v)
         for u in g.neighbors(v):
@@ -463,19 +447,6 @@ def removal_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
     return is_complete_mask(masks, masks[a] & masks[b])
 
 
-def peo_with_prefix(g: ChordalGraph, prefix: Sequence[int]) -> tuple[int, ...]:
-    """A perfect ordering of ``g`` starting with the given vertices.
-
-    The prefix must induce a complete subgraph, in which case a perfect
-    ordering extending it always exists for a chordal graph (the forced
-    choices are valid maximum-cardinality selections).
-    """
-    order = maximum_cardinality_order(g.graph, forced_prefix=prefix)
-    if not is_perfect_order(g.graph, order):  # pragma: no cover - guaranteed
-        raise AssertionError("prefix search failed on a chordal graph")
-    return order
-
-
 # ---------------------------------------------------------------------------
 # DAGs
 
@@ -524,27 +495,15 @@ class Dag:
             raise CycleError("arrow set contains a directed cycle")
         return tuple(order)
 
-    @classmethod
-    def from_parents(cls, parents: Sequence[Iterable[int]]) -> "Dag":
-        arcs = [(u, v) for v, ps in enumerate(parents) for u in ps]
-        return cls(len(parents), arcs)
-
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return self._arcs
-
-    @property
-    def arc_count(self) -> int:
-        return len(self._arcs)
 
     def topological_order(self) -> tuple[int, ...]:
         return self._topo
 
     def has_arc(self, u: int, v: int) -> bool:
         return u in self.parents[v]
-
-    def children(self, v: int) -> frozenset:
-        return frozenset(c for c in range(self.n) if v in self.parents[c])
 
     def with_arc(self, u: int, v: int) -> "Dag":
         return Dag(self.n, self._arcs + ((u, v),))

@@ -303,29 +303,6 @@ class OracleScore:
         return (-(viol + info), -(dim - (1 << s.bit_count())))
 
 
-def statement_local_optimum(g: ChordalGraph, target: DependencyModel) -> bool:
-    """Local-optimality test induced by local consistency alone.
-
-    Any score that is locally consistent for ``target`` strictly prefers
-    removing line a-b (common neighbors S) exactly when "a independent of
-    b given S" holds in the target, and strictly prefers an addition
-    exactly when the corresponding statement in the enlarged graph fails.
-    That fixes the improving/worsening status of every neighbor without
-    choosing a particular score, which is what the latent-target searches
-    need (no numeric oracle exists there).
-    """
-    if target.observed[: g.n] != tuple(range(g.n)):
-        raise ValueError("every graph vertex must be observed in the target")
-    masks = g.graph.neighbor_masks
-    for move in inclusion_boundary(g):
-        # S is the same before and after the edit, so one statement decides
-        # both kinds: a removal improves when it holds, an addition when not
-        s = masks[move.a] & masks[move.b]
-        if target.independent_masks(1 << move.a, 1 << move.b, s) == (move.kind == "remove"):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # greedy search
 
@@ -343,35 +320,18 @@ def _best_move(g, scorer, current, moves):
 
 
 def greedy_chordal(
-    scorer: ChordalScorer,
-    start: ChordalGraph,
-    policy: str = "best",
+    scorer: ChordalScorer, start: ChordalGraph
 ) -> tuple[ChordalGraph, SearchTrace]:
-    """Hill-climb over the inclusion boundary from ``start``.
-
-    ``policy`` is "best" (steepest ascent; ties break on the smallest
-    move) or "first" (take the first improving move in move order).  Both
-    stop at the first graph with no strictly improving neighbor, so the
-    result is a local optimum of the scorer.
+    """Steepest ascent over the inclusion boundary from ``start``; ties
+    break on the smallest move.  Stops at the first graph with no strictly
+    improving neighbor, so the result is a local optimum of the scorer.
     """
-    if policy not in ("best", "first"):
-        raise ValueError(f"unknown policy {policy!r}")
     g = start
     total = scorer.score(g)
     trace = SearchTrace(start_fingerprint=g.fingerprint(), start_score=total)
     step = 0
     while True:
-        moves = inclusion_boundary(g)
-        chosen = None
-        new_total = total
-        if policy == "best":
-            chosen, new_total = _best_move(g, scorer, total, moves)
-        else:
-            for move in moves:
-                cand = scorer.move_score(g, total, move)
-                if cand > total:
-                    chosen, new_total = move, cand
-                    break
+        chosen, new_total = _best_move(g, scorer, total, inclusion_boundary(g))
         if chosen is None:
             trace.terminal = True
             return g, trace

@@ -8,9 +8,10 @@ chordal graphs, the oracle score's consistency and local consistency, the
 targets, graphoid axioms, separation-chain disjunctions, and the search
 for a latent-margin target with a non-optimal local optimum.
 
-The oracle self-checks and the local-optimum sweep share one per-n
-catalogue of the labeled chordal graphs (``_Records``); the chain sweep
-reads only the graphs and their ``line_mask``.
+The oracle self-checks, the local-optimum sweep, the DAG probe and the
+latent-witness search share one per-n catalogue of the labeled chordal
+graphs (``_Records``); the chain sweep reads only the graphs and their
+``line_mask``.
 
 Reports are plain dataclasses with an ``ok`` property and a deterministic
 JSON form (no timestamps or runtimes inside, so identical runs serialize
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, is_chordal
 from .graphs import reach, vertex_mask
@@ -34,7 +35,7 @@ from .independence import (
     inclusion_optimal,
     model_included,
 )
-from .search import OracleScore, inclusion_boundary, statement_local_optimum
+from .search import OracleScore, inclusion_boundary
 from .synthetic import rng_from
 
 MAX_ENUM_VERTICES = 6
@@ -99,22 +100,11 @@ def line_mask(g) -> int:
     return m
 
 
-def enumerate_chordal(n: int, cross_check: bool = False) -> list[ChordalGraph]:
-    """All labeled chordal graphs on n vertices, in line-mask order.
-
-    ``cross_check`` additionally runs the naive induced-cycle oracle on
-    every candidate and raises on any disagreement.
-    """
+def enumerate_chordal(n: int) -> list[ChordalGraph]:
+    """All labeled chordal graphs on n vertices, in line-mask order."""
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"enumeration supports 1..{MAX_ENUM_VERTICES} vertices")
-    out = []
-    for g in all_undirected(n):
-        fast = is_chordal(g)
-        if cross_check and fast != naive_is_chordal(g):
-            raise VerificationError(f"chordality oracles disagree on {g.fingerprint()}")
-        if fast:
-            out.append(ChordalGraph.from_graph(g))
-    return out
+    return [ChordalGraph.from_graph(g) for g in all_undirected(n) if is_chordal(g)]
 
 
 @dataclass(frozen=True)
@@ -237,7 +227,7 @@ def sweep_chordal_chains(n: int) -> ChainSweepReport:
 
 
 # ---------------------------------------------------------------------------
-# the chordal-graph catalogue shared by the score sweeps
+# the chordal-graph catalogue shared by the sweeps, probe and witness search
 
 
 @dataclass(frozen=True)
@@ -250,12 +240,12 @@ class _MoveRec:
 
 
 class _Records:
-    """Catalogue of all chordal graphs on n vertices, shared by
-    ``oracle_self_check`` (one per n in ``sweep_self_checks``) and
-    ``sweep_local_optima``.  Per graph, in line-mask order: line mask
-    (``index`` inverts it), family/parent vertex masks of a perfect
-    orientation, all-binary dimension, and boundary moves with their S
-    mask and result index (None when not chordal)."""
+    """Catalogue of all chordal graphs on n vertices, shared by the
+    self-checks, the local-optimum sweep and the forced-optimum walks.
+    Per graph, in line-mask order: line mask (``index`` inverts it),
+    family/parent vertex masks of a perfect orientation, all-binary
+    dimension, and boundary moves with their S mask and result index
+    (None when not chordal)."""
 
     def __init__(self, n: int, neighbor_fn: Optional[Callable] = None):
         self.n = n
@@ -286,6 +276,20 @@ class _Records:
                     )
                 )
             self.moves.append(tuple(recs))
+
+    def forced_optima(self, model: DependencyModel) -> Iterator[int]:
+        """Indices, in catalogue order, of the graphs with no boundary move
+        forced by ``model`` (vertices 0..n-1 observed): the local optima of
+        every score locally consistent for it.  Such a score prefers
+        removing a-b, with common neighbors S, exactly when "a independent
+        of b given S" holds, and adding it exactly when that fails."""
+        for i, moves in enumerate(self.moves):
+            if not any(
+                model.independent_masks(1 << mv.a, 1 << mv.b, mv.s_mask)
+                == (mv.kind == "remove")
+                for mv in moves
+            ):
+                yield i
 
 
 # ---------------------------------------------------------------------------
@@ -699,15 +703,14 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
 
     DAGs on observed_count + 1 vertices are enumerated in ascending arc
     count with the latent vertex fixed at the highest index (relabeling
-    symmetry makes that lossless for existence).  Each margin model is
-    evaluated on all chordal graphs over the observed vertices: a graph
-    with no forced-improving boundary move (the local-maximum condition
-    shared by every locally consistent score) that fails
-    inclusion_optimal is a witness.  Each margin is a real latent-DAG
-    ``DependencyModel``, keyed by its answer vector over the observed
-    triples: margins some undirected graph realizes exactly are skipped,
-    since the undirected sweep proves those targets clean, and identical
-    answer vectors are swept once.
+    symmetry makes that lossless for existence).  A chordal graph over the
+    observed vertices with no move forced by the margin model
+    (``_Records.forced_optima``) that fails inclusion_optimal is a
+    witness.  Each margin is a real latent-DAG ``DependencyModel``, keyed
+    by its answer vector over the observed triples: margins some
+    undirected graph realizes exactly are skipped, since the undirected
+    sweep proves those targets clean, and identical answer vectors are
+    swept once.
 
     The first witness in enumeration order is rechecked on a fresh
     margin model before being returned.  Raises ``ValueError`` when
@@ -719,7 +722,7 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
     observed = tuple(range(observed_count))
     triples = canonical_triples(observed)
     ug_keys = _ug_margin_keys(observed, triples)
-    graphs = enumerate_chordal(observed_count)
+    cat = _Records(observed_count)
     seen: set = set()
     scanned = 0
     swept = 0
@@ -736,8 +739,9 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
         seen.add(key)
         swept += 1
         margin = DependencyModel.from_latent_dag(dag, [latent])
-        for cg in graphs:
-            if not statement_local_optimum(cg, margin) or inclusion_optimal(cg, margin):
+        for i in cat.forced_optima(margin):
+            cg = cat.graphs[i]
+            if inclusion_optimal(cg, margin):
                 continue
             real = DependencyModel.from_latent_dag(dag, [latent])
             return WitnessReport(
@@ -745,7 +749,7 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
                 arcs=[list(a) for a in dag.arcs],
                 latent=latent,
                 graph=cg.fingerprint(),
-                local_optimum_confirmed=statement_local_optimum(cg, real),
+                local_optimum_confirmed=i in cat.forced_optima(real),
                 inclusion_optimal_result=inclusion_optimal(cg, real),
             )
     return WitnessReport(False, scanned, swept, skipped)
@@ -773,17 +777,16 @@ def probe_dag_targets(n: int) -> DagProbeReport:
     raised; no claim guarantees this family is clean.  Raises
     ``ValueError`` above ``MAX_DAG_VERTICES``."""
     dags = all_dags(n)  # first, so an oversized n raises before other work
-    graphs = enumerate_chordal(n)
+    cat = _Records(n)
     targets = 0
     optima = 0
     failures = []
     for dag in dags:
         targets += 1
         model = DependencyModel.from_dag(dag)
-        for cg in graphs:
-            if not statement_local_optimum(cg, model):
-                continue
+        for i in cat.forced_optima(model):
             optima += 1
+            cg = cat.graphs[i]
             if not inclusion_optimal(cg, model):
                 failures.append(
                     {"arcs": [list(a) for a in dag.arcs], "graph": cg.fingerprint()}

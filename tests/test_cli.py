@@ -569,6 +569,21 @@ class TestExperiment:
             (60, "chordal"), (60, "target"), (200, "chordal"), (200, "target"),
         ]
 
+    def test_nothing_to_evaluate_usage_error(self, tmp_path, capsys):
+        # no learner and no target row: the grid would write a header only
+        cfg = self.exp_config(tmp_path, learners=[], include_target=False)
+        out = tmp_path / "e"
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "config.learners" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_target_rows_only(self, tmp_path):
+        cfg = self.exp_config(tmp_path, learners=[], replicates=1, n_obs=[60])
+        out = tmp_path / "e"
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = results_from_csv((out / "results.csv").read_text())
+        assert [r.learner for r in rows] == ["target"]
+
     @pytest.mark.parametrize("ess", [-1, 0, float("nan"), float("inf"), "1", True])
     def test_invalid_ess_usage_error(self, tmp_path, ess, capsys):
         cfg = self.exp_config(tmp_path, ess=ess)

@@ -23,7 +23,6 @@ from chordalearn.graphs import (
     min_fill_chordalize,
     moralize,
     orient_by_ordering,
-    peo_with_prefix,
     reach,
     separated,
 )
@@ -254,19 +253,6 @@ class TestOrdering:
                     for i in range(5)
                 )
                 assert is_perfect_order(g, perm) == expected
-
-    def test_peo_with_prefix(self):
-        g = ChordalGraph.from_lines(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        order = peo_with_prefix(g, (2,))
-        assert order[0] == 2
-        assert is_perfect_order(g.graph, order)
-
-    def test_peo_with_prefix_rejects_impossible(self):
-        # path 0-1-2: starting at both endpoints leaves the middle vertex
-        # with two earlier neighbours that are non-adjacent
-        g = ChordalGraph.from_lines(3, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError):
-            peo_with_prefix(g, (0, 2))
 
 
 class TestChordalGraph:

@@ -31,7 +31,6 @@ from chordalearn.search import (
     greedy_dag,
     inclusion_boundary,
     removal_keeps_chordal,
-    statement_local_optimum,
 )
 from chordalearn.synthetic import (
     DiscreteBayesNet,
@@ -316,35 +315,6 @@ class TestOracleScore:
                     assert info >= 0
 
 
-class TestStatementLocalOptimum:
-    def test_agrees_with_oracle_score_local_maxima(self):
-        # a graph is a statement-level optimum iff no boundary move
-        # improves the constructed score
-        pairs = list(itertools.combinations(range(4), 2))
-        for tmask in range(0, 64, 5):  # sampled targets
-            t = UndirectedGraph(4, [pairs[i] for i in range(6) if tmask >> i & 1])
-            oracle = OracleScore(t)
-            target = DependencyModel.from_undirected(t)
-            for graph in all_graphs(4):
-                if not is_chordal(graph):
-                    continue
-                g = ChordalGraph.from_graph(graph)
-                current = oracle.score(g)
-                numeric = all(
-                    oracle.move_score(g, current, mv) <= current
-                    for mv in inclusion_boundary(g)
-                )
-                assert statement_local_optimum(g, target) == numeric
-
-    def test_unobserved_graph_vertex_rejected(self):
-        # vertex 1 is latent, so a graph on vertices 0..2 asks about it
-        target = DependencyModel.from_latent_dag(Dag(4, [(1, 0), (1, 2), (2, 3)]), [1])
-        with pytest.raises(ValueError, match="observed"):
-            statement_local_optimum(ChordalGraph.empty(3), target)
-        # a graph on an observed prefix is fine
-        assert statement_local_optimum(ChordalGraph.empty(1), target)
-
-
 class TestGreedyChordal:
     def test_oracle_guided_search_reaches_inclusion_optimum(self):
         # greedy under the constructed score must terminate
@@ -358,17 +328,14 @@ class TestGreedyChordal:
             assert trace.terminal
             assert inclusion_optimal(final, target), t.fingerprint()
 
-    def test_first_and_best_policies_both_reach_local_optima(self):
+    def test_search_ends_at_local_optimum(self):
         rng = np.random.default_rng(11)
         data = Dataset(rng.integers(0, 2, size=(150, 5)))
         scorer = BDeuScorer(data)
-        for policy in ("best", "first"):
-            final, trace = greedy_chordal(
-                scorer, ChordalGraph.empty(5), policy=policy
-            )
-            current = scorer.score(final)
-            for move in inclusion_boundary(final):
-                assert scorer.move_score(final, current, move) <= current
+        final, trace = greedy_chordal(scorer, ChordalGraph.empty(5))
+        current = scorer.score(final)
+        for move in inclusion_boundary(final):
+            assert scorer.move_score(final, current, move) <= current
 
     def test_trace_replay_and_totals(self):
         rng = rng_from(17)
@@ -417,11 +384,6 @@ class TestGreedyChordal:
         data = ancestral_sample(net, 20000, rng)
         final, _ = greedy_chordal(BDeuScorer(data), ChordalGraph.empty(4))
         assert final.lines == ((0, 1), (1, 2), (2, 3))
-
-    def test_unknown_policy_rejected(self):
-        data = Dataset([[0, 1]])
-        with pytest.raises(ValueError):
-            greedy_chordal(BDeuScorer(data), ChordalGraph.empty(2), policy="x")
 
 
 class TestDagMoves:

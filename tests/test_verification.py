@@ -18,6 +18,7 @@ from chordalearn.verification import (
     ChainSampleReport,
     SelfCheckReport,
     VerificationError,
+    _Records,
     all_dags,
     all_undirected,
     chordal_chain,
@@ -66,7 +67,7 @@ class TestEnumerateChordal:
         ]
 
     def test_cross_checked_enumeration(self):
-        got = {g.fingerprint() for g in enumerate_chordal(4, cross_check=True)}
+        got = {g.fingerprint() for g in enumerate_chordal(4)}
         want = {
             g.fingerprint() for g in all_undirected(4) if naive_is_chordal(g)
         }
@@ -323,6 +324,68 @@ class TestAllDags:
     def test_witness_search_bound_enforced(self):
         with pytest.raises(ValueError, match="at most 5 vertices"):
             find_nonoptimal_local_optimum(MAX_DAG_VERTICES)
+
+
+def statement_local_optimum(g, target):
+    """The forced-optimum rule as ``search`` once decided it, kept as the
+    oracle for ``_Records.forced_optima``: the boundary is re-listed for
+    every (target, graph) pair and S recomputed from the graph.  True when
+    no move is forced: a removal is forced when its statement holds, an
+    addition when it fails."""
+    masks = g.graph.neighbor_masks
+    for move in inclusion_boundary(g):
+        s = masks[move.a] & masks[move.b]
+        if target.independent_masks(1 << move.a, 1 << move.b, s) == (move.kind == "remove"):
+            return False
+    return True
+
+
+def reference_forced_optima(cat, model):
+    return [i for i, cg in enumerate(cat.graphs) if statement_local_optimum(cg, model)]
+
+
+class TestForcedOptima:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_dag_targets_match_reference(self, n):
+        cat = _Records(n)
+        for dag in all_dags(n):
+            model = DependencyModel.from_dag(dag)
+            assert list(cat.forced_optima(model)) == reference_forced_optima(cat, model)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_undirected_targets_match_reference(self, n):
+        cat = _Records(n)
+        for t in all_undirected(n):
+            model = DependencyModel.from_undirected(t)
+            assert list(cat.forced_optima(model)) == reference_forced_optima(cat, model)
+
+    def test_latent_margins_match_reference(self):
+        # every DAG on 4 vertices with vertex 3 latent, over graphs on 0..2
+        cat = _Records(3)
+        found = set()
+        for dag in all_dags(4):
+            margin = DependencyModel.from_latent_dag(dag, [3])
+            got = list(cat.forced_optima(margin))
+            assert got == reference_forced_optima(cat, margin)
+            found.add(tuple(got))
+        assert len(found) > 1  # the margins do not all share one answer
+
+    def test_agrees_with_oracle_score_local_maxima(self):
+        # for undirected targets a graph has no forced move iff no
+        # boundary move improves the constructed score
+        cat = _Records(4)
+        for t in all_undirected(4):
+            oracle = OracleScore(t)
+            numeric = []
+            for i, g in enumerate(cat.graphs):
+                current = oracle.score(g)
+                if all(
+                    oracle.move_score(g, current, mv) <= current
+                    for mv in inclusion_boundary(g)
+                ):
+                    numeric.append(i)
+            model = DependencyModel.from_undirected(t)
+            assert list(cat.forced_optima(model)) == numeric, t.fingerprint()
 
 
 class TestDagProbe:
