@@ -126,7 +126,7 @@ def _check_fields(cfg: dict, grid: bool = False, prefix: str = "config") -> None
         fail("n_vars", "a non-empty list of integers >= 1")
     if not grid and not is_int(n_vars, 1):
         fail("n_vars", "an integer >= 1")
-    bounds = {"arity": 1, "test_obs": 1, "seed": 0, "replicate": 0, "replicates": 0}
+    bounds = {"arity": 1, "test_obs": 1, "seed": 0, "replicate": 0, "replicates": 1}
     for name, low in bounds.items():
         if name in cfg and not is_int(cfg[name], low):
             fail(name, f"an integer >= {low}")

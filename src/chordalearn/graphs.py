@@ -78,10 +78,6 @@ class UndirectedGraph:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def line_count(self) -> int:
-        return len(self.lines)
-
     def has_line(self, a: int, b: int) -> bool:
         return _normalize_line(a, b) in self._line_set
 
@@ -96,15 +92,8 @@ class UndirectedGraph:
         """Neighbor bitmask of every vertex, indexed by vertex id."""
         return self._mask
 
-    def degree(self, v: int) -> int:
-        return len(self._nbr[v])
-
     def common_neighbors(self, a: int, b: int) -> frozenset:
         return self._nbr[a] & self._nbr[b]
-
-    def is_complete_set(self, vertices: Iterable[int]) -> bool:
-        """True when the given vertices are pairwise adjacent."""
-        return is_complete_mask(self._mask, vertex_mask(vertices))
 
     # -- edits (return new graphs) ---------------------------------------
 

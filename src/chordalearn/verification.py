@@ -10,8 +10,10 @@ for a latent-margin target with a non-optimal local optimum.
 
 The oracle self-checks, the local-optimum sweep, the DAG probe and the
 latent-witness search share one per-n catalogue of the labeled chordal
-graphs (``_Records``); the chain sweep reads only the graphs and their
-``line_mask``.
+graphs (``_Records``): arrays of their families and dimensions, and one
+flat table of all their boundary moves whose statements
+``_Records.statements`` decides, so those suites run as array tests over
+the table.  The chain sweep reads only the graphs and their ``line_mask``.
 
 Reports are plain dataclasses with an ``ok`` property and a deterministic
 JSON form (no timestamps or runtimes inside, so identical runs serialize
@@ -23,7 +25,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, is_chordal
 from .graphs import reach, vertex_mask
@@ -230,66 +234,64 @@ def sweep_chordal_chains(n: int) -> ChainSweepReport:
 # the chordal-graph catalogue shared by the sweeps, probe and witness search
 
 
-@dataclass(frozen=True)
-class _MoveRec:
-    kind: str
-    a: int
-    b: int
-    s_mask: int
-    result_index: Optional[int]
-
-
 class _Records:
-    """Catalogue of all chordal graphs on n vertices, shared by the
-    self-checks, the local-optimum sweep and the forced-optimum walks.
-    Per graph, in line-mask order: line mask (``index`` inverts it),
-    family/parent vertex masks of a perfect orientation, all-binary
-    dimension, and boundary moves with their S mask and result index
-    (None when not chordal)."""
+    """Catalogue of all chordal graphs on n vertices, in line-mask order,
+    shared by the self-checks, the local-optimum sweep and the
+    forced-optimum walks.  Per graph: ``masks`` its line mask, rows of
+    ``fam`` and ``pa`` the family and parent vertex masks of a perfect
+    orientation, ``dims`` its all-binary dimension.
 
-    def __init__(self, n: int, neighbor_fn: Optional[Callable] = None):
+    The boundary moves of all graphs form one flat table, in catalogue
+    order and boundary order within a graph: ``src`` the graph's index,
+    ``dst`` the result's index (-1 when the result is not chordal),
+    ``remove`` the removal flag, endpoints ``a`` and ``b``, and ``stmt``
+    the index in ``triples`` of the statement "a independent of b given
+    S", S the common neighbors of a and b, keyed as ``(1 << a, 1 << b,
+    S)``.  ``statements`` decides each distinct triple once per model."""
+
+    def __init__(self, n: int):
         self.n = n
         self.graphs = enumerate_chordal(n)
-        self.masks = [line_mask(cg) for cg in self.graphs]
-        self.index = {m: i for i, m in enumerate(self.masks)}
-        self.fam_pa = []
-        self.dims = []
-        self.moves = []
-        boundary = neighbor_fn if neighbor_fn is not None else inclusion_boundary
-        for cg, mask in zip(self.graphs, self.masks):
-            fp = []
-            dim = 0
-            for v, ps in enumerate(cg.oriented_parents()):
-                pmask = vertex_mask(ps)
-                fp.append((pmask | (1 << v), pmask))
-                dim += 1 << len(ps)
-            self.fam_pa.append(tuple(fp))
-            self.dims.append(dim)
-            recs = []
+        masks = [line_mask(cg) for cg in self.graphs]
+        index = {m: i for i, m in enumerate(masks)}
+        keys: dict = {}  # (1 << a, 1 << b, S) -> position in triples
+        fam, pa, dims, table = [], [], [], []
+        for i, (cg, mask) in enumerate(zip(self.graphs, masks)):
+            parents = [vertex_mask(ps) for ps in cg.oriented_parents()]
+            pa.append(parents)
+            fam.append([p | 1 << v for v, p in enumerate(parents)])
+            dims.append(sum(1 << p.bit_count() for p in parents))
             nbr = cg.graph.neighbor_masks
-            for mv in boundary(cg):
+            for mv in inclusion_boundary(cg):
                 bit = _line_bit(n, min(mv.a, mv.b), max(mv.a, mv.b))
-                result = mask | bit if mv.kind == "add" else mask & ~bit
-                recs.append(
-                    _MoveRec(
-                        mv.kind, mv.a, mv.b, nbr[mv.a] & nbr[mv.b], self.index.get(result)
-                    )
-                )
-            self.moves.append(tuple(recs))
+                remove = mv.kind == "remove"
+                result = mask & ~bit if remove else mask | bit
+                key = (1 << mv.a, 1 << mv.b, nbr[mv.a] & nbr[mv.b])
+                stmt = keys.setdefault(key, len(keys))
+                table.append((i, index.get(result, -1), remove, mv.a, mv.b, stmt))
+        self.masks = np.array(masks, dtype=np.int64)
+        self.fam = np.array(fam, dtype=np.int64)
+        self.pa = np.array(pa, dtype=np.int64)
+        self.dims = np.array(dims, dtype=np.int64)
+        cols = np.array(table, dtype=np.int64).reshape(len(table), 6).T
+        self.src, self.dst, remove, self.a, self.b, self.stmt = cols
+        self.remove = remove.astype(bool)
+        self.triples = list(keys)
 
-    def forced_optima(self, model: DependencyModel) -> Iterator[int]:
+    def statements(self, model: DependencyModel) -> np.ndarray:
+        """Per move, whether its statement holds in ``model`` (vertices
+        0..n-1 observed)."""
+        holds = [model.independent_masks(*key) for key in self.triples]
+        return np.array(holds, dtype=bool)[self.stmt]
+
+    def forced_optima(self, model: DependencyModel) -> list[int]:
         """Indices, in catalogue order, of the graphs with no boundary move
-        forced by ``model`` (vertices 0..n-1 observed): the local optima of
-        every score locally consistent for it.  Such a score prefers
-        removing a-b, with common neighbors S, exactly when "a independent
-        of b given S" holds, and adding it exactly when that fails."""
-        for i, moves in enumerate(self.moves):
-            if not any(
-                model.independent_masks(1 << mv.a, 1 << mv.b, mv.s_mask)
-                == (mv.kind == "remove")
-                for mv in moves
-            ):
-                yield i
+        forced by ``model``: the local optima of every score locally
+        consistent for it.  Such a score prefers removing a-b exactly when
+        its statement holds, and adding it exactly when that fails."""
+        forced = self.statements(model) == self.remove
+        counts = np.bincount(self.src[forced], minlength=len(self.graphs))
+        return np.flatnonzero(counts == 0).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +326,8 @@ def oracle_self_check(
       strictly in both directions.
 
     ``cat`` is the ``_Records`` catalogue for ``target.n`` (built when
-    omitted); a removal's score is read from its result's entry.
+    omitted); a removal's score is read from its result's entry, and a
+    listed removal with a non-chordal result raises VerificationError.
     """
     if cat is None:
         cat = _Records(target.n)
@@ -351,22 +354,22 @@ def oracle_self_check(
                 }
             )
     local = []
-    for cg, score, moves in zip(graphs, scores, cat.moves):
-        for mv in moves:
-            if mv.kind != "remove":
-                continue
-            sscore = scores[mv.result_index]
-            holds = model.independent_masks(1 << mv.a, 1 << mv.b, mv.s_mask)
-            if holds != (sscore > score) or (not holds) != (sscore < score):
-                local.append(
-                    {
-                        "graph": cg.fingerprint(),
-                        "move": f"remove {mv.a} {mv.b}",
-                        "statement_holds": holds,
-                        "score": list(score),
-                        "removed_score": list(sscore),
-                    }
-                )
+    holds = cat.statements(model)
+    removals = np.flatnonzero(cat.remove)
+    if (cat.dst[removals] < 0).any():
+        raise VerificationError("a boundary removal leaves a non-chordal graph")
+    for k in removals:
+        score, sscore, h = scores[cat.src[k]], scores[cat.dst[k]], bool(holds[k])
+        if h != (sscore > score) or (not h) != (sscore < score):
+            local.append(
+                {
+                    "graph": graphs[cat.src[k]].fingerprint(),
+                    "move": f"remove {cat.a[k]} {cat.b[k]}",
+                    "statement_holds": h,
+                    "score": list(score),
+                    "removed_score": list(sscore),
+                }
+            )
     return SelfCheckReport(target.fingerprint(), len(graphs), consistency, local)
 
 
@@ -414,21 +417,23 @@ class LocalOptimaReport:
 
 
 def sweep_local_optima(
-    n: int,
-    targets: Optional[Iterable[UndirectedGraph]] = None,
-    neighbor_fn: Optional[Callable] = None,
+    n: int, targets: Optional[Iterable[UndirectedGraph]] = None
 ) -> LocalOptimaReport:
     """For every undirected target on n vertices: self-check the oracle
     score, find every local optimum of it over all chordal graphs, and
     require each to be inclusion-optimal for the target.
 
-    ``neighbor_fn`` replaces the move enumerator (used by mutation tests
-    to confirm the sweep catches an incorrect neighborhood); any move
+    Each target scores all graphs with one gather over its set entropies,
+    and every test runs on the move table as a whole: a move is better
+    when its result's score beats its source's, lexicographically, and a
+    graph is a local optimum when none of its moves is better.  Any move
     whose result is not chordal is itself reported as a violation.
     """
-    recs = _Records(n, neighbor_fn)
+    recs = _Records(n)
     tlist = list(targets) if targets is not None else list(all_undirected(n))
     full = (1 << n) - 1
+    src, dst, dims = recs.src, recs.dst, recs.dims
+    legal = dst >= 0
     violations: list = []
     self_check: list = []
     optima = 0
@@ -436,63 +441,55 @@ def sweep_local_optima(
         if t.n != n:
             raise ValueError("target vertex count mismatch")
         oracle = OracleScore(t)
-        ent = [oracle.set_entropy(m) for m in range(1 << n)]
-        total_ent = ent[full]
-        tmask = line_mask(t)
+        ent = np.array([oracle.set_entropy(m) for m in range(1 << n)], dtype=np.int64)
         model = DependencyModel.from_undirected(t)
-        scores = []
-        for fp, dim in zip(recs.fam_pa, recs.dims):
-            e = 0
-            for fm, pm in fp:
-                e += ent[fm] - ent[pm]
-            scores.append((total_ent - e, -dim))
-        for i, gmask in enumerate(recs.masks):
-            included = tmask & ~gmask == 0
-            if (scores[i][0] == 0) != included:
-                self_check.append(
+        tfp = t.fingerprint()
+        # minus the first score component; dims are minus the second
+        weight = ent[recs.fam].sum(1) - ent[recs.pa].sum(1) - ent[full]
+        included = (line_mask(t) & ~recs.masks) == 0
+        for i in np.flatnonzero((weight == 0) != included):
+            self_check.append(
+                {
+                    "target": tfp,
+                    "graph": recs.graphs[i].fingerprint(),
+                    "violation_weight": int(weight[i]),
+                    "included": bool(included[i]),
+                }
+            )
+        for k in np.flatnonzero(~legal):
+            kind = "remove" if recs.remove[k] else "add"
+            violations.append(
+                {
+                    "target": tfp,
+                    "graph": recs.graphs[src[k]].fingerprint(),
+                    "problem": "move result is not chordal",
+                    "move": f"{kind} {recs.a[k]} {recs.b[k]}",
+                }
+            )
+        # dst == -1 reads the last graph; legal masks those rows out
+        ws, wd = weight[src], weight[dst]
+        better = legal & ((wd < ws) | ((wd == ws) & (dims[dst] < dims[src])))
+        holds = recs.statements(model)
+        for k in np.flatnonzero(recs.remove & legal & (holds != better)):
+            self_check.append(
+                {
+                    "target": tfp,
+                    "graph": recs.graphs[src[k]].fingerprint(),
+                    "move": f"remove {recs.a[k]} {recs.b[k]}",
+                    "statement_holds": bool(holds[k]),
+                }
+            )
+        beaten = np.bincount(src[better], minlength=len(recs.graphs))
+        for i in np.flatnonzero(beaten == 0):
+            optima += 1
+            if not inclusion_optimal(recs.graphs[i], model):
+                violations.append(
                     {
-                        "target": t.fingerprint(),
+                        "target": tfp,
                         "graph": recs.graphs[i].fingerprint(),
-                        "violation_weight": -scores[i][0],
-                        "included": included,
+                        "problem": "local optimum is not inclusion-optimal",
                     }
                 )
-            better = False
-            for mv in recs.moves[i]:
-                j = mv.result_index
-                if j is None:
-                    violations.append(
-                        {
-                            "target": t.fingerprint(),
-                            "graph": recs.graphs[i].fingerprint(),
-                            "problem": "move result is not chordal",
-                            "move": f"{mv.kind} {mv.a} {mv.b}",
-                        }
-                    )
-                    continue
-                if scores[j] > scores[i]:
-                    better = True
-                if mv.kind == "remove":
-                    holds = model.independent_masks(1 << mv.a, 1 << mv.b, mv.s_mask)
-                    if holds != (scores[j] > scores[i]):
-                        self_check.append(
-                            {
-                                "target": t.fingerprint(),
-                                "graph": recs.graphs[i].fingerprint(),
-                                "move": f"remove {mv.a} {mv.b}",
-                                "statement_holds": holds,
-                            }
-                        )
-            if not better:
-                optima += 1
-                if not inclusion_optimal(recs.graphs[i], model):
-                    violations.append(
-                        {
-                            "target": t.fingerprint(),
-                            "graph": recs.graphs[i].fingerprint(),
-                            "problem": "local optimum is not inclusion-optimal",
-                        }
-                    )
     return LocalOptimaReport(
         n, len(tlist), len(recs.graphs), optima, violations, self_check
     )

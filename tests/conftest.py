@@ -1,9 +1,10 @@
 """Shared independent oracles and generators for the test suite.
 
-Everything here deliberately avoids the library's own algorithms: chordality
-goes through networkx, separation through explicit path enumeration, and
-d-separation through a from-scratch ancestral-moral construction, so that
-agreement between the two sides is evidence rather than tautology.
+Everything here except ``random_chordal_graph`` deliberately avoids the
+library's own algorithms: chordality goes through networkx, separation
+through explicit path enumeration, and d-separation through a from-scratch
+ancestral-moral construction, so that agreement between the two sides is
+evidence rather than tautology.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import itertools
 import networkx as nx
 import numpy as np
 
-from chordalearn.graphs import Dag, UndirectedGraph
+from chordalearn.graphs import Dag, UndirectedGraph, reach
 
 
 def to_nx(g: UndirectedGraph) -> nx.Graph:
@@ -94,17 +95,25 @@ def random_graph(n: int, rng: np.random.Generator, p: float = 0.5) -> Undirected
 
 
 def random_chordal_graph(n: int, rng: np.random.Generator, tries: int = 60) -> UndirectedGraph:
-    """Grow a chordal graph by repeated legal line additions."""
-    g = UndirectedGraph(n)
+    """Grow a chordal graph by repeated legal line additions.
+
+    The one helper here that leans on the library: adding a-b keeps a
+    chordal graph chordal iff the common neighbors of a and b separate
+    them, decided with ``reach`` on neighbor masks (the criterion is
+    checked against chordality testing in
+    ``test_additions_accepted_iff_chordal_exhaustively_n5``, and the draws
+    against networkx in ``TestRandomChordalGraph``).
+    """
+    masks = [0] * n
     pairs = list(itertools.combinations(range(n), 2))
     for _ in range(tries):
         a, b = pairs[rng.integers(len(pairs))]
-        if g.has_line(a, b):
+        if masks[a] >> b & 1:
             continue
-        h = g.with_line(a, b)
-        if nx_is_chordal(h):
-            g = h
-    return g
+        if not reach(masks, 1 << a, masks[a] & masks[b]) >> b & 1:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+    return UndirectedGraph(n, [(a, b) for a, b in pairs if masks[a] >> b & 1])
 
 
 def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> Dag:

@@ -9,7 +9,12 @@ import pytest
 from chordalearn import cli
 from chordalearn.evaluation import results_from_csv
 from chordalearn.graphs import ChordalGraph, Dag
-from chordalearn.verification import chordality_cross_check
+from chordalearn.verification import (
+    chordality_cross_check,
+    probe_dag_targets,
+    report_to_json,
+    sweep_local_optima,
+)
 
 
 def write_json(path: Path, doc) -> Path:
@@ -490,6 +495,23 @@ class TestVerify:
         }
         assert got == self.FAST_REPORT_SHA256
 
+    # sha256 of the two cheapest full-level reports, built directly
+    FULL_REPORT_SHA256 = {
+        "dag_probe_n4.json": "84a235bf3e3d9bc9e1598ae0c78a406464a1ba1306fe630b4c04efcac9da55d1",
+        "local_optima_n5.json": "53e982625df1b656d07d14d2ee82e63587fdeff8a7544bddd8644e6fd7f331cc",
+    }
+
+    def test_full_reports_pinned(self):
+        reports = {
+            "dag_probe_n4.json": probe_dag_targets(4),
+            "local_optima_n5.json": sweep_local_optima(5),
+        }
+        got = {
+            name: hashlib.sha256(report_to_json(rep).encode()).hexdigest()
+            for name, rep in reports.items()
+        }
+        assert got == self.FULL_REPORT_SHA256
+
 
 class TestExperiment:
     def exp_config(self, tmp_path, **overrides):
@@ -609,6 +631,7 @@ class TestExperiment:
             ("include_target", "no"),
             ("target_kinds", []),
             ("n_obs", []),
+            ("replicates", 0),
         ],
     )
     def test_invalid_config_usage_error(self, tmp_path, field, value, capsys):

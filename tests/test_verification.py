@@ -1,23 +1,29 @@
 """Brute-force sweeps, their reports, and fault injection.
 
-The fault-injection tests replace the neighborhood enumerator with broken
-variants and require the sweeps to flag violations: a checker that cannot
-catch a planted bug proves nothing when it passes.
+The fault-injection tests monkeypatch ``verification.inclusion_boundary``
+with broken variants and require the sweeps to flag violations: a checker
+that cannot catch a planted bug proves nothing when it passes.
 """
 
 import itertools
 import json
+from collections import Counter
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import pytest
 
-from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal
-from chordalearn.independence import DependencyModel, model_included
+from chordalearn import verification
+from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal, vertex_mask
+from chordalearn.independence import DependencyModel, inclusion_optimal, model_included
 from chordalearn.search import Move, OracleScore, inclusion_boundary
 from chordalearn.verification import (
     MAX_DAG_VERTICES,
     ChainSampleReport,
+    LocalOptimaReport,
     SelfCheckReport,
     VerificationError,
+    _line_bit,
     _Records,
     all_dags,
     all_undirected,
@@ -189,11 +195,181 @@ class TestSelfChecks:
         rep = oracle_self_check(UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)]))
         assert rep.ok
 
+    def test_non_chordal_removal_raises(self, monkeypatch):
+        # a removal without a chordal result has no score to compare
+        monkeypatch.setattr(verification, "inclusion_boundary", careless_removals)
+        with pytest.raises(VerificationError, match="non-chordal"):
+            oracle_self_check(UndirectedGraph(4))
+
     def test_sweep_small(self):
         rep = sweep_self_checks(3)
         assert rep.ok
         # 2 + 8 = all undirected targets on 2 and 3 vertices
         assert rep.targets == 2 + 8
+
+
+def reference_records(n):
+    """The catalogue as per-graph tuples, the way the reference sweep
+    reads it: family/parent masks, dimension, and boundary moves with
+    their S mask and result index (None when not chordal).  Moves come
+    from ``verification.inclusion_boundary``, so a monkeypatched
+    enumerator reaches both sweeps."""
+    graphs = enumerate_chordal(n)
+    masks = [line_mask(cg) for cg in graphs]
+    index = {m: i for i, m in enumerate(masks)}
+    fam_pa, dims, moves = [], [], []
+    for cg, mask in zip(graphs, masks):
+        fp = []
+        dim = 0
+        for v, ps in enumerate(cg.oriented_parents()):
+            pmask = vertex_mask(ps)
+            fp.append((pmask | (1 << v), pmask))
+            dim += 1 << len(ps)
+        fam_pa.append(tuple(fp))
+        dims.append(dim)
+        recs = []
+        nbr = cg.graph.neighbor_masks
+        for mv in verification.inclusion_boundary(cg):
+            bit = _line_bit(n, min(mv.a, mv.b), max(mv.a, mv.b))
+            result = mask | bit if mv.kind == "add" else mask & ~bit
+            recs.append(
+                SimpleNamespace(
+                    kind=mv.kind,
+                    a=mv.a,
+                    b=mv.b,
+                    s_mask=nbr[mv.a] & nbr[mv.b],
+                    result_index=index.get(result),
+                )
+            )
+        moves.append(tuple(recs))
+    return SimpleNamespace(
+        graphs=graphs, masks=masks, fam_pa=fam_pa, dims=dims, moves=moves
+    )
+
+
+def reference_sweep_local_optima(n, targets=None):
+    """The local-optimum sweep as loops per target, graph and move, kept
+    as the oracle for the move-table sweep."""
+    recs = reference_records(n)
+    tlist = list(targets) if targets is not None else list(all_undirected(n))
+    full = (1 << n) - 1
+    violations: list = []
+    self_check: list = []
+    optima = 0
+    for t in tlist:
+        if t.n != n:
+            raise ValueError("target vertex count mismatch")
+        oracle = OracleScore(t)
+        ent = [oracle.set_entropy(m) for m in range(1 << n)]
+        total_ent = ent[full]
+        tmask = line_mask(t)
+        model = DependencyModel.from_undirected(t)
+        scores = []
+        for fp, dim in zip(recs.fam_pa, recs.dims):
+            e = 0
+            for fm, pm in fp:
+                e += ent[fm] - ent[pm]
+            scores.append((total_ent - e, -dim))
+        for i, gmask in enumerate(recs.masks):
+            included = tmask & ~gmask == 0
+            if (scores[i][0] == 0) != included:
+                self_check.append(
+                    {
+                        "target": t.fingerprint(),
+                        "graph": recs.graphs[i].fingerprint(),
+                        "violation_weight": -scores[i][0],
+                        "included": included,
+                    }
+                )
+            better = False
+            for mv in recs.moves[i]:
+                j = mv.result_index
+                if j is None:
+                    violations.append(
+                        {
+                            "target": t.fingerprint(),
+                            "graph": recs.graphs[i].fingerprint(),
+                            "problem": "move result is not chordal",
+                            "move": f"{mv.kind} {mv.a} {mv.b}",
+                        }
+                    )
+                    continue
+                if scores[j] > scores[i]:
+                    better = True
+                if mv.kind == "remove":
+                    holds = model.independent_masks(1 << mv.a, 1 << mv.b, mv.s_mask)
+                    if holds != (scores[j] > scores[i]):
+                        self_check.append(
+                            {
+                                "target": t.fingerprint(),
+                                "graph": recs.graphs[i].fingerprint(),
+                                "move": f"remove {mv.a} {mv.b}",
+                                "statement_holds": holds,
+                            }
+                        )
+            if not better:
+                optima += 1
+                if not inclusion_optimal(recs.graphs[i], model):
+                    violations.append(
+                        {
+                            "target": t.fingerprint(),
+                            "graph": recs.graphs[i].fingerprint(),
+                            "problem": "local optimum is not inclusion-optimal",
+                        }
+                    )
+    return LocalOptimaReport(
+        n, len(tlist), len(recs.graphs), optima, violations, self_check
+    )
+
+
+def removals_only(g):
+    # forgets additions: creates false "optima" (e.g. the empty graph for a
+    # connected target)
+    return [m for m in inclusion_boundary(g) if m.kind == "remove"]
+
+
+def reckless(g):
+    # allows chordality-breaking additions
+    moves = list(inclusion_boundary(g))
+    present = set(g.lines)
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            if (a, b) not in present:
+                mv = Move("add", a, b)
+                if mv not in moves:
+                    moves.append(mv)
+    return moves
+
+
+def careless_removals(g):
+    # allows removals that break chordality (a chord of a 4-cycle)
+    moves = list(inclusion_boundary(g))
+    for a, b in g.lines:
+        if Move("remove", a, b) not in moves:
+            moves.append(Move("remove", a, b))
+    return moves
+
+
+def as_multisets(rep):
+    """A sweep report with its entry lists as multisets."""
+    doc = asdict(rep)
+    for field in ("violations", "self_check_violations"):
+        doc[field] = Counter(json.dumps(e, sort_keys=True) for e in doc[field])
+    return doc
+
+
+def assert_sweeps_agree(max_n=4):
+    """The move-table sweep equals the reference on every undirected target
+    with n <= max_n: equal counts, equal entries as multisets (clean
+    reports hold none, so only a fault can reorder them).  Returns the
+    (sweep, reference) report pairs."""
+    reports = []
+    for n in range(1, max_n + 1):
+        got = sweep_local_optima(n)
+        want = reference_sweep_local_optima(n)
+        assert as_multisets(got) == as_multisets(want)
+        reports.append((got, want))
+    return reports
 
 
 class TestLocalOptimaSweep:
@@ -210,32 +386,19 @@ class TestLocalOptimaSweep:
         assert rep.targets == 64
         assert rep.graphs == 61
 
-    def test_fault_injection_missing_additions(self):
-        # an enumerator that forgets additions creates false "optima"
-        # (e.g. the empty graph for a connected target); the sweep must
-        # notice them
-        def removals_only(g):
-            return [m for m in inclusion_boundary(g) if m.kind == "remove"]
-
-        rep = sweep_local_optima(4, neighbor_fn=removals_only)
+    def test_fault_injection_missing_additions(self, monkeypatch):
+        # an enumerator that forgets additions creates false "optima";
+        # the sweep must notice them
+        monkeypatch.setattr(verification, "inclusion_boundary", removals_only)
+        rep = sweep_local_optima(4)
         assert not rep.ok
         assert rep.violations
 
-    def test_fault_injection_non_chordal_results(self):
+    def test_fault_injection_non_chordal_results(self, monkeypatch):
         # an enumerator that allows chordality-breaking additions must be
         # flagged rather than silently scored
-        def reckless(g):
-            moves = list(inclusion_boundary(g))
-            present = set(g.lines)
-            for a in range(g.n):
-                for b in range(a + 1, g.n):
-                    if (a, b) not in present:
-                        mv = Move("add", a, b)
-                        if mv not in moves:
-                            moves.append(mv)
-            return moves
-
-        rep = sweep_local_optima(4, neighbor_fn=reckless)
+        monkeypatch.setattr(verification, "inclusion_boundary", reckless)
+        rep = sweep_local_optima(4)
         assert not rep.ok
         assert rep.violations
 
@@ -246,6 +409,65 @@ class TestLocalOptimaSweep:
         assert rep.targets == 1
         # the 4-cycle target has exactly its two triangulations as optima
         assert rep.local_optima == 2
+
+    def test_matches_reference_for_every_target(self):
+        for got, _ in assert_sweeps_agree():
+            assert got.ok
+
+    @pytest.mark.parametrize("mutant", [removals_only, reckless, careless_removals])
+    def test_matches_reference_under_mutant_enumerator(self, monkeypatch, mutant):
+        monkeypatch.setattr(verification, "inclusion_boundary", mutant)
+        reports = assert_sweeps_agree()
+        assert any(got.violations for got, _ in reports)
+
+    def test_matches_reference_under_planted_entropy_fault(self, monkeypatch):
+        # one extra coin for every set holding both 0 and 1: graphs that
+        # separate 0 from 1 in a target joining them look better than they
+        # are, so both sweeps must report self-check violations
+        entropy = OracleScore.set_entropy
+
+        def faulty(self, mask):
+            return entropy(self, mask) + (mask & 3 == 3)
+
+        monkeypatch.setattr(OracleScore, "set_entropy", faulty)
+        reports = assert_sweeps_agree()
+        assert any(got.self_check_violations for got, _ in reports)
+        assert any(want.self_check_violations for _, want in reports)
+
+
+class TestMoveTable:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_rows_match_boundary_listing(self, n):
+        # one row per boundary move, in catalogue then boundary order, with
+        # its result's index and its statement triple
+        cat = _Records(n)
+        rows = list(
+            zip(cat.src, cat.dst, cat.remove, cat.a, cat.b, cat.stmt)
+        )
+        masks = [line_mask(cg) for cg in cat.graphs]
+        want = []
+        for i, cg in enumerate(cat.graphs):
+            nbr = cg.graph.neighbor_masks
+            for mv in inclusion_boundary(cg):
+                edited = (
+                    cg.graph.without_line(mv.a, mv.b)
+                    if mv.kind == "remove"
+                    else cg.graph.with_line(mv.a, mv.b)
+                )
+                j = masks.index(line_mask(edited))
+                key = (1 << mv.a, 1 << mv.b, nbr[mv.a] & nbr[mv.b])
+                want.append((i, j, mv.kind == "remove", mv.a, mv.b, key))
+        assert [(*r[:5], cat.triples[r[5]]) for r in rows] == want
+        assert len(set(cat.triples)) == len(cat.triples)
+        assert cat.masks.tolist() == masks
+
+    def test_families_and_dimensions(self):
+        cat = _Records(4)
+        for cg, fam, pa, dim in zip(cat.graphs, cat.fam, cat.pa, cat.dims):
+            parents = [vertex_mask(ps) for ps in cg.oriented_parents()]
+            assert list(pa) == parents
+            assert list(fam) == [p | 1 << v for v, p in enumerate(parents)]
+            assert dim == -OracleScore(UndirectedGraph(4)).score(cg)[1]
 
 
 class TestGraphoidSweep:
