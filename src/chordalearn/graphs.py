@@ -519,20 +519,6 @@ class Dag:
                     stack.append(c)
         return out
 
-    def v_structures(self) -> list[tuple[int, int, int]]:
-        """All (p, q, child) with non-adjacent parents p < q sharing child."""
-        out = []
-        for child in range(self.n):
-            ps = sorted(self.parents[child])
-            for i, p in enumerate(ps):
-                for q in ps[i + 1 :]:
-                    if not (p in self.parents[q] or q in self.parents[p]):
-                        out.append((p, q, child))
-        return out
-
-    def skeleton(self) -> UndirectedGraph:
-        return UndirectedGraph(self.n, [(u, v) for u, v in self._arcs])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Dag) and self.n == other.n and self._arcs == other._arcs
 

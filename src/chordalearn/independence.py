@@ -12,16 +12,18 @@ the public entry points that take vertex collections
 (``DependencyModel.independent``, ``graphoid_report``, ``model_included``,
 ``chain_disjunction_holds``); internal callers enumerate role bitmasks with
 ``role_masks``/``canonical_triples`` and query
-``DependencyModel.independent_masks``, which trusts its arguments.
+``DependencyModel.independent_masks``, which trusts its arguments.  The
+graphoid axioms are rules of one table, ``_AXIOMS``, run as array tests.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, reach
 from .graphs import removal_keeps_chordal, vertex_mask
@@ -57,14 +59,6 @@ class IndependenceStatement:
     def to_string(self) -> str:
         fmt = lambda xs: ",".join(str(x) for x in xs)
         return f"{fmt(self.a)}|{fmt(self.b)}|{fmt(self.c)}"
-
-    @classmethod
-    def from_string(cls, text: str) -> "IndependenceStatement":
-        parts = text.split("|")
-        if len(parts) != 3:
-            raise ValueError(f"bad statement text: {text!r}")
-        parse = lambda s: tuple(int(x) for x in s.split(",") if s and x != "")
-        return cls(parse(parts[0]), parse(parts[1]), parse(parts[2]))
 
 
 class DependencyModel:
@@ -151,23 +145,18 @@ def _vertices(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
-def _roles(observed: Sequence[int], assign: Iterable[int], parts: int) -> tuple[int, ...]:
-    """Role bitmasks of one assignment to roles 0..parts (parts = unused)."""
-    roles = [0] * (parts + 1)
-    for v, k in zip(observed, assign):
-        roles[k] |= 1 << v
-    return tuple(roles[:parts])
-
-
 @functools.cache
 def role_masks(observed: tuple[int, ...], parts: int) -> tuple[tuple[int, ...], ...]:
     """Every assignment of each observed vertex to one of ``parts`` roles
     or to none, as tuples of ``parts`` role bitmasks, in
     ``itertools.product`` order (the first observed vertex varies slowest)."""
-    return tuple(
-        _roles(observed, assign, parts)
-        for assign in itertools.product(range(parts + 1), repeat=len(observed))
-    )
+    rows = []
+    for assign in itertools.product(range(parts + 1), repeat=len(observed)):
+        roles = [0] * (parts + 1)  # the last role collects unused vertices
+        for v, k in zip(observed, assign):
+            roles[k] |= 1 << v
+        rows.append(tuple(roles[:parts]))
+    return tuple(rows)
 
 
 @functools.cache
@@ -278,15 +267,6 @@ class AxiomResult:
     def passed(self) -> bool:
         return self.failure_count == 0
 
-    def record(self, ok: bool, masks: tuple = (), tail: tuple = ()) -> None:
-        """Count one check.  A failure stores its witness: the vertex tuples
-        of the role bitmasks ``masks``, followed by ``tail`` as given."""
-        self.checked += 1
-        if not ok:
-            self.failure_count += 1
-            if len(self.failures) < self.MAX_STORED:
-                self.failures.append(tuple(map(_vertices, masks)) + tail)
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -298,7 +278,6 @@ class AxiomResult:
 
 @dataclass
 class GraphoidReport:
-    mode: str
     axioms: dict
 
     @property
@@ -307,7 +286,7 @@ class GraphoidReport:
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode,
+            "mode": "exhaustive",
             "all_passed": self.all_passed,
             "axioms": {k: v.to_dict() for k, v in self.axioms.items()},
         }
@@ -324,125 +303,106 @@ AXIOM_NAMES = (
 EXHAUSTIVE_AXIOM_BOUND = 6
 
 
-def _check_symmetry(m, result, tuples):
-    q = m.independent_masks
-    for x, y, z in tuples:
-        if not x or not y:
-            continue
-        result.record(q(x, y, z) == q(y, x, z), (x, y, z))
+class _Axiom(NamedTuple):
+    """An axiom: ``rule(q, *role columns)`` is True on the rows where it
+    holds, ``q(a, b, c)`` reading the model's answers.  With ``gamma`` a
+    row also takes one observed vertex outside its roles; ``where`` picks
+    the rows that count."""
+
+    roles: int
+    nonempty: tuple
+    rule: Callable
+    gamma: bool = False
+    where: Optional[Callable] = None
 
 
-def _check_decomposition(m, result, tuples):
-    q = m.independent_masks
-    for x, y, w, z in tuples:
-        if not x or not y or not w:
-            continue
-        if q(x, y | w, z):
-            result.record(q(x, y, z) and q(x, w, z), (x, y, w, z))
-        else:
-            result.record(True)
-
-
-def _check_intersection(m, result, tuples):
-    q = m.independent_masks
-    for x, y, w, z in tuples:
-        if not x or not y or not w:
-            continue
-        if q(x, y, z | w) and q(x, w, z | y):
-            result.record(q(x, y | w, z), (x, y, w, z))
-        else:
-            result.record(True)
-
-
-def _check_strong_union(m, result, tuples):
-    q = m.independent_masks
-    for x, y, z, w in tuples:
-        if not x or not y or not w:
-            continue
-        if q(x, y, z):
-            result.record(q(x, y, z | w), (x, y, z, w))
-        else:
-            result.record(True)
-
-
-def _check_transitivity(m, result, tuples):
-    q = m.independent_masks
-    observed = vertex_mask(m.observed)
-    for x, y, z in tuples:
-        if not x or not y:
-            continue
-        gammas = observed & ~(x | y | z)
-        if not gammas or not q(x, y, z):
-            continue
-        for gamma in _vertices(gammas):
-            g = 1 << gamma
-            result.record(q(x, g, z) or q(g, y, z), (x, y, z), (gamma,))
-
-
-def _check_composition(m, result, tuples):
-    q = m.independent_masks
-    for x, y, w, z in tuples:
-        if not x or not y or not w:
-            continue
-        if q(x, y, z) and q(x, w, z):
-            result.record(q(x, y | w, z), (x, y, w, z))
-        else:
-            result.record(True)
-
-
-_AXIOM_CHECKS = {
-    "symmetry": (_check_symmetry, 3),
-    "decomposition": (_check_decomposition, 4),
-    "intersection": (_check_intersection, 4),
-    "strong_union": (_check_strong_union, 4),
-    "transitivity": (_check_transitivity, 3),
+_AXIOMS = {
+    "symmetry": _Axiom(3, (0, 1), lambda q, x, y, z: q(x, y, z) == q(y, x, z)),
+    "decomposition": _Axiom(
+        4, (0, 1, 2), lambda q, x, y, w, z: ~q(x, y | w, z) | q(x, y, z) & q(x, w, z)
+    ),
+    "intersection": _Axiom(
+        4,
+        (0, 1, 2),
+        lambda q, x, y, w, z: ~(q(x, y, z | w) & q(x, w, z | y)) | q(x, y | w, z),
+    ),
+    "strong_union": _Axiom(
+        4, (0, 1, 3), lambda q, x, y, z, w: ~q(x, y, z) | q(x, y, z | w)
+    ),
+    "transitivity": _Axiom(
+        3,
+        (0, 1),
+        lambda q, x, y, z, g: q(x, g, z) | q(g, y, z),
+        gamma=True,
+        where=lambda q, x, y, z, g: q(x, y, z),
+    ),
     # composition is not part of the standard report but is checkable
-    "composition": (_check_composition, 4),
+    "composition": _Axiom(
+        4, (0, 1, 2), lambda q, x, y, w, z: ~(q(x, y, z) & q(x, w, z)) | q(x, y | w, z)
+    ),
 }
 
 
+@functools.cache
+def _role_rows(k: int, roles: int, nonempty: tuple, gamma: bool) -> np.ndarray:
+    """The rows of ``role_masks`` over observed positions 0..k-1 whose
+    ``nonempty`` roles are nonempty, as an array of position bitmasks.  With
+    ``gamma`` each row repeats once per position outside its roles, in
+    ascending order, with that position's bit as an extra column."""
+    rows = np.array(role_masks(tuple(range(k)), roles), dtype=np.int64)
+    rows = rows[(rows[:, list(nonempty)] != 0).all(axis=1)]
+    if gamma:
+        bits = 1 << np.arange(k, dtype=np.int64)
+        # the roles are disjoint, so their sum is their union
+        r, i = np.nonzero(rows.sum(axis=1)[:, None] & bits == 0)
+        rows = np.column_stack([rows[r], bits[i]])
+    rows.setflags(write=False)  # cached and shared by every report
+    return rows
+
+
 def graphoid_report(
-    m: DependencyModel,
-    mode: str = "exhaustive",
-    samples: int = 2000,
-    seed: int = 0,
-    axioms: Sequence[str] = AXIOM_NAMES,
+    m: DependencyModel, axioms: Sequence[str] = AXIOM_NAMES
 ) -> GraphoidReport:
     """Check the closure axioms characterizing undirected-graph models:
     symmetry, decomposition, intersection, strong union, and transitivity
     (the transitivity middle set is a single vertex).
 
-    Exhaustive mode tries every role assignment of the observed vertices
-    and is bounded to 6 observed vertices; sampled mode draws random role
-    assignments from a seeded generator.
+    Exhaustive, so bounded to 6 observed vertices: the model answers each
+    ordered statement once into a table indexed by observed-position
+    bitmasks, and each ``_AXIOMS`` rule is gathered from that table over
+    every role assignment.
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and m.n_observed > EXHAUSTIVE_AXIOM_BOUND:
+    k = m.n_observed
+    if k > EXHAUSTIVE_AXIOM_BOUND:
         raise ValueError(
             f"exhaustive axiom check bounded to {EXHAUSTIVE_AXIOM_BOUND} observed vertices"
         )
-    if mode == "sampled" and samples < 1:
-        raise ValueError(f"sampled mode needs samples >= 1, got {samples!r}")
-    unknown = [name for name in axioms if name not in _AXIOM_CHECKS]
+    unknown = [name for name in axioms if name not in _AXIOMS]
     if unknown:
-        raise ValueError(f"unknown axiom(s) {unknown}; known: {sorted(_AXIOM_CHECKS)}")
-    obs = m.observed
+        raise ValueError(f"unknown axiom(s) {unknown}; known: {sorted(_AXIOMS)}")
+    real = [0]  # real[p]: the vertex mask of observed-position mask p
+    for v in m.observed:
+        real += [r | 1 << v for r in real]
+    stmts = _role_rows(k, 3, (0, 1), False)
+    table = np.zeros((1 << k,) * 3, dtype=bool)
+    table[tuple(stmts.T)] = [
+        m.independent_masks(real[a], real[b], real[c]) for a, b, c in stmts.tolist()
+    ]
+    q = lambda a, b, c: table[a, b, c]
     results = {}
     for name in axioms:
-        check, parts = _AXIOM_CHECKS[name]
-        result = AxiomResult(name=name)
-        if mode == "exhaustive":
-            tuples = role_masks(obs, parts)
-        else:
-            rng = random.Random(seed)
-            tuples = (
-                _roles(obs, [rng.randrange(parts + 1) for _ in obs], parts)
-                for _ in range(samples)
-            )
-        check(m, result, tuples)
-        results[name] = result
-    return GraphoidReport(mode=mode, axioms=results)
+        ax = _AXIOMS[name]
+        rows = _role_rows(k, ax.roles, ax.nonempty, ax.gamma)
+        if ax.where is not None:
+            rows = rows[ax.where(q, *rows.T)]
+        bad = np.flatnonzero(~ax.rule(q, *rows.T))
+        failures = []
+        for row in rows[bad[: AxiomResult.MAX_STORED]].tolist():
+            witness = tuple(_vertices(real[p]) for p in row)
+            # the vertex γ stands alone, not as a one-vertex tuple
+            failures.append(witness[:-1] + witness[-1] if ax.gamma else witness)
+        results[name] = AxiomResult(name, len(rows), failures, len(bad))
+    return GraphoidReport(results)
 
 
 # ---------------------------------------------------------------------------

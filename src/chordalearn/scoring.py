@@ -98,10 +98,6 @@ class Dataset:
             return cls._read_csv(fh.read(), arities)
 
     @classmethod
-    def from_csv_text(cls, text: str, arities=None) -> "Dataset":
-        return cls._read_csv(text, arities)
-
-    @classmethod
     def _read_csv(cls, text: str, arities) -> "Dataset":
         """Parse a header row of column names, then rows of integer states.
 

@@ -93,10 +93,6 @@ class DiscreteBayesNet:
         """All joint states, one per row, lowest-index variable fastest."""
         return all_joint_rows(self.arities)
 
-    def joint_table(self) -> np.ndarray:
-        """Exact joint distribution over ``joint_rows()`` order."""
-        return np.exp(self.log_prob_rows(self.joint_rows()))
-
     # -- JSON: arcs, arities, row-major flattened tables -----------------
 
     def to_json(self) -> str:

@@ -519,11 +519,11 @@ def sweep_graphoids(n: int) -> GraphoidSweepReport:
     models = 0
     for g in all_undirected(n):
         models += 1
-        rep = graphoid_report(DependencyModel.from_undirected(g), mode="exhaustive")
+        rep = graphoid_report(DependencyModel.from_undirected(g))
         if not rep.all_passed:
             failures.append({"graph": g.fingerprint(), "report": rep.to_dict()})
     collider = DependencyModel.from_dag(Dag(3, [(0, 2), (1, 2)]))
-    crep = graphoid_report(collider, mode="exhaustive")
+    crep = graphoid_report(collider)
     su_failed = not crep.axioms["strong_union"].passed
     return GraphoidSweepReport(n, models, failures, su_failed)
 
@@ -631,13 +631,13 @@ def sample_chain_disjunctions(
 # DAG enumeration and the latent-margin counterexample search
 
 
-def all_dags(n: int) -> list[Dag]:
-    """Every labeled DAG on n vertices, ordered by arc count then by arc
-    list.  Each vertex pair is absent, forward or backward.  The pairs are
-    decided one at a time on reachability bitmasks, and an arc a->b is
-    tried only when b does not already reach a, so a cyclic orientation is
-    cut off at the arc that closes its cycle and only acyclic arc sets
-    become ``Dag``s.  Raises ``ValueError`` above ``MAX_DAG_VERTICES``."""
+def all_dags(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every labeled DAG on n vertices as its sorted arc tuple, ordered by
+    arc count then by arcs.  Each vertex pair is absent, forward or
+    backward.  The pairs are decided one at a time on reachability
+    bitmasks, and an arc a->b is tried only when b does not already reach
+    a, so a cyclic orientation is cut off at the arc that closes its cycle.
+    Raises ``ValueError`` above ``MAX_DAG_VERTICES``."""
     if n > MAX_DAG_VERTICES:
         raise ValueError(f"DAG enumeration supports at most {MAX_DAG_VERTICES} vertices")
     pairs = list(itertools.combinations(range(n), 2))
@@ -648,7 +648,7 @@ def all_dags(n: int) -> list[Dag]:
     while stack:
         i, arcs, down = stack.pop()
         if i == len(pairs):
-            found.append(Dag(n, arcs))
+            found.append(tuple(sorted(arcs)))
             continue
         u, v = pairs[i]
         stack.append((i + 1, arcs, down))
@@ -657,7 +657,7 @@ def all_dags(n: int) -> list[Dag]:
             if not (below >> a) & 1:
                 closure = tuple(m | below if (m >> a) & 1 else m for m in down)
                 stack.append((i + 1, arcs + ((a, b),), closure))
-    found.sort(key=lambda d: (len(d.arcs), d.arcs))
+    found.sort(key=lambda arcs: (len(arcs), arcs))
     return found
 
 
@@ -724,9 +724,11 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
     scanned = 0
     swept = 0
     skipped = 0
-    for dag in dags:
+    for arcs in dags:
         scanned += 1
-        parmasks = [vertex_mask(ps) for ps in dag.parents]
+        parmasks = [0] * n
+        for u, v in arcs:
+            parmasks[v] |= 1 << u
         key = tuple(d_separated_masks(parmasks, am, bm, cm) for am, bm, cm in triples)
         if key in ug_keys:
             skipped += 1
@@ -735,6 +737,7 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
             continue
         seen.add(key)
         swept += 1
+        dag = Dag(n, arcs)
         margin = DependencyModel.from_latent_dag(dag, [latent])
         for i in cat.forced_optima(margin):
             cg = cat.graphs[i]
@@ -743,7 +746,7 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
             real = DependencyModel.from_latent_dag(dag, [latent])
             return WitnessReport(
                 True, scanned, swept, skipped,
-                arcs=[list(a) for a in dag.arcs],
+                arcs=[list(a) for a in arcs],
                 latent=latent,
                 graph=cg.fingerprint(),
                 local_optimum_confirmed=i in cat.forced_optima(real),
@@ -778,15 +781,15 @@ def probe_dag_targets(n: int) -> DagProbeReport:
     targets = 0
     optima = 0
     failures = []
-    for dag in dags:
+    for arcs in dags:
         targets += 1
-        model = DependencyModel.from_dag(dag)
+        model = DependencyModel.from_dag(Dag(n, arcs))
         for i in cat.forced_optima(model):
             optima += 1
             cg = cat.graphs[i]
             if not inclusion_optimal(cg, model):
                 failures.append(
-                    {"arcs": [list(a) for a in dag.arcs], "graph": cg.fingerprint()}
+                    {"arcs": [list(a) for a in arcs], "graph": cg.fingerprint()}
                 )
     return DagProbeReport(n, targets, optima, failures)
 

@@ -123,3 +123,9 @@ def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> Dag:
         if rng.random() < p:
             arcs.append((int(order[i]), int(order[j])))
     return Dag(n, arcs)
+
+
+def joint_table(net) -> np.ndarray:
+    """Exact joint distribution of a ``DiscreteBayesNet`` over its
+    ``joint_rows()`` order."""
+    return np.exp(net.log_prob_rows(net.joint_rows()))

@@ -126,6 +126,11 @@ def in_layout(rows, layout):
     return rows
 
 
+def read_csv_text(text, arities=None):
+    """``Dataset``'s CSV reader on a text instead of a file."""
+    return Dataset._read_csv(text, arities)
+
+
 def reference_read_csv(text, arities=None):
     """The per-cell CSV reader: ``csv.reader`` for every row and ``int()``
     for every cell, with line-numbered errors."""
@@ -204,7 +209,7 @@ class TestDataset:
         assert np.array_equal(e.rows, d.rows)
 
     def test_from_csv_text(self):
-        d = Dataset.from_csv_text("x,y\n0,1\n1,1\n")
+        d = read_csv_text("x,y\n0,1\n1,1\n")
         assert d.names == ("x", "y")
         assert d.arities == (2, 2)
 
@@ -212,8 +217,8 @@ class TestDataset:
         # a first row of integers is data, not names: reading it as a
         # header would silently drop a record
         with pytest.raises(ValueError, match="header row of column names"):
-            Dataset.from_csv_text("0,1\n1,1\n1,0\n")
-        assert Dataset.from_csv_text("x,1\n0,1\n").names == ("x", "1")
+            read_csv_text("0,1\n1,1\n1,0\n")
+        assert read_csv_text("x,1\n0,1\n").names == ("x", "1")
 
     def test_rows_column_major_read_only_int64(self, tmp_path):
         made = Dataset([[0, 1], [1, 0], [1, 1]])
@@ -222,7 +227,7 @@ class TestDataset:
         for d in (
             made,
             Dataset.from_csv(tmp_path / "d.csv"),
-            Dataset.from_csv_text("x,y\n0,1\n1,1\n0,0\n"),
+            read_csv_text("x,y\n0,1\n1,1\n0,0\n"),
             ancestral_sample(net, 50, rng_from(5)),
         ):
             assert d.rows.flags.f_contiguous and not d.rows.flags.c_contiguous
@@ -303,75 +308,72 @@ class TestCsvContract:
     """The accepted inputs, arrays and error messages of ``Dataset``'s CSV
     reader, pinned against the per-cell reference reader."""
 
-    def read(self, text, arities=None):
-        return Dataset.from_csv_text(text, arities)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="dataset CSV is empty"):
-            self.read("")
+            read_csv_text("")
 
     @pytest.mark.parametrize("cell", ["1.0", "a", ""])
     def test_non_integer_state_names_line(self, cell):
         with pytest.raises(ValueError, match="^non-integer state on line 3$"):
-            self.read(f"x,y\n0,1\n{cell},1\n1,1\n")
+            read_csv_text(f"x,y\n0,1\n{cell},1\n1,1\n")
 
     @pytest.mark.parametrize("row", ["0", "0,1,1"])
     def test_wrong_column_count_names_line(self, row):
         with pytest.raises(ValueError, match="^wrong column count on line 3$"):
-            self.read(f"x,y\n0,1\n{row}\n1,1\n")
+            read_csv_text(f"x,y\n0,1\n{row}\n1,1\n")
 
     def test_blank_and_crlf_lines_skipped(self):
-        d = self.read("x,y\r\n0,1\r\n\r\n\n1,0\r\n\n")
+        d = read_csv_text("x,y\r\n0,1\r\n\r\n\n1,0\r\n\n")
         assert d.rows.tolist() == [[0, 1], [1, 0]]
         # skipped lines still count toward the line numbers
         with pytest.raises(ValueError, match="^non-integer state on line 5$"):
-            self.read("x,y\n\n0,1\r\n\r\nz,1\n")
+            read_csv_text("x,y\n\n0,1\r\n\r\nz,1\n")
 
     @pytest.mark.parametrize("text", ["x,y\n0,1\n  \n1,0\n", "x\n0\n \t\n1\n"])
     def test_whitespace_only_line_rejected(self, text):
         with pytest.raises(ValueError, match="^non-integer state on line 3$"):
-            self.read(text)
+            read_csv_text(text)
 
     @pytest.mark.parametrize("text", ["x,y\n0,1#\n", "x,y\n#0,1\n", "x,y\n0,1\n#\n"])
     def test_comment_character_rejected(self, text):
         with pytest.raises(ValueError, match="^non-integer state on line [23]$"):
-            self.read(text)
+            read_csv_text(text)
 
     def test_cells_parse_as_int_parses_them(self):
-        d = self.read('x,y,z\n"1",+1,1_0\n 0 ,-0,01\n')
+        d = read_csv_text('x,y,z\n"1",+1,1_0\n 0 ,-0,01\n')
         assert d.rows.tolist() == [[1, 1, 10], [0, 0, 1]]
 
     def test_information_separators_rejected(self):
         # str.isspace() holds for \x1c-\x1f, but int() does not strip them
         for ch in "\x1c\x1d\x1e\x1f":
             with pytest.raises(ValueError, match="^non-integer state on line 3$"):
-                self.read(f"x,y\n0,1\n1,0{ch}\n")
+                read_csv_text(f"x,y\n0,1\n1,0{ch}\n")
 
     def test_header_only(self):
         with pytest.raises(ValueError, match="arities are required for an empty dataset"):
-            self.read("x,y\n")
-        d = self.read("x,y", arities=(2, 3))
+            read_csv_text("x,y\n")
+        d = read_csv_text("x,y", arities=(2, 3))
         assert d.rows.shape == (0, 2) and d.rows.dtype == np.int64
         assert d.rows.flags.f_contiguous and not d.rows.flags.writeable
 
     def test_quoted_header_names(self):
-        d = self.read('"a,b","c\nd"\n0,1\n1,1\n')
+        d = read_csv_text('"a,b","c\nd"\n0,1\n1,1\n')
         assert d.names == ("a,b", "c\nd")
         assert d.rows.tolist() == [[0, 1], [1, 1]]
         with pytest.raises(ValueError, match="^non-integer state on line 3$"):
-            self.read('"a,b","c\nd"\n0,1\n1,x\n')
+            read_csv_text('"a,b","c\nd"\n0,1\n1,x\n')
 
     def test_file_and_text_agree(self, tmp_path):
         text = 'x,"y,z"\r\n0,1\r\n\r\n1,0\r\n'
         path = tmp_path / "d.csv"
         path.write_bytes(text.encode())
-        assert np.array_equal(Dataset.from_csv(path).rows, self.read(text).rows)
+        assert np.array_equal(Dataset.from_csv(path).rows, read_csv_text(text).rows)
         assert Dataset.from_csv(path).names == ("x", "y,z")
 
     @settings(max_examples=300, deadline=None)
     @given(csv_texts())
     def test_matches_reference_reader(self, text):
-        assert csv_outcome(Dataset.from_csv_text, text) == csv_outcome(reference_read_csv, text)
+        assert csv_outcome(read_csv_text, text) == csv_outcome(reference_read_csv, text)
 
 
 class TestParentCodes:
