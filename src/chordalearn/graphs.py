@@ -506,7 +506,7 @@ class Dag:
         """Vertices reachable along arrows starting at v (excluding v
         unless it lies on a cycle, which cannot happen here).
 
-        The search does not call this: ``search.dag_moves`` decides
+        The search does not call this: ``search._legal_arcs`` decides
         legality from descendant bitmasks.  It is kept as the plain
         reachability oracle for tests and as a named trace point."""
         out = set()

@@ -56,10 +56,6 @@ class IndependenceStatement:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
 
-    def to_string(self) -> str:
-        fmt = lambda xs: ",".join(str(x) for x in xs)
-        return f"{fmt(self.a)}|{fmt(self.b)}|{fmt(self.c)}"
-
 
 class DependencyModel:
     """Queryable independence oracle over a graph backend.
@@ -136,9 +132,6 @@ class DependencyModel:
             out = d_separated_masks(self._masks, am, bm, cm)
         self._cache[key] = out
         return out
-
-    def holds(self, s: IndependenceStatement) -> bool:
-        return self.independent(s.a, s.b, s.c)
 
 
 def _vertices(mask: int) -> tuple[int, ...]:

@@ -274,6 +274,46 @@ def _dirichlet_sum(counts, n_cfg, rq: int, q: int, ess: float) -> float:
     return total
 
 
+def _tables_score(tables: Sequence[np.ndarray], r: int, ess: float) -> list[float]:
+    """``_table_score`` of each dense family table of one child of arity
+    r, with one ``gammaln`` pass over the nonzero cells of all the tables
+    and one over their nonzero configuration totals.
+
+    Each elementwise step is the one ``_dirichlet_sum`` takes, and each
+    family's two sums are ``ndarray.sum`` over its contiguous slice of
+    nonzero terms, the reduction ``_dirichlet_sum`` runs on that family's
+    own array, so the floats are ``_table_score``'s.  Keeping the zero
+    terms in, or summing the slices with ``np.add.reduceat``, would
+    regroup the pairwise sums and can round differently."""
+    sizes = np.array([t.size for t in tables])
+    cells = np.concatenate(tables)
+    counts, n_cells = _nonzero_runs(cells, sizes)
+    # configurations are runs of r cells, and every table has a whole number
+    n_cfg, n_cfgs = _nonzero_runs(cells.reshape(-1, r).sum(axis=1), sizes // r)
+    a_cell = ess / sizes
+    a_cfg = ess / (sizes // r)
+    cell_terms = gammaln(np.repeat(a_cell, n_cells) + counts)
+    cell_terms -= np.repeat(gammaln(a_cell), n_cells)
+    cfg_terms = np.repeat(gammaln(a_cfg), n_cfgs)
+    cfg_terms -= gammaln(np.repeat(a_cfg, n_cfgs) + n_cfg)
+    scores = []
+    lo = lo_cfg = 0
+    for hi, hi_cfg in zip(np.cumsum(n_cells).tolist(), np.cumsum(n_cfgs).tolist()):
+        total = float(cell_terms[lo:hi].sum())
+        total += float(cfg_terms[lo_cfg:hi_cfg].sum())
+        scores.append(total)
+        lo, lo_cfg = hi, hi_cfg
+    return scores
+
+
+def _nonzero_runs(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero entries of ``values`` in order, and how many of them
+    fall in each of the consecutive runs of the given (positive) lengths."""
+    keep = values > 0
+    starts = np.cumsum(lengths) - lengths
+    return values[keep], np.add.reduceat(keep, starts, dtype=np.intp)
+
+
 class ScoreCache:
     """Memoized local scores bound to one (dataset, ess) pair.
 
@@ -314,9 +354,10 @@ class ScoreCache:
           moves u's axis to its sorted place.
 
         Each table is the integer table ``bdeu_local_score``'s dense
-        branch counts for that family, scored by the same helper, so the
-        floats are the same.  Families past the dense bound go through
-        ``bdeu_local_score`` one by one.
+        branch counts for that family.  ``_tables_score`` scores the
+        group's tables together and gives ``_table_score``'s float for
+        each, so the floats are the same.  Families past the dense bound
+        go through ``bdeu_local_score`` one by one.
         """
         data = self.data
         parents = tuple(sorted(set(parents)))
@@ -343,6 +384,7 @@ class ScoreCache:
             return
         codes, _ = _parent_config_codes(data.rows, arities, (v,) + parents)
         table = np.bincount(codes, minlength=rq)
+        keys, tables = [], []
         for u, key in missing:
             ru = arities[u]
             # a canonical cell index is l + lo * (x_u + r_u * h): l < lo
@@ -350,14 +392,16 @@ class ScoreCache:
             # the higher parents'
             lo = r * math.prod(arities[p] for p in parents if p < u)
             if u in parents:
-                score = _table_score(table.reshape(-1, ru, lo).sum(axis=1).ravel(), r, ess)
+                tables.append(table.reshape(-1, ru, lo).sum(axis=1).ravel())
             elif rq * ru <= data.n_rows:
                 wide = np.bincount(codes + rq * data.rows[:, u], minlength=rq * ru)
-                wide = wide.reshape(ru, rq // lo, lo).transpose(1, 0, 2).ravel()
-                score = _table_score(wide, r, ess)
+                tables.append(wide.reshape(ru, rq // lo, lo).transpose(1, 0, 2).ravel())
             else:
-                score = bdeu_local_score(v, key[1], data, ess)
-            self._table[key] = score
+                self._table[key] = bdeu_local_score(v, key[1], data, ess)
+                continue
+            keys.append(key)
+        if tables:
+            self._table.update(zip(keys, _tables_score(tables, r, ess)))
 
     def __len__(self) -> int:
         return len(self._table)

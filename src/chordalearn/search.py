@@ -12,7 +12,8 @@ Jordan, UAI 2001).  Greedy search repeatedly applies the best strictly
 improving neighbor and stops when none exists; ties break on the
 lexicographically smallest move, so runs are deterministic.
 
-Two memos keep a step cheap without carrying legality state between steps:
+Two memos keep a chordal step cheap without carrying legality state
+between steps:
 
 * component memo: within one ``inclusion_boundary`` call, every absent
   pair (a, b) with the same S = N(a) & N(b) looks in the same graph G - S,
@@ -24,6 +25,15 @@ Two memos keep a step cheap without carrying legality state between steps:
   the whole search; a removal reads the exact negation.  Nothing in it is
   ever invalidated, and only a miss builds the parent sets that
   ``ScoreCache`` is keyed by.
+
+The DAG hill-climber does carry state between steps.  A move's delta
+depends only on its child's parent set (and its parent's, for a
+reversal), so per child it keeps the local terms and the additions and
+removals they score, ranked best first, and rebuilds them only for the
+one or two children a move edits (Chickering, JMLR 2002).  Each step runs
+one legality pass over descendant bitmasks, the one ``dag_moves`` lists
+from, fetches only the terms of newly listed moves, and reads each
+child's best legal move off the front of its ranking.
 """
 
 from __future__ import annotations
@@ -350,16 +360,18 @@ def _score_delta(new, old):
     return new - old
 
 
-def dag_moves(d: Dag) -> list[Move]:
-    """Legal arrow edits: additions, removals, and reversals that keep the
-    digraph acyclic, in ``Move.sort_key`` order.
+def _legal_arcs(d: Dag) -> tuple[list[int], list[tuple[int, int]]]:
+    """Per child v, the mask of the vertices u for which adding u->v keeps
+    the digraph acyclic, and the arcs, in ``d.arcs`` order, whose reversal
+    keeps it acyclic.
 
     Legality comes from the proper-descendant bitmask of every vertex,
     built in one reverse pass over the topological order (Chickering,
     JMLR 2002, for the neighbourhood):
 
     * adding u->v (no arrow between them) is legal iff u is not a
-      descendant of v;
+      descendant of v; an arrow v->u makes u one, so only the arrow u->v
+      itself needs excluding;
     * reversing u->v is legal iff no child c != v of u has v among its
       descendants, i.e. u->v is the only directed path from u to v.
 
@@ -374,20 +386,23 @@ def dag_moves(d: Dag) -> list[Move]:
         for p in parents[v]:
             via_children[p] |= below
             desc[p] |= below | (1 << v)
-    moves = []
-    for u in range(n):
-        for v in range(n):
-            if u == v or u in parents[v] or v in parents[u]:
-                continue
-            if not (desc[v] >> u) & 1:
-                moves.append(_move("add", u, v))
-    for u, v in d.arcs:
-        moves.append(_move("remove", u, v))
-    for u, v in d.arcs:
-        # v is not its own descendant, so only a path through another
-        # child of u can put v in via_children[u]
-        if not (via_children[u] >> v) & 1:
-            moves.append(_move("reverse", u, v))
+    full = (1 << n) - 1
+    adds = [full & ~(desc[v] | vertex_mask(parents[v]) | (1 << v)) for v in range(n)]
+    # v is not its own descendant, so only a path through another child of
+    # u can put v in via_children[u]
+    reversals = [(u, v) for u, v in d.arcs if not (via_children[u] >> v) & 1]
+    return adds, reversals
+
+
+def dag_moves(d: Dag) -> list[Move]:
+    """Legal arrow edits: additions, removals, and reversals that keep the
+    digraph acyclic, in ``Move.sort_key`` order (legality as in
+    ``_legal_arcs``)."""
+    n = d.n
+    adds, reversals = _legal_arcs(d)
+    moves = [_move("add", u, v) for u in range(n) for v in range(n) if (adds[v] >> u) & 1]
+    moves += [_move("remove", u, v) for u, v in d.arcs]
+    moves += [_move("reverse", u, v) for u, v in reversals]
     return moves
 
 
@@ -399,66 +414,130 @@ def apply_dag_move(d: Dag, move: Move) -> Dag:
     return d.without_arc(move.a, move.b).with_arc(move.b, move.a)
 
 
+class _DagCarry:
+    """What the DAG search keeps between steps, per child v: f(v, P_v),
+    f(v, P_v ^ {u}) for every u fetched since P_v last changed, and the
+    additions and removals into v that those terms score, ranked by
+    (-delta, ``Move.sort_key``).  A move changes the parent set of its
+    child only (and of its parent, for a reversal), so only those one or
+    two children are reset after it; every other child's terms and ranking
+    carry over unchanged.
+    """
+
+    def __init__(self, cache: ScoreCache, d: Dag):
+        self.cache = cache
+        self.d = d
+        self.base: list = [None] * d.n  # f(v, P_v)
+        self.toggled: list = [None] * d.n  # u -> f(v, P_v ^ {u})
+        self.held: list = [0] * d.n  # mask of the u in toggled[v]
+        self.ranked: list = [None] * d.n  # (-delta, kind, u, move), best first
+        self.adds: list = []  # this step's legal-addition masks per child
+        self.reversals: list = []  # this step's legal reversals
+        for v in range(d.n):
+            self._reset(v)
+
+    def _reset(self, v: int) -> None:
+        self.base[v] = self.cache.local_score(v, self.d.parents[v])
+        self.toggled[v] = {}
+        self.held[v] = 0
+        self.ranked[v] = []
+
+    def best(self) -> tuple[Optional[Move], float]:
+        """The legal move of largest delta > 0, ties going to the smallest
+        ``Move.sort_key``, and its delta; (None, 0.0) when none improves.
+
+        One legality pass lists the step's moves as masks.  Each child
+        then fetches, in one ``ScoreCache.toggled_scores`` call, the
+        toggled terms of its listed moves that it does not hold: the legal
+        additions, its parents, and, as the parent of a legal reversal,
+        that reversal's child.  Those are exactly the terms a search
+        scoring every listed move would look up, so the cache ends up with
+        the same entries.  A child's best move is then the first legal
+        entry of its ranking, and the few legal reversals are scored
+        directly.  Every delta is the expression of a full rescoring, left
+        to right, so the floats, and the move chosen, are the same.
+        """
+        d, base, toggled, ranked = self.d, self.base, self.toggled, self.ranked
+        self.adds, self.reversals = adds, reversals = _legal_arcs(d)
+        need = [adds[v] | vertex_mask(d.parents[v]) for v in range(d.n)]
+        for u, v in reversals:
+            need[u] |= 1 << v
+        for v, mask in enumerate(need):
+            missing = mask & ~self.held[v]
+            if not missing:
+                continue
+            self.held[v] |= missing
+            us = [u for u in range(d.n) if (missing >> u) & 1]
+            parents = d.parents[v]
+            for u, f in zip(us, self.cache.toggled_scores(v, parents, us)):
+                toggled[v][u] = f
+                kind = "remove" if u in parents else "add"
+                ranked[v].append((-(f - base[v]), _KIND_ORDER[kind], u, _move(kind, u, v)))
+            ranked[v].sort()
+        firsts = [next(self.legal(v), (0.0, None)) for v in range(d.n)]
+        top = [
+            (-delta, move.sort_key(), move)
+            for delta, move in firsts + self.reversal_deltas()
+            if delta > 0
+        ]
+        if not top:
+            return None, 0.0
+        neg, _, move = min(top)
+        return move, -neg
+
+    def legal(self, v: int):
+        """(delta, move) for this step's legal additions and removals into
+        v, best first."""
+        adds = self.adds[v]
+        for neg, kind, u, move in self.ranked[v]:
+            # kind 0 is an addition; every removal is legal
+            if kind or (adds >> u) & 1:
+                yield -neg, move
+
+    def reversal_deltas(self) -> list[tuple[float, Move]]:
+        """(delta, move) for this step's legal reversals, in arc order."""
+        base, toggled = self.base, self.toggled
+        # f(v,P_v-u) - f(v,P_v) + f(u,P_u+v) - f(u,P_u), left to right, so
+        # the float delta equals a full rescoring's
+        return [
+            (toggled[v][u] - base[v] + toggled[u][v] - base[u], _move("reverse", u, v))
+            for u, v in self.reversals
+        ]
+
+    def apply(self, move: Move) -> Dag:
+        self.d = apply_dag_move(self.d, move)
+        for w in (move.b, move.a) if move.kind == "reverse" else (move.b,):
+            self._reset(w)
+        return self.d
+
+
 def greedy_dag(cache: ScoreCache, start: Optional[Dag] = None) -> tuple[Dag, SearchTrace]:
     """Hill-climb over arrow additions, removals, and reversals.
 
     Starts from the empty DAG unless told otherwise; steepest ascent with
     the same deterministic tie-breaking as the chordal search.
 
-    A move changes the parent set of its child only (and of its parent,
-    for a reversal), so the local terms of every other vertex carry over
-    to the next step.  Per child v the search keeps f(v, P_v) and
-    f(v, P_v with u toggled) for each listed move touching v; a move
-    clears the terms of the vertices whose parents it changed.  Each step
-    first collects the toggled terms its moves need and does not hold,
-    grouped by child, and fetches each child's group with one
-    ``ScoreCache.toggled_scores`` call, which codes the child's family
-    once for the whole group.  The delta loop then only reads.
+    A move's delta changes only when its child's parent set changes
+    (Chickering, JMLR 2002), so the search carries, per child, the local
+    terms and the ranked moves that ``_DagCarry`` holds across steps and
+    rebuilds them only for the one or two children a move edits.  Each
+    step runs one legality pass, fetches the terms its newly listed moves
+    need with one ``ScoreCache.toggled_scores`` call per child, and reads
+    each child's best legal move off the front of its ranking.  Trace,
+    tie-breaks and cache entries are those of a search that lists every
+    legal move and rescores each from its local terms.
     """
     d = start if start is not None else Dag(cache.data.n_vars)
     total = score_dag(d, cache.data, cache.ess, cache)
     trace = SearchTrace(start_fingerprint=d.to_text(), start_score=total)
-    base: list = [None] * d.n  # f(v, P_v)
-    toggled: list = [{} for _ in range(d.n)]  # u -> f(v, P_v ^ {u})
-
-    def term(v: int) -> float:
-        if base[v] is None:
-            base[v] = cache.local_score(v, d.parents[v])
-        return base[v]
-
+    carry = _DagCarry(cache, d)
     step = 0
     while True:
-        moves = dag_moves(d)
-        missing: dict[int, set] = {}  # child -> toggles not yet held
-        for move in moves:
-            u, v = move.a, move.b
-            if u not in toggled[v]:
-                missing.setdefault(v, set()).add(u)
-            if move.kind == "reverse" and v not in toggled[u]:
-                missing.setdefault(u, set()).add(v)
-        for v, us in missing.items():
-            us = sorted(us)
-            toggled[v].update(zip(us, cache.toggled_scores(v, d.parents[v], us)))
-        best = None
-        best_delta = 0.0
-        for move in moves:
-            u, v = move.a, move.b
-            if move.kind == "reverse":
-                # f(v,P_v-u) - f(v,P_v) + f(u,P_u+v) - f(u,P_u), left to
-                # right, so the float delta equals a full rescoring's
-                delta = toggled[v][u] - term(v) + toggled[u][v] - term(u)
-            else:
-                delta = toggled[v][u] - term(v)
-            if delta > best_delta:
-                best = move
-                best_delta = delta
+        best, delta = carry.best()
         if best is None:
             trace.terminal = True
             return d, trace
         step += 1
-        d = apply_dag_move(d, best)
-        for w in (best.b, best.a) if best.kind == "reverse" else (best.b,):
-            base[w] = None
-            toggled[w] = {}
-        total += best_delta
-        trace.steps.append(TraceStep(step, best, best_delta, total, d.to_text()))
+        d = carry.apply(best)
+        total += delta
+        trace.steps.append(TraceStep(step, best, delta, total, d.to_text()))

@@ -125,6 +125,17 @@ def random_dag(n: int, rng: np.random.Generator, p: float = 0.4) -> Dag:
     return Dag(n, arcs)
 
 
+def statement_string(s) -> str:
+    """An ``IndependenceStatement`` as ``a|b|c``, each set comma-separated
+    in canonical order (``0,1|2|3``)."""
+    return "|".join(",".join(str(x) for x in xs) for xs in (s.a, s.b, s.c))
+
+
+def holds(model, s) -> bool:
+    """Does the ``DependencyModel`` assert the ``IndependenceStatement``?"""
+    return model.independent(s.a, s.b, s.c)
+
+
 def joint_table(net) -> np.ndarray:
     """Exact joint distribution of a ``DiscreteBayesNet`` over its
     ``joint_rows()`` order."""

@@ -513,10 +513,10 @@ class TestToggledScores:
         # every toggled family of random parent sets, on empty, tiny and
         # full-size data: the batch must give bdeu_local_score's floats
         # through both of its paths
-        ran = Counter()
-        for name in ("_table_score", "bdeu_local_score"):
-            def spy(*args, _inner=getattr(scoring, name), _name=name):
-                ran[_name] += 1
+        ran = Counter()  # families scored by each path
+        for name, families in (("_tables_score", len), ("bdeu_local_score", lambda v: 1)):
+            def spy(*args, _inner=getattr(scoring, name), _name=name, _families=families):
+                ran[_name] += _families(args[0])
                 return _inner(*args)
 
             monkeypatch.setattr(scoring, name, spy)
@@ -542,24 +542,24 @@ class TestToggledScores:
                 assert [cache.local_score(v, set(parents) ^ {u}) for u in others] == want
                 assert len(cache) == len(others)
                 if n_rows == 5000 and size <= 2:
-                    assert batch["_table_score"] == len(others)
+                    assert batch["_tables_score"] == len(others)
                     assert batch["bdeu_local_score"] == 0
                 if n_rows <= 1:
                     assert batch["bdeu_local_score"] == len(others)
-        assert ran["_table_score"] and ran["bdeu_local_score"]
+        assert ran["_tables_score"] and ran["bdeu_local_score"]
 
     def test_only_missing_keys_computed(self, monkeypatch):
         data = skewed_dataset(5, 300, rng_from(59))
         cache = ScoreCache(data)
         known = cache.local_score(0, (1, 3))
         calls = Counter()
-        inner = scoring._table_score
+        inner = scoring._tables_score
 
-        def spy(*args):
-            calls["scored"] += 1
-            return inner(*args)
+        def spy(tables, *args):
+            calls["scored"] += len(tables)
+            return inner(tables, *args)
 
-        monkeypatch.setattr(scoring, "_table_score", spy)
+        monkeypatch.setattr(scoring, "_tables_score", spy)
         got = cache.toggled_scores(0, (1,), [3, 2, 3])
         assert got[0] == got[2] == known
         assert calls["scored"] == 1
@@ -574,6 +574,33 @@ class TestToggledScores:
             cache.toggled_scores(0, (0,), [1])
         with pytest.raises(ValueError, match="out of range"):
             cache.toggled_scores(0, (1,), [3])
+
+
+class TestTablesScore:
+    @pytest.mark.parametrize("n_rows", [1, 7, 5000])
+    def test_bit_identical_to_one_table_kernel(self, n_rows):
+        # mixed groups of dense tables of one child, with child arity 1-4,
+        # 0-3 parents of arity 1-4, and sparse Dirichlet counts, so cells
+        # and whole configurations are empty: every table's score must be
+        # _table_score's, bit for bit
+        rng = rng_from(67, n_rows)
+        seen = Counter()
+        for trial in range(36):
+            r = 1 + trial % 4
+            size = (1, 40, int(rng.integers(2, 40)))[trial % 3]
+            tables = []
+            for _ in range(size):
+                q = math.prod(int(a) for a in rng.integers(1, 5, size=rng.integers(0, 4)))
+                p = rng.dirichlet(np.full(r * q, 0.3))
+                table = rng.multinomial(n_rows, p)
+                tables.append(table)
+                seen["zero cell"] += bool((table == 0).any())
+                seen["zero configuration"] += bool((table.reshape(q, r).sum(axis=1) == 0).any())
+            for ess in (1.0, 3.7):
+                got = scoring._tables_score(tables, r, ess)
+                want = [scoring._table_score(t, r, ess) for t in tables]
+                assert [x.hex() for x in got] == [x.hex() for x in want], (trial, ess)
+        assert seen["zero cell"] and seen["zero configuration"]
 
 
 class TestScoreCache:

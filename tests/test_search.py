@@ -656,3 +656,74 @@ class TestGreedyDag:
             assert got.steps == want.steps
             assert got.start_score == want.start_score
             assert got_cache._table == want_cache._table
+
+
+def first_best_move(d: Dag, cache: ScoreCache):
+    """The relisting search's choice: the first listed move of largest
+    delta > 0."""
+    best, best_delta = None, 0.0
+    for move in dag_moves(d):
+        delta = _dag_move_delta(d, move, cache)
+        if delta > best_delta:
+            best, best_delta = move, delta
+    return best, best_delta
+
+
+class TestDagCarry:
+    def test_carried_moves_equal_relisted_moves(self):
+        # at every step of every seeded run, the carried rankings and
+        # reversals hold exactly the legal moves, each with the delta of
+        # a fresh lookup as a float, ranked best first, and yield the
+        # relisting search's choice
+        kinds = set()
+        for data, start in seeded_dag_runs():
+            cache = ScoreCache(data)
+            carry = search._DagCarry(cache, start)
+            d = start
+            while True:
+                move, delta = carry.best()
+                carried = {}
+                for v in range(d.n):
+                    ranked = list(carry.legal(v))
+                    keys = [(-dl, m.sort_key()) for dl, m in ranked]
+                    assert keys == sorted(keys), (d, v)
+                    assert all(m.b == v for _, m in ranked)
+                    carried.update((m, dl) for dl, m in ranked)
+                carried.update((m, dl) for dl, m in carry.reversal_deltas())
+                assert sorted(carried, key=Move.sort_key) == dag_moves(d), d
+                for m, dl in carried.items():
+                    assert dl == _dag_move_delta(d, m, cache), (d, m)
+                assert (move, delta) == first_best_move(d, cache), d
+                if move is None:
+                    break
+                kinds.add(move.kind)
+                d = carry.apply(move)
+                assert carry.d == d
+        assert kinds == {"add", "remove", "reverse"}
+
+    def test_trace_equals_lazy_search_from_every_dag_n4(self, monkeypatch):
+        # every labeled DAG on 4 vertices as the start, on two datasets
+        applied = []
+
+        def capped_apply(d, move):
+            # a stale carried term can make the climb cycle; fail, not hang
+            applied.append(move)
+            assert len(applied) < 100, "greedy_dag did not terminate"
+            return apply_dag_move(d, move)
+
+        monkeypatch.setattr(search, "apply_dag_move", capped_apply)
+        starts = list(all_dags(4))
+        for seed in range(2):
+            rng = rng_from(47, seed)
+            net = random_parameters(random_dag(4, 3, rng), (2 + seed,) * 4, rng)
+            data = ancestral_sample(net, 400, rng)
+            got_cache, want_cache = ScoreCache(data), ScoreCache(data)
+            for start in starts:
+                applied.clear()
+                got_dag, got = greedy_dag(got_cache, start)
+                want_dag, want = lazy_greedy_dag(want_cache, start)
+                assert got_dag == want_dag, start
+                assert got.steps == want.steps, start
+                assert got.start_score == want.start_score
+                assert got.terminal and want.terminal
+            assert got_cache._table == want_cache._table
