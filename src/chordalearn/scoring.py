@@ -20,6 +20,7 @@ import warnings
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csc_array
 from scipy.special import gammaln
 
 from .graphs import ChordalGraph, Dag, addition_keeps_chordal, removal_keeps_chordal
@@ -274,19 +275,23 @@ def _dirichlet_sum(counts, n_cfg, rq: int, q: int, ess: float) -> float:
     return total
 
 
-def _tables_score(tables: Sequence[np.ndarray], r: int, ess: float) -> list[float]:
+def _tables_score(cells: np.ndarray, sizes, r: int, ess: float) -> list[float]:
     """``_table_score`` of each dense family table of one child of arity
-    r, with one ``gammaln`` pass over the nonzero cells of all the tables
-    and one over their nonzero configuration totals.
+    r, the tables given concatenated in ``cells`` with their ``sizes``,
+    with one ``gammaln`` pass over the nonzero cells of all the tables and
+    one over their nonzero configuration totals.
 
-    Each elementwise step is the one ``_dirichlet_sum`` takes, and each
-    family's two sums are ``ndarray.sum`` over its contiguous slice of
-    nonzero terms, the reduction ``_dirichlet_sum`` runs on that family's
-    own array, so the floats are ``_table_score``'s.  Keeping the zero
-    terms in, or summing the slices with ``np.add.reduceat``, would
-    regroup the pairwise sums and can round differently."""
-    sizes = np.array([t.size for t in tables])
-    cells = np.concatenate(tables)
+    Each elementwise step is the one ``_dirichlet_sum`` takes.  Its two
+    sums are ``ndarray.sum``, which starts from the identity 0.0 and adds
+    the pairwise sum of the family's terms; here each family's sums are
+    one ``np.add.reduceat`` over its run of nonzero terms with a 0.0
+    inserted ahead of the run (``_run_sums``).  ``reduceat`` starts from
+    a run's first element, that 0.0, and adds the pairwise sum of the
+    rest, the family's terms, so it makes the same additions and the
+    floats are ``_table_score``'s.  Keeping the zero terms in, or
+    ``reduceat`` without the leading 0.0, would regroup the pairwise sums
+    and can round differently."""
+    sizes = np.asarray(sizes)
     counts, n_cells = _nonzero_runs(cells, sizes)
     # configurations are runs of r cells, and every table has a whole number
     n_cfg, n_cfgs = _nonzero_runs(cells.reshape(-1, r).sum(axis=1), sizes // r)
@@ -296,14 +301,21 @@ def _tables_score(tables: Sequence[np.ndarray], r: int, ess: float) -> list[floa
     cell_terms -= np.repeat(gammaln(a_cell), n_cells)
     cfg_terms = np.repeat(gammaln(a_cfg), n_cfgs)
     cfg_terms -= gammaln(np.repeat(a_cfg, n_cfgs) + n_cfg)
-    scores = []
-    lo = lo_cfg = 0
-    for hi, hi_cfg in zip(np.cumsum(n_cells).tolist(), np.cumsum(n_cfgs).tolist()):
-        total = float(cell_terms[lo:hi].sum())
-        total += float(cfg_terms[lo_cfg:hi_cfg].sum())
-        scores.append(total)
-        lo, lo_cfg = hi, hi_cfg
-    return scores
+    return (_run_sums(cell_terms, n_cells) + _run_sums(cfg_terms, n_cfgs)).tolist()
+
+
+def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each of the consecutive runs of the given (nonnegative)
+    lengths in ``values``, each bit for bit ``ndarray.sum`` over its run
+    (see ``_tables_score``); an empty run sums to 0.0.  This rests on
+    numpy's reduction order, which ``test_run_sums_equal_ndarray_sum``
+    checks."""
+    heads = np.cumsum(lengths) - lengths + np.arange(len(lengths))
+    padded = np.zeros(values.size + len(lengths))
+    keep = np.ones(padded.size, dtype=bool)
+    keep[heads] = False
+    padded[keep] = values
+    return np.add.reduceat(padded, heads)
 
 
 def _nonzero_runs(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,6 +339,7 @@ class ScoreCache:
         self.data = data
         self.ess = float(ess)
         self._table: dict[LocalScoreKey, float] = {}
+        self._states: Optional[_StateCounts] = None
 
     def local_score(self, v: int, parents: Iterable[int]) -> float:
         key = (v, tuple(sorted(set(parents))))
@@ -349,15 +362,19 @@ class ScoreCache:
         f(v, P) table; then
 
         * a removal (u in P) is that table summed over u's axis;
-        * an addition (u not in P) with r*q*r_u <= N counts the shared
-          codes plus r*q times u's column, with u the slowest digit, and
-          moves u's axis to its sorted place.
+        * all the additions (u not in P) are read off one integer product
+          of the rows' one-hot family codes with the dataset's state
+          indicator (``_StateCounts``), which counts every (cell, state of
+          u) pair for every u at once, with u's axis put in its sorted
+          place by one gather.  That holds whatever r*q*r_u is: the
+          table's nonzero cells are those ``bdeu_local_score``'s
+          ``np.unique`` branch lists.
 
-        Each table is the integer table ``bdeu_local_score``'s dense
-        branch counts for that family.  ``_tables_score`` scores the
+        Each table is the integer table ``bdeu_local_score`` counts for
+        that family, in its cell order.  ``_tables_score`` scores the
         group's tables together and gives ``_table_score``'s float for
-        each, so the floats are the same.  Families past the dense bound
-        go through ``bdeu_local_score`` one by one.
+        each, which is ``bdeu_local_score``'s, so the floats are the same.
+        Families with r*q > N go through ``bdeu_local_score`` one by one.
         """
         data = self.data
         parents = tuple(sorted(set(parents)))
@@ -384,27 +401,89 @@ class ScoreCache:
             return
         codes, _ = _parent_config_codes(data.rows, arities, (v,) + parents)
         table = np.bincount(codes, minlength=rq)
-        keys, tables = [], []
+        keys, tables, sizes = [], [], []
+        added, added_keys = [], []
         for u, key in missing:
-            ru = arities[u]
-            # a canonical cell index is l + lo * (x_u + r_u * h): l < lo
-            # codes the digits below u's (v's and the lower parents'), h
-            # the higher parents'
-            lo = r * math.prod(arities[p] for p in parents if p < u)
-            if u in parents:
-                tables.append(table.reshape(-1, ru, lo).sum(axis=1).ravel())
-            elif rq * ru <= data.n_rows:
-                wide = np.bincount(codes + rq * data.rows[:, u], minlength=rq * ru)
-                tables.append(wide.reshape(ru, rq // lo, lo).transpose(1, 0, 2).ravel())
-            else:
-                self._table[key] = bdeu_local_score(v, key[1], data, ess)
+            if u not in parents:
+                added.append(u)
+                added_keys.append(key)
                 continue
+            # f(v, P) summed over u's axis, of stride lo (see added_tables)
+            lo = r * math.prod(arities[p] for p in parents if p < u)
+            tables.append(table.reshape(-1, arities[u], lo).sum(axis=1).ravel())
+            sizes.append(rq // arities[u])
             keys.append(key)
-        if tables:
-            self._table.update(zip(keys, _tables_score(tables, r, ess)))
+        if added:
+            if self._states is None:
+                self._states = _StateCounts(data)
+            cells, added_sizes = self._states.added_tables(codes, table, r, parents, added)
+            tables.append(cells)
+            sizes.extend(added_sizes.tolist())
+            keys += added_keys
+        self._table.update(zip(keys, _tables_score(np.concatenate(tables), sizes, r, ess)))
 
     def __len__(self) -> int:
         return len(self._table)
+
+
+class _StateCounts:
+    """One dataset's state indicator, from which one sparse product counts
+    a family's cells jointly with every variable's states.
+
+    ``indicator`` is the N x K 0/1 matrix with one column per state s >= 1
+    of each variable u, in order of u then s, marking the rows where u is
+    in state s.  State 0 needs no column: its count is the family's count
+    less the other states' counts, which halves the product for binary
+    data.  A joint table has one column per state of each variable, u's
+    state s in column ``zero_cols[u] + s``.
+    """
+
+    def __init__(self, data: Dataset):
+        self.arities = np.array(data.arities)
+        first = np.cumsum(self.arities - 1) - (self.arities - 1)  # column of (u, 1)
+        var = np.repeat(np.arange(self.arities.size), self.arities - 1)
+        state = np.arange(var.size) - first[var] + 1
+        # the narrowest type that holds every count (at most N): the
+        # product then reads the least memory
+        dtype = next(t for t in (np.int16, np.int32, np.int64) if data.n_rows <= np.iinfo(t).max)
+        self.indicator = (data.rows[:, var] == state).astype(dtype, order="C")
+        self.ones = np.ones(data.n_rows, dtype=dtype)
+        self.indptr = np.arange(data.n_rows + 1)
+        self.zero_cols = first + np.arange(self.arities.size)
+        self.state_cols = np.delete(np.arange(self.arities.sum()), self.zero_cols)
+
+    def added_tables(
+        self, codes: np.ndarray, table: np.ndarray, r: int, parents: tuple, added: list
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The dense tables of the families (v, *sorted(P + {u})), for each
+        u in ``added``, concatenated, and their sizes, given the cell codes
+        and dense table of (v, *P), P = ``parents`` (sorted), r = r_v.
+
+        A cell l + lo * h of (v, *P), with l < lo coding the digits below
+        u's (v's and the lower parents') and h the higher parents', splits
+        into the cells l + lo * (x_u + r_u * h) of u's table, one per state
+        x_u; one gather reads every table, in that order, from the joint
+        counts of the cells of (v, *P) with each state of each variable.
+        """
+        rq = table.size
+        onehot = csc_array((self.ones, codes, self.indptr), shape=(rq, codes.size))
+        joint = np.empty((rq, self.zero_cols.size + self.state_cols.size), dtype=np.int64)
+        joint[:, self.zero_cols] = table[:, None]
+        joint[:, self.state_cols] = onehot @ self.indicator  # exact: no entry exceeds N
+        # state 0 of u: the table less u's other states, u's columns in turn
+        joint[:, self.zero_cols] = np.subtract.reduceat(joint, self.zero_cols, axis=1)
+        added = np.array(added)
+        strides = r * np.cumprod([1, *self.arities[list(parents)]])
+        lo = strides[np.searchsorted(parents, added)]
+        ru = self.arities[added]
+        sizes = rq * ru
+        ends = np.cumsum(sizes)
+        j = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+        lo, ru = np.repeat(lo, sizes), np.repeat(ru, sizes)
+        h, l = np.divmod(j, lo)
+        h, x_u = np.divmod(h, ru)
+        at = (l + lo * h) * joint.shape[1] + np.repeat(self.zero_cols[added], sizes) + x_u
+        return joint.ravel()[at], sizes
 
 
 def _resolve_cache(data: Dataset, ess: float, cache: Optional[ScoreCache]) -> ScoreCache:

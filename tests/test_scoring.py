@@ -500,35 +500,54 @@ class TestCountingKernel:
                 assert np.array_equal(got[v], want), (trial, v)
 
 
-def skewed_dataset(n, n_rows, rng):
-    """Arities 2-4 and per-column state frequencies drawn from a sparse
+def skewed_dataset(n, n_rows, rng, low=2):
+    """Arities low-4 and per-column state frequencies drawn from a sparse
     Dirichlet, so some states are rare or absent."""
-    arities = [int(r) for r in rng.integers(2, 5, size=n)]
+    arities = [int(r) for r in rng.integers(low, 5, size=n)]
     cols = [rng.choice(r, size=n_rows, p=rng.dirichlet([0.3] * r)) for r in arities]
     return Dataset(np.array(cols, dtype=np.int64).T.reshape(n_rows, n), arities)
+
+
+def widest_dense_parents(data, v):
+    """Parents for v, each variable taken in order of decreasing arity if
+    the f(v, P) table still has at most N cells: then every addition left
+    has r*q*r_u > N."""
+    rq, parents = data.arities[v], []
+    for u in sorted(range(data.n_vars), key=lambda u: -data.arities[u]):
+        if u != v and rq * data.arities[u] <= data.n_rows:
+            rq *= data.arities[u]
+            parents.append(u)
+    return parents
 
 
 class TestToggledScores:
     def test_equals_local_kernel(self, monkeypatch):
         # every toggled family of random parent sets, on empty, tiny and
-        # full-size data: the batch must give bdeu_local_score's floats
-        # through both of its paths
+        # full-size data, with and without arity-1 columns: the batch must
+        # give bdeu_local_score's floats through both of its paths
         ran = Counter()  # families scored by each path
-        for name, families in (("_tables_score", len), ("bdeu_local_score", lambda v: 1)):
+        for name, families in (
+            ("_tables_score", lambda cells, sizes, *_: len(sizes)),
+            ("bdeu_local_score", lambda *_: 1),
+        ):
             def spy(*args, _inner=getattr(scoring, name), _name=name, _families=families):
-                ran[_name] += _families(args[0])
+                ran[_name] += _families(*args)
                 return _inner(*args)
 
             monkeypatch.setattr(scoring, name, spy)
         n = 9
-        for n_rows in (0, 1, 7, 5000):
-            rng = rng_from(53, n_rows)
-            data = skewed_dataset(n, n_rows, rng)
-            for trial in range(24):
+        seen = Counter()
+        for n_rows, low in itertools.product((0, 1, 7, 5000), (2, 1)):
+            rng = rng_from(53, n_rows, low)
+            data = skewed_dataset(n, n_rows, rng, low)
+            for trial in range(26):
                 v = int(rng.integers(n))
                 others = [u for u in range(n) if u != v]
-                size = trial % 7
-                parents = [int(u) for u in rng.choice(others, size=size, replace=False)]
+                if trial < 24:
+                    size = trial % 7
+                    parents = [int(u) for u in rng.choice(others, size=size, replace=False)]
+                else:
+                    parents = widest_dense_parents(data, v)
                 ess = (1.0, 3.7)[trial % 2]
                 cache = ScoreCache(data, ess)
                 before = Counter(ran)
@@ -537,16 +556,21 @@ class TestToggledScores:
                 want = [
                     bdeu_local_score(v, set(parents) ^ {u}, data, ess) for u in others
                 ]
-                assert got == want, (n_rows, trial)
+                assert got == want, (n_rows, low, trial)
                 # the same entries local_score would have made
                 assert [cache.local_score(v, set(parents) ^ {u}) for u in others] == want
                 assert len(cache) == len(others)
-                if n_rows == 5000 and size <= 2:
-                    assert batch["_tables_score"] == len(others)
-                    assert batch["bdeu_local_score"] == 0
-                if n_rows <= 1:
-                    assert batch["bdeu_local_score"] == len(others)
+                # a dense f(v, P) table scores every toggle in one batch
+                rq = data.arities[v] * math.prod(data.arities[p] for p in parents)
+                dense = rq <= n_rows
+                assert batch["_tables_score"] == dense * len(others)
+                assert batch["bdeu_local_score"] == (not dense) * len(others)
+                added = [data.arities[u] for u in others if u not in parents]
+                seen["arity 1", n_rows] += dense and 1 in added
+                # r*q*r_u > N: counted by the product, not np.unique
+                seen["wide addition", n_rows] += dense and any(rq * r > n_rows for r in added)
         assert ran["_tables_score"] and ran["bdeu_local_score"]
+        assert seen["arity 1", 5000] and seen["wide addition", 5000], seen
 
     def test_only_missing_keys_computed(self, monkeypatch):
         data = skewed_dataset(5, 300, rng_from(59))
@@ -555,9 +579,9 @@ class TestToggledScores:
         calls = Counter()
         inner = scoring._tables_score
 
-        def spy(tables, *args):
-            calls["scored"] += len(tables)
-            return inner(tables, *args)
+        def spy(cells, sizes, *args):
+            calls["scored"] += len(sizes)
+            return inner(cells, sizes, *args)
 
         monkeypatch.setattr(scoring, "_tables_score", spy)
         got = cache.toggled_scores(0, (1,), [3, 2, 3])
@@ -580,9 +604,11 @@ class TestTablesScore:
     @pytest.mark.parametrize("n_rows", [1, 7, 5000])
     def test_bit_identical_to_one_table_kernel(self, n_rows):
         # mixed groups of dense tables of one child, with child arity 1-4,
-        # 0-3 parents of arity 1-4, and sparse Dirichlet counts, so cells
-        # and whole configurations are empty: every table's score must be
-        # _table_score's, bit for bit
+        # 0-5 parents of arity 1-4, and sparse Dirichlet counts, so cells
+        # and whole configurations are empty, and at N=5000 some tables
+        # hold more than 128 and 256 nonzero cells or configurations,
+        # where ndarray.sum's pairwise sum splits its run: every table's
+        # score must be _table_score's, bit for bit
         rng = rng_from(67, n_rows)
         seen = Counter()
         for trial in range(36):
@@ -590,17 +616,45 @@ class TestTablesScore:
             size = (1, 40, int(rng.integers(2, 40)))[trial % 3]
             tables = []
             for _ in range(size):
-                q = math.prod(int(a) for a in rng.integers(1, 5, size=rng.integers(0, 4)))
+                n_parents = rng.integers(0, 4) if trial % 2 else rng.integers(3, 6)
+                q = math.prod(int(a) for a in rng.integers(1, 5, size=n_parents))
                 p = rng.dirichlet(np.full(r * q, 0.3))
                 table = rng.multinomial(n_rows, p)
                 tables.append(table)
+                cfg = table.reshape(q, r).sum(axis=1)
                 seen["zero cell"] += bool((table == 0).any())
-                seen["zero configuration"] += bool((table.reshape(q, r).sum(axis=1) == 0).any())
+                seen["zero configuration"] += bool((cfg == 0).any())
+                for k in (128, 256):
+                    seen[f"cells > {k}"] += int(np.count_nonzero(table)) > k
+                    seen[f"configurations > {k}"] += int(np.count_nonzero(cfg)) > k
+            cells = np.concatenate(tables)
+            sizes = [t.size for t in tables]
             for ess in (1.0, 3.7):
-                got = scoring._tables_score(tables, r, ess)
+                got = scoring._tables_score(cells, sizes, r, ess)
                 want = [scoring._table_score(t, r, ess) for t in tables]
                 assert [x.hex() for x in got] == [x.hex() for x in want], (trial, ess)
         assert seen["zero cell"] and seen["zero configuration"]
+        if n_rows == 5000:
+            assert all(seen[f"{what} > {k}"] for what in ("cells", "configurations")
+                       for k in (128, 256)), seen
+
+    def test_run_sums_equal_ndarray_sum(self):
+        # _tables_score relies on np.add.reduceat over runs each led by a
+        # 0.0 adding exactly as ndarray.sum over each run does
+        rng = rng_from(71)
+        for trial in range(300):
+            lengths = rng.integers(0, 401, size=int(rng.integers(1, 12)))
+            total = int(lengths.sum())
+            values = rng.standard_normal(total) * 10.0 ** rng.integers(-6, 7, size=total)
+            ends = np.cumsum(lengths)
+            want = [float(values[e - k:e].sum()).hex() for e, k in zip(ends, lengths)]
+            got = [x.hex() for x in scoring._run_sums(values, lengths).tolist()]
+            assert got == want, (
+                "np.add.reduceat over a run led by 0.0 no longer equals ndarray.sum over "
+                "the run (0.0 plus the run's pairwise sum) in this numpy; the batched "
+                f"BDeu scores would stop matching _table_score (trial {trial}, lengths "
+                f"{lengths.tolist()})"
+            )
 
 
 class TestScoreCache:
