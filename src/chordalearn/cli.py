@@ -191,7 +191,7 @@ def _write_learned(out: Path, structure, trace) -> None:
 
 
 def _make_target(kind: str, n: int, arity: int, max_parents, rng, min_prob):
-    """Returns (net, target_lines_graph, dim_target, structure_text)."""
+    """Returns (net, target_lines_graph, structure_text)."""
     arities = (arity,) * n
     mp = max_parents if max_parents is not None else _KIND_PARENTS[kind]
     mp = min(mp, n - 1)
@@ -199,10 +199,10 @@ def _make_target(kind: str, n: int, arity: int, max_parents, rng, min_prob):
         graph, net = random_chordal_target(
             n, rng, arities=arities, max_parents=mp, min_prob=min_prob
         )
-        return net, graph.graph, dimension(graph, arities), graph.graph.to_text()
+        return net, graph.graph, graph.graph.to_text()
     dag = random_dag(n, mp, rng)
     net = random_parameters(dag, arities, rng, min_prob=min_prob)
-    return net, moralize(dag), dimension_dag(dag, arities), dag.to_text()
+    return net, moralize(dag), dag.to_text()
 
 
 _KIND_STREAM = {"chordal": 0, "dag": 1}
@@ -213,7 +213,7 @@ def _generate_cell(cfg: dict, out: Path, kind: str, n: int, replicate: int) -> d
     seed = cfg["seed"]
     kid = _KIND_STREAM[kind]
     rng = rng_from(seed, kid, replicate, 0, n)
-    net, lines_graph, dim_target, structure_text = _make_target(
+    net, lines_graph, structure_text = _make_target(
         kind, n, cfg["arity"], cfg["max_parents"], rng, cfg["min_prob"]
     )
     cell = f"{kind}_n{n}_r{replicate}"
@@ -235,7 +235,6 @@ def _generate_cell(cfg: dict, out: Path, kind: str, n: int, replicate: int) -> d
     return {
         "net": tdir / "net.json",
         "lines": tdir / "lines.txt",
-        "dim_target": dim_target,
         "test": ddir / "test.csv",
         "trains": trains,
         "cell": cell,
@@ -286,7 +285,6 @@ def _eval_row(
     structure,
     target_net: DiscreteBayesNet,
     target_lines: UndirectedGraph,
-    dim_target: int,
     train: Dataset,
     test: Dataset,
     ess: float,
@@ -309,7 +307,7 @@ def _eval_row(
         kl=est.kl,
         kl_se=est.se,
         dim_learned=_structure_dimension(structure, train.arities),
-        dim_target=dim_target,
+        dim_target=dimension_dag(target_net.dag, train.arities),
         fp_lines=fp,
         fn_lines=fn,
         seed=meta["seed"],
@@ -368,9 +366,6 @@ def cmd_eval(args) -> int:
     target_lines = UndirectedGraph.from_text(Path(args.lines).read_text())
     train = _read_dataset(Path(args.train))
     test = _read_dataset(Path(args.test))
-    dim_target = args.dim_target
-    if dim_target is None:
-        dim_target = dimension_dag(target_net.dag, train.arities)
     rows = []
     meta = {
         "target_kind": args.target_kind,
@@ -386,7 +381,6 @@ def cmd_eval(args) -> int:
                 structure,
                 target_net,
                 target_lines,
-                dim_target,
                 train,
                 test,
                 args.ess,
@@ -399,7 +393,6 @@ def cmd_eval(args) -> int:
                 target_net.dag,
                 target_net,
                 target_lines,
-                dim_target,
                 train,
                 test,
                 args.ess,
@@ -528,7 +521,6 @@ def cmd_experiment(args) -> int:
                                 structure,
                                 target_net,
                                 target_lines,
-                                arts["dim_target"],
                                 train,
                                 test,
                                 cfg["ess"],
@@ -594,7 +586,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--replicate", type=int, default=0)
     e.add_argument("--seed", type=int, default=0)
     e.add_argument("--ess", type=_ess_arg, default=1.0)
-    e.add_argument("--dim-target", type=int)
     e.add_argument("--out")
     e.set_defaults(fn=cmd_eval)
 

@@ -3,9 +3,11 @@ perfect ordering certificate, and DAGs.
 
 Vertices are integers 0..n-1.  Undirected edges are called lines and stored
 as (a, b) pairs with a < b; directed edges are called arrows and stored as
-(parent, child) pairs.  All graph values are immutable and hashable, with a
-dense neighbor representation (frozensets plus bitmasks), which keeps line
-queries O(1) at the scale this package targets (n up to a few dozen).
+(parent, child) pairs.  All graph values are immutable and hashable.  An
+undirected graph stores its adjacency once, as one neighbor bitmask per
+vertex next to its sorted lines; a DAG builds one parent bitmask per vertex
+next to its parent sets.  That keeps line queries O(1) at the scale this
+package targets (n up to a few dozen).
 
 Ordering convention used throughout: a vertex ordering is *perfect* for a
 graph when every vertex's earlier-ordered neighbors form a complete
@@ -44,29 +46,21 @@ def _normalize_line(a: int, b: int) -> tuple[int, int]:
 class UndirectedGraph:
     """An immutable simple undirected graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "lines", "_line_set", "_nbr", "_mask", "_hash")
+    __slots__ = ("n", "lines", "_mask")
 
     def __init__(self, n: int, lines: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         norm = {_normalize_line(a, b) for a, b in lines}
+        mask = [0] * n
         for a, b in norm:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"line {a}-{b} out of range for n={n}")
-        self.n = n
-        self.lines: tuple[tuple[int, int], ...] = tuple(sorted(norm))
-        self._line_set = frozenset(self.lines)
-        nbr = [set() for _ in range(n)]
-        for a, b in self.lines:
-            nbr[a].add(b)
-            nbr[b].add(a)
-        self._nbr = tuple(frozenset(s) for s in nbr)
-        mask = [0] * n
-        for a, b in self.lines:
             mask[a] |= 1 << b
             mask[b] |= 1 << a
+        self.n = n
+        self.lines: tuple[tuple[int, int], ...] = tuple(sorted(norm))
         self._mask = tuple(mask)
-        self._hash = hash((n, self._line_set))
 
     @classmethod
     def empty(cls, n: int) -> "UndirectedGraph":
@@ -79,10 +73,12 @@ class UndirectedGraph:
     # -- queries ---------------------------------------------------------
 
     def has_line(self, a: int, b: int) -> bool:
-        return _normalize_line(a, b) in self._line_set
+        a, b = _normalize_line(a, b)
+        return 0 <= a and b < self.n and bool(self._mask[a] >> b & 1)
 
     def neighbors(self, v: int) -> frozenset:
-        return self._nbr[v]
+        """Neighbor set of v, built from its bitmask on every call."""
+        return frozenset(mask_vertices(self._mask[v]))
 
     def neighbor_mask(self, v: int) -> int:
         return self._mask[v]
@@ -92,43 +88,28 @@ class UndirectedGraph:
         """Neighbor bitmask of every vertex, indexed by vertex id."""
         return self._mask
 
-    def common_neighbors(self, a: int, b: int) -> frozenset:
-        return self._nbr[a] & self._nbr[b]
-
     # -- edits (return new graphs) ---------------------------------------
 
     def with_line(self, a: int, b: int) -> "UndirectedGraph":
         line = _normalize_line(a, b)
-        if line in self._line_set:
+        if self.has_line(*line):
             raise ValueError(f"line {line[0]}-{line[1]} already present")
         return UndirectedGraph(self.n, self.lines + (line,))
 
     def without_line(self, a: int, b: int) -> "UndirectedGraph":
         line = _normalize_line(a, b)
-        if line not in self._line_set:
+        if not self.has_line(*line):
             raise ValueError(f"line {line[0]}-{line[1]} not present")
-        return UndirectedGraph(self.n, self._line_set - {line})
-
-    def induced(self, vertices: Iterable[int]) -> "UndirectedGraph":
-        """Subgraph induced on ``vertices``, keeping original labels.
-
-        Vertices outside the set become isolated."""
-        keep = set(vertices)
-        return UndirectedGraph(
-            self.n, [l for l in self.lines if l[0] in keep and l[1] in keep]
-        )
+        return UndirectedGraph(self.n, [l for l in self.lines if l != line])
 
     # -- value semantics ---------------------------------------------------
 
+    # the masks fix n and the lines, so they are the whole value
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, UndirectedGraph)
-            and self.n == other.n
-            and self._line_set == other._line_set
-        )
+        return isinstance(other, UndirectedGraph) and self._mask == other._mask
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._mask)
 
     def __repr__(self) -> str:
         return f"UndirectedGraph(n={self.n}, lines={list(self.lines)})"
@@ -189,21 +170,20 @@ def maximum_cardinality_order(g: UndirectedGraph) -> tuple[int, ...]:
 
     Each step selects an unvisited vertex with the most visited neighbors.
     """
+    masks = g.neighbor_masks
     weight = [0] * g.n
-    visited = [False] * g.n
+    seen = 0
     order = []
     for _ in range(g.n):
-        v = -1
-        best = -1
-        for u in range(g.n):
-            if not visited[u] and weight[u] > best:
-                best = weight[u]
-                v = u
-        visited[v] = True
+        v = weight.index(max(weight))  # the first, so the lowest index
+        weight[v] = -1  # visited: below every unvisited weight
+        seen |= 1 << v
         order.append(v)
-        for u in g.neighbors(v):
-            if not visited[u]:
-                weight[u] += 1
+        rest = masks[v] & ~seen
+        while rest:
+            low = rest & -rest
+            weight[low.bit_length() - 1] += 1
+            rest ^= low
     return tuple(order)
 
 
@@ -337,20 +317,20 @@ class ChordalGraph:
     def has_line(self, a: int, b: int) -> bool:
         return self.graph.has_line(a, b)
 
-    def neighbors(self, v: int) -> frozenset:
-        return self.graph.neighbors(v)
-
-    def common_neighbors(self, a: int, b: int) -> frozenset:
-        return self.graph.common_neighbors(a, b)
+    def oriented_parent_masks(self) -> tuple[int, ...]:
+        """Parent bitmasks induced by the stored ordering: parents of v are
+        its earlier-ordered neighbors.  Indexed by vertex id."""
+        masks = self.graph.neighbor_masks
+        parents = [0] * self.n
+        earlier = 0
+        for v in self.ordering:
+            parents[v] = masks[v] & earlier
+            earlier |= 1 << v
+        return tuple(parents)
 
     def oriented_parents(self) -> tuple[frozenset, ...]:
-        """Parent sets induced by the stored ordering: parents of v are its
-        earlier-ordered neighbors.  Indexed by vertex id."""
-        pos = {v: i for i, v in enumerate(self.ordering)}
-        return tuple(
-            frozenset(u for u in self.graph.neighbors(v) if pos[u] < pos[v])
-            for v in range(self.n)
-        )
+        """``oriented_parent_masks`` as vertex sets."""
+        return tuple(frozenset(mask_vertices(m)) for m in self.oriented_parent_masks())
 
     def __eq__(self, other: object) -> bool:
         # graphs compare by structure; the certificate ordering is not part
@@ -380,6 +360,11 @@ def vertex_mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         mask |= 1 << v
     return mask
+
+
+def mask_vertices(mask: int) -> tuple[int, ...]:
+    """The vertices of the bitmask ``mask``, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def reach(masks: Sequence[int], src: int, blocked: int) -> int:
@@ -443,7 +428,7 @@ def removal_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
 class Dag:
     """An immutable directed acyclic graph given by per-vertex parent sets."""
 
-    __slots__ = ("n", "parents", "_arcs", "_topo", "_hash")
+    __slots__ = ("n", "parents", "parent_masks", "_arcs", "_topo", "_hash")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -456,12 +441,16 @@ class Dag:
                 raise ValueError(f"arrow {u}->{v} out of range for n={n}")
             arc_set.add((u, v))
         parents = [set() for _ in range(n)]
+        masks = [0] * n
         for u, v in arc_set:
             if (v, u) in arc_set:
                 raise CycleError(f"two-cycle between {u} and {v}")
             parents[v].add(u)
+            masks[v] |= 1 << u
         self.n = n
         self.parents = tuple(frozenset(p) for p in parents)
+        # parent bitmask of every vertex, indexed by vertex id
+        self.parent_masks = tuple(masks)
         self._arcs = tuple(sorted(arc_set))
         self._topo = self._topological_order()
         self._hash = hash((n, self._arcs))
@@ -680,7 +669,7 @@ def d_separated(
     sc = _as_vertex_set(c, d.n, "c")
     _check_disjoint_triple(sa, sb, sc)
     return d_separated_masks(
-        [vertex_mask(ps) for ps in d.parents],
+        d.parent_masks,
         vertex_mask(sa),
         vertex_mask(sb),
         vertex_mask(sc),

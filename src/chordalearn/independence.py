@@ -26,7 +26,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, reach
-from .graphs import removal_keeps_chordal, vertex_mask
+from .graphs import mask_vertices, removal_keeps_chordal, vertex_mask
 
 ENUMERATION_BOUND = 7  # observed-vertex cap for statement enumeration
 
@@ -73,11 +73,7 @@ class DependencyModel:
         self._obs_set = frozenset(self.observed)
         self._cache: dict = {}
         # neighbor masks (undirected) or parent masks (DAG) of the graph
-        self._masks = (
-            graph.neighbor_masks
-            if kind == "ug"
-            else tuple(vertex_mask(ps) for ps in graph.parents)
-        )
+        self._masks = graph.neighbor_masks if kind == "ug" else graph.parent_masks
 
     @classmethod
     def from_undirected(cls, g: UndirectedGraph) -> "DependencyModel":
@@ -134,10 +130,6 @@ class DependencyModel:
         return out
 
 
-def _vertices(mask: int) -> tuple[int, ...]:
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
-
-
 @functools.cache
 def role_masks(observed: tuple[int, ...], parts: int) -> tuple[tuple[int, ...], ...]:
     """Every assignment of each observed vertex to one of ``parts`` roles
@@ -160,7 +152,7 @@ def canonical_triples(observed: tuple[int, ...]) -> tuple[tuple[int, int, int], 
     triples = [
         (a, b, c) for a, b, c in role_masks(observed, 3) if a and b and a & -a < b & -b
     ]
-    return tuple(sorted(triples, key=lambda t: tuple(map(_vertices, t))))
+    return tuple(sorted(triples, key=lambda t: tuple(map(mask_vertices, t))))
 
 
 def enumerate_independencies(
@@ -171,7 +163,7 @@ def enumerate_independencies(
     of (A, B, C, unused) is tried, so the observed count is bounded."""
     _check_bound(m.observed, bound)
     return {
-        IndependenceStatement(*map(_vertices, t))
+        IndependenceStatement(*map(mask_vertices, t))
         for t in canonical_triples(m.observed)
         if m.independent_masks(*t)
     }
@@ -213,13 +205,13 @@ def model_included(g: ChordalGraph, target: DependencyModel):
                     continue
                 cm = full & ~(1 << a | 1 << b)
                 if not target.independent_masks(1 << a, 1 << b, cm):
-                    return False, IndependenceStatement((a,), (b,), _vertices(cm))
+                    return False, IndependenceStatement((a,), (b,), mask_vertices(cm))
         return True, None
     _check_bound(target.observed)
     own = DependencyModel.from_undirected(graph)
     for t in canonical_triples(target.observed):
         if own.independent_masks(*t) and not target.independent_masks(*t):
-            return False, IndependenceStatement(*map(_vertices, t))
+            return False, IndependenceStatement(*map(mask_vertices, t))
     return True, None
 
 
@@ -391,7 +383,7 @@ def graphoid_report(
         bad = np.flatnonzero(~ax.rule(q, *rows.T))
         failures = []
         for row in rows[bad[: AxiomResult.MAX_STORED]].tolist():
-            witness = tuple(_vertices(real[p]) for p in row)
+            witness = tuple(mask_vertices(real[p]) for p in row)
             # the vertex γ stands alone, not as a one-vertex tuple
             failures.append(witness[:-1] + witness[-1] if ax.gamma else witness)
         results[name] = AxiomResult(name, len(rows), failures, len(bad))

@@ -20,10 +20,15 @@ import warnings
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csc_array
 from scipy.special import gammaln
 
-from .graphs import ChordalGraph, Dag, addition_keeps_chordal, removal_keeps_chordal
+from .graphs import (
+    ChordalGraph,
+    Dag,
+    addition_keeps_chordal,
+    mask_vertices,
+    removal_keeps_chordal,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .search import Move
@@ -439,6 +444,11 @@ class _StateCounts:
     """
 
     def __init__(self, data: Dataset):
+        # imported here, not with the module: only the DAG search counts
+        # with it, and loading scipy.sparse costs about 2 MB of RSS
+        from scipy.sparse import csc_array
+
+        self.csc_array = csc_array
         self.arities = np.array(data.arities)
         first = np.cumsum(self.arities - 1) - (self.arities - 1)  # column of (u, 1)
         var = np.repeat(np.arange(self.arities.size), self.arities - 1)
@@ -466,7 +476,7 @@ class _StateCounts:
         counts of the cells of (v, *P) with each state of each variable.
         """
         rq = table.size
-        onehot = csc_array((self.ones, codes, self.indptr), shape=(rq, codes.size))
+        onehot = self.csc_array((self.ones, codes, self.indptr), shape=(rq, codes.size))
         joint = np.empty((rq, self.zero_cols.size + self.state_cols.size), dtype=np.int64)
         joint[:, self.zero_cols] = table[:, None]
         joint[:, self.state_cols] = onehot @ self.indicator  # exact: no entry exceeds N
@@ -529,9 +539,11 @@ def line_delta(cache: ScoreCache, g: ChordalGraph, move: "Move") -> float:
     difference collapses to two local terms at the higher endpoint:
     removal scores f(b, S) - f(b, S + {a}); addition is the negation.
     """
-    s = g.common_neighbors(move.a, move.b)
-    child = max(move.a, move.b)
-    d = cache.local_score(child, s | {min(move.a, move.b)}) - cache.local_score(child, s)
+    lo, child = sorted((move.a, move.b))
+    masks = g.graph.neighbor_masks
+    s = masks[lo] & masks[child]
+    added = cache.local_score(child, mask_vertices(s | 1 << lo))
+    d = added - cache.local_score(child, mask_vertices(s))
     return d if move.kind == "add" else -d
 
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, is_complete_mask
-from .graphs import reach, removal_keeps_chordal, vertex_mask
+from .graphs import reach, removal_keeps_chordal
 from .independence import DependencyModel
 from .scoring import Dataset, ScoreCache, _resolve_cache, line_delta, score_chordal, score_dag
 
@@ -285,10 +285,8 @@ class OracleScore:
         )
 
     def violation_weight(self, g: ChordalGraph) -> int:
-        parents = g.oriented_parents()
         total = 0
-        for v in range(g.n):
-            pmask = vertex_mask(parents[v])
+        for v, pmask in enumerate(g.oriented_parent_masks()):
             total += self.set_entropy(pmask | (1 << v)) - self.set_entropy(pmask)
         return total - self._total_entropy
 
@@ -296,8 +294,8 @@ class OracleScore:
         if g.n != self.target_graph.n:
             raise ValueError("graph and target have different vertex counts")
         dim = 0
-        for v, ps in enumerate(g.oriented_parents()):
-            dim += 1 << len(ps)
+        for pmask in g.oriented_parent_masks():
+            dim += 1 << pmask.bit_count()
         return (-self.violation_weight(g), -dim)
 
     def move_score(self, g: ChordalGraph, current: tuple[int, int], move: Move):
@@ -387,7 +385,8 @@ def _legal_arcs(d: Dag) -> tuple[list[int], list[tuple[int, int]]]:
             via_children[p] |= below
             desc[p] |= below | (1 << v)
     full = (1 << n) - 1
-    adds = [full & ~(desc[v] | vertex_mask(parents[v]) | (1 << v)) for v in range(n)]
+    pmasks = d.parent_masks
+    adds = [full & ~(desc[v] | pmasks[v] | (1 << v)) for v in range(n)]
     # v is not its own descendant, so only a path through another child of
     # u can put v in via_children[u]
     reversals = [(u, v) for u, v in d.arcs if not (via_children[u] >> v) & 1]
@@ -459,7 +458,7 @@ class _DagCarry:
         """
         d, base, toggled, ranked = self.d, self.base, self.toggled, self.ranked
         self.adds, self.reversals = adds, reversals = _legal_arcs(d)
-        need = [adds[v] | vertex_mask(d.parents[v]) for v in range(d.n)]
+        need = [add | pmask for add, pmask in zip(adds, d.parent_masks)]
         for u, v in reversals:
             need[u] |= 1 << v
         for v, mask in enumerate(need):

@@ -30,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, is_chordal
-from .graphs import reach, vertex_mask
+from .graphs import mask_vertices, reach, vertex_mask
 from .independence import (
     DependencyModel,
     canonical_triples,
@@ -257,7 +257,7 @@ class _Records:
         keys: dict = {}  # (1 << a, 1 << b, S) -> position in triples
         fam, pa, dims, table = [], [], [], []
         for i, (cg, mask) in enumerate(zip(self.graphs, masks)):
-            parents = [vertex_mask(ps) for ps in cg.oriented_parents()]
+            parents = cg.oriented_parent_masks()
             pa.append(parents)
             fam.append([p | 1 << v for v, p in enumerate(parents)])
             dims.append(sum(1 << p.bit_count() for p in parents))
@@ -545,21 +545,22 @@ class ChainSampleReport:
         return self.evaluated >= self.requested and self.holds == self.evaluated
 
 
-def _bfs_layers(g: UndirectedGraph, x: int) -> list[list[int]]:
-    dist = {x: 0}
-    layers = [[x]]
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        if nxt:
-            layers.append(sorted(nxt))
-        frontier = nxt
-    return layers
+def _bfs_layers(g: UndirectedGraph, x: int) -> list[tuple[int, ...]]:
+    """Breadth-first distance layers from x, each ascending."""
+    masks = g.neighbor_masks
+    seen = frontier = 1 << x
+    layers = [(x,)]
+    while True:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        if not frontier:
+            return layers
+        seen |= frontier
+        layers.append(mask_vertices(frontier))
 
 
 def sample_chain_disjunctions(

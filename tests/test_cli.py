@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from chordalearn import cli
 from chordalearn.evaluation import results_from_csv
 from chordalearn.graphs import ChordalGraph, Dag
+from chordalearn.scoring import dimension, dimension_dag
 from chordalearn.verification import (
     chordality_cross_check,
     probe_dag_targets,
@@ -602,6 +606,34 @@ class TestExperiment:
         assert "config.learners" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dim_target_agrees_with_eval(self, tmp_path):
+        # one chordal and one dag cell: eval on a cell reports the target
+        # dimension the experiment row has, the target structure's own
+        cfg = self.exp_config(
+            tmp_path, target_kinds=["chordal", "dag"], learners=[], replicates=1, n_obs=[60]
+        )
+        out = tmp_path / "e"
+        assert cli.main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = {r.target_kind: r for r in results_from_csv((out / "results.csv").read_text())}
+        assert sorted(rows) == ["chordal", "dag"]
+        for kind, row in rows.items():
+            cell = f"{kind}_n4_r0"
+            target = out / "targets" / cell
+            data = out / "data" / cell
+            eval_csv = tmp_path / f"{cell}.csv"
+            argv = ["eval", "--net", str(target / "net.json"), "--lines", str(target / "lines.txt")]
+            argv += ["--train", str(data / "train_60.csv"), "--test", str(data / "test.csv")]
+            argv += ["--include-target", "--out", str(eval_csv)]
+            assert cli.main(argv) == 0
+            (eval_row,) = results_from_csv(eval_csv.read_text())
+            assert eval_row.dim_target == row.dim_target
+            text = (target / "structure.txt").read_text()
+            if kind == "chordal":
+                own = dimension(ChordalGraph.from_text(text), (2,) * 4)
+            else:
+                own = dimension_dag(Dag.from_text(text), (2,) * 4)
+            assert row.dim_target == own
+
     def test_target_rows_only(self, tmp_path):
         cfg = self.exp_config(tmp_path, learners=[], replicates=1, n_obs=[60])
         out = tmp_path / "e"
@@ -646,6 +678,19 @@ class TestExperiment:
 
 
 class TestParserPlumbing:
+    def test_import_leaves_scipy_sparse_unloaded(self):
+        # scipy.sparse is loaded by the first DAG-search count only, so
+        # the chordal learner and verify never pay its memory
+        code = "import sys, chordalearn.cli; print('scipy.sparse' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert done.stdout.strip() == "False"
+
     def test_no_subcommand_usage_error(self):
         assert cli.main([]) == 1
 

@@ -29,6 +29,7 @@ from chordalearn.graphs import (
     vertex_mask,
 )
 from chordalearn.independence import DependencyModel
+from chordalearn.verification import all_dags, enumerate_chordal
 
 from conftest import (
     all_graphs,
@@ -66,12 +67,6 @@ class TestUndirectedGraph:
         assert g.without_line(0, 1).lines == ()
         # original untouched
         assert g.lines == ((0, 1),)
-
-    def test_induced_keeps_labels(self):
-        g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
-        h = g.induced([1, 2, 3])
-        assert h.n == 4
-        assert h.lines == ((1, 2), (2, 3))
 
     def test_is_complete_set(self):
         masks = UndirectedGraph(4, [(0, 1), (0, 2), (1, 2)]).neighbor_masks
@@ -291,6 +286,99 @@ class TestOrdering:
                 assert is_perfect_order(g, perm) == expected
 
 
+def reference_neighbors(g: UndirectedGraph) -> list[frozenset]:
+    """Neighbor sets built from the lines, as graphs stored them before
+    they kept only bitmasks."""
+    nbr = [set() for _ in range(g.n)]
+    for a, b in g.lines:
+        nbr[a].add(b)
+        nbr[b].add(a)
+    return [frozenset(s) for s in nbr]
+
+
+def reference_maximum_cardinality_order(g: UndirectedGraph) -> tuple[int, ...]:
+    """Maximum cardinality search over neighbor sets, ties to the lowest
+    index: the slow path that ``maximum_cardinality_order`` replaced."""
+    nbr = reference_neighbors(g)
+    weight = [0] * g.n
+    visited = [False] * g.n
+    order = []
+    for _ in range(g.n):
+        v = -1
+        best = -1
+        for u in range(g.n):
+            if not visited[u] and weight[u] > best:
+                best = weight[u]
+                v = u
+        visited[v] = True
+        order.append(v)
+        for u in nbr[v]:
+            if not visited[u]:
+                weight[u] += 1
+    return tuple(order)
+
+
+def reference_oriented_parents(cg: ChordalGraph) -> tuple[frozenset, ...]:
+    nbr = reference_neighbors(cg.graph)
+    pos = {v: i for i, v in enumerate(cg.ordering)}
+    return tuple(frozenset(u for u in nbr[v] if pos[u] < pos[v]) for v in range(cg.n))
+
+
+class TestMaskAdjacency:
+    """The bitmask adjacency against the line-set definitions it replaced,
+    on every graph with n <= 5 and every chordal graph with n = 6."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        small = [list(all_graphs(n)) for n in range(6)]
+        chordal6 = [cg.graph for cg in enumerate_chordal(6)]
+        return small, chordal6
+
+    def test_mcs_matches_reference(self, graphs):
+        small, chordal6 = graphs
+        for g in itertools.chain(*small, chordal6):
+            assert maximum_cardinality_order(g) == reference_maximum_cardinality_order(g)
+
+    def test_oriented_parents_match_reference(self, graphs):
+        small, chordal6 = graphs
+        for g in itertools.chain(*small, chordal6):
+            if is_chordal(g):
+                cg = ChordalGraph.from_graph(g)
+                assert cg.oriented_parents() == reference_oriented_parents(cg)
+
+    def test_line_queries_match_line_set(self, graphs):
+        small, chordal6 = graphs
+        for g in itertools.chain(*small, chordal6):
+            lines = frozenset(g.lines)
+            nbr = reference_neighbors(g)
+            for a in range(-1, g.n + 1):
+                if 0 <= a < g.n:
+                    assert g.neighbors(a) == nbr[a]
+                    assert g.neighbor_mask(a) == vertex_mask(nbr[a])
+                for b in range(-1, g.n + 1):
+                    if a == b:
+                        with pytest.raises(ValueError, match="self-loop"):
+                            g.has_line(a, b)
+                    else:
+                        assert g.has_line(a, b) is ((min(a, b), max(a, b)) in lines)
+
+    def test_equality_and_hash_match_line_set(self, graphs):
+        small, chordal6 = graphs
+        for gs in small:
+            for g in gs:
+                key = (g.n, frozenset(g.lines))
+                for h in gs:
+                    assert (g == h) == (key == (h.n, frozenset(h.lines)))
+        everything = [g for gs in small for g in gs] + chordal6
+        for g in everything:
+            # the same lines, listed in another order and orientation
+            twin = UndirectedGraph(g.n, [(b, a) for a, b in reversed(g.lines)])
+            assert twin == g and hash(twin) == hash(g)
+            assert g != UndirectedGraph(g.n + 1, g.lines)
+        # all distinct by lines, so a set keeps every one
+        assert len(set(everything)) == len(everything)
+
+
 class TestChordalGraph:
     def test_from_graph_requires_chordal(self):
         hole = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -309,7 +397,7 @@ class TestChordalGraph:
         pos = {v: i for i, v in enumerate(order)}
         for v in range(4):
             assert pa[v] == frozenset(
-                u for u in g.neighbors(v) if pos[u] < pos[v]
+                u for u in g.graph.neighbors(v) if pos[u] < pos[v]
             )
 
     def test_text_roundtrip(self):
@@ -319,6 +407,11 @@ class TestChordalGraph:
 
 
 class TestDag:
+    def test_parent_masks_match_parent_sets_n4(self):
+        for arcs in all_dags(4):
+            d = Dag(4, arcs)
+            assert d.parent_masks == tuple(vertex_mask(ps) for ps in d.parents)
+
     def test_cycle_rejected(self):
         with pytest.raises(CycleError):
             Dag(3, [(0, 1), (1, 2), (2, 0)])
