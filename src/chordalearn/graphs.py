@@ -629,17 +629,16 @@ def separated(
     return not reached & vertex_mask(sb)
 
 
-def d_separated_masks(parent_masks: Sequence[int], a: int, b: int, c: int) -> bool:
-    """d-separation of the vertex bitmasks ``a`` and ``b`` given ``c``.
+def separated_table(masks: Sequence[int], triples: Iterable[tuple[int, int, int]]) -> list:
+    """For each (a, b, c) of ``triples``, whether the vertex bitmask ``c``
+    separates ``a`` from ``b`` in the graph of neighbor bitmasks ``masks``:
+    one ``reach`` per statement, with no per-statement validation or memo."""
+    return [not reach(masks, a, c) & b for a, b, c in triples]
 
-    ``parent_masks[v]`` is the parent bitmask of v.  Uses the
-    ancestral-moral criterion (Lauritzen, Dawid, Larsen & Leimer,
-    "Independence properties of directed Markov fields", Networks 1990):
-    A and B are d-separated by C iff C separates them in the moral graph
-    of the subgraph induced on the ancestors of A, B and C.  The masks
-    must be disjoint, with ``a`` and ``b`` nonempty.
-    """
-    anc = reach(parent_masks, a | b | c, 0)
+
+def _moral_masks(parent_masks: Sequence[int], anc: int) -> list:
+    """Neighbor bitmasks of the moral graph of the subgraph induced on the
+    ancestral vertex bitmask ``anc``."""
     adj = [0] * len(parent_masks)
     rest = anc
     while rest:
@@ -654,23 +653,40 @@ def d_separated_masks(parent_masks: Sequence[int], a: int, b: int, c: int) -> bo
             others ^= p
             # marry p to its child and to every co-parent
             adj[p.bit_length() - 1] |= low | (ps ^ p)
+    return adj
+
+
+def d_separated_masks(parent_masks: Sequence[int], a: int, b: int, c: int) -> bool:
+    """d-separation of the vertex bitmasks ``a`` and ``b`` given ``c``.
+
+    ``parent_masks[v]`` is the parent bitmask of v.  Uses the
+    ancestral-moral criterion (Lauritzen, Dawid, Larsen & Leimer,
+    "Independence properties of directed Markov fields", Networks 1990):
+    A and B are d-separated by C iff C separates them in the moral graph
+    of the subgraph induced on the ancestors of A, B and C.  The masks
+    must be disjoint, with ``a`` and ``b`` nonempty.
+    """
+    adj = _moral_masks(parent_masks, reach(parent_masks, a | b | c, 0))
     return not reach(adj, a, c) & b
 
 
-def d_separated(
-    d: Dag, a: Iterable[int], b: Iterable[int], c: Iterable[int] = ()
-) -> bool:
-    """d-separation via the ancestral moral graph (Lauritzen, Dawid,
-    Larsen & Leimer, Networks 1990): restrict to the ancestors of
-    ``a + b + c``, moralize, and test plain separation there.  The sets
-    are validated, then ``d_separated_masks`` decides."""
-    sa = _as_vertex_set(a, d.n, "a")
-    sb = _as_vertex_set(b, d.n, "b")
-    sc = _as_vertex_set(c, d.n, "c")
-    _check_disjoint_triple(sa, sb, sc)
-    return d_separated_masks(
-        d.parent_masks,
-        vertex_mask(sa),
-        vertex_mask(sb),
-        vertex_mask(sc),
-    )
+def d_separated_table(
+    parent_masks: Sequence[int], triples: Iterable[tuple[int, int, int]]
+) -> list:
+    """``d_separated_masks`` for each (a, b, c) of ``triples``, in one
+    pass: the ancestral closure is taken once per distinct A ∪ B ∪ C and
+    the moral graph built once per distinct ancestral set, so each
+    statement costs one ``reach``."""
+    anc_of: dict = {}  # A ∪ B ∪ C -> its ancestral closure
+    moral_of: dict = {}  # ancestral set -> its moral graph
+    out = []
+    for a, b, c in triples:
+        union = a | b | c
+        anc = anc_of.get(union)
+        if anc is None:
+            anc = anc_of[union] = reach(parent_masks, union, 0)
+        adj = moral_of.get(anc)
+        if adj is None:
+            adj = moral_of[anc] = _moral_masks(parent_masks, anc)
+        out.append(not reach(adj, a, c) & b)
+    return out

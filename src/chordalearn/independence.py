@@ -12,8 +12,10 @@ the public entry points that take vertex collections
 (``DependencyModel.independent``, ``graphoid_report``, ``model_included``,
 ``chain_disjunction_holds``); internal callers enumerate role bitmasks with
 ``role_masks``/``canonical_triples`` and query
-``DependencyModel.independent_masks``, which trusts its arguments.  The
-graphoid axioms are rules of one table, ``_AXIOMS``, run as array tests.
+``DependencyModel.independent_masks`` for one statement or
+``DependencyModel.independent_table`` for a list of them, which trust
+their arguments.  The graphoid axioms are rules of one table, ``_AXIOMS``,
+run as array tests.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, reach
-from .graphs import mask_vertices, removal_keeps_chordal, vertex_mask
+from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, d_separated_table
+from .graphs import mask_vertices, reach, removal_keeps_chordal, separated_table, vertex_mask
 
 ENUMERATION_BOUND = 7  # observed-vertex cap for statement enumeration
 
@@ -129,6 +131,15 @@ class DependencyModel:
         self._cache[key] = out
         return out
 
+    def independent_table(self, triples: Sequence[tuple[int, int, int]]) -> list:
+        """``independent_masks`` for each mask triple of ``triples``, in
+        one batch: one ``reach`` per statement, and for the DAG backends
+        one moral graph per ancestral set the statements share.  Neither
+        reads nor fills the memo."""
+        if self.kind == "ug":
+            return separated_table(self._masks, triples)
+        return d_separated_table(self._masks, triples)
+
 
 @functools.cache
 def role_masks(observed: tuple[int, ...], parts: int) -> tuple[tuple[int, ...], ...]:
@@ -153,20 +164,6 @@ def canonical_triples(observed: tuple[int, ...]) -> tuple[tuple[int, int, int], 
         (a, b, c) for a, b, c in role_masks(observed, 3) if a and b and a & -a < b & -b
     ]
     return tuple(sorted(triples, key=lambda t: tuple(map(mask_vertices, t))))
-
-
-def enumerate_independencies(
-    m: DependencyModel, bound: int = ENUMERATION_BOUND
-) -> set:
-    """All true canonical statements of the model over its observed
-    vertices.  Exhaustive: every assignment of each observed vertex to one
-    of (A, B, C, unused) is tried, so the observed count is bounded."""
-    _check_bound(m.observed, bound)
-    return {
-        IndependenceStatement(*map(mask_vertices, t))
-        for t in canonical_triples(m.observed)
-        if m.independent_masks(*t)
-    }
 
 
 def _check_bound(obs: tuple[int, ...], bound: int = ENUMERATION_BOUND) -> None:

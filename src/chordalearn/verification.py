@@ -2,18 +2,23 @@
 
 Every structural claim the library relies on is re-checked here by
 exhaustive enumeration with independent oracles: chordality against a
-naive induced-cycle search, the single-line chain property for nested
+naive induced-cycle table, the single-line chain property for nested
 chordal graphs, the oracle score's consistency and local consistency, the
 "every local optimum is inclusion-optimal" sweep over all undirected
 targets, graphoid axioms, separation-chain disjunctions, and the search
 for a latent-margin target with a non-optimal local optimum.
 
-The oracle self-checks, the local-optimum sweep, the DAG probe and the
-latent-witness search share one per-n catalogue of the labeled chordal
-graphs (``_Records``): arrays of their families and dimensions, and one
-flat table of all their boundary moves whose statements
-``_Records.statements`` decides, so those suites run as array tests over
-the table.  The chain sweep reads only the graphs and their ``line_mask``.
+The naive chordality side decides every line mask of a size at once from
+one table of the cycles through all vertices of each vertex set of size
+at least four (``naive_chordal_masks``).  The oracle self-checks, the
+local-optimum sweep, the DAG probe and the latent-witness search share
+one per-n catalogue of the labeled chordal graphs (``_Records``): arrays
+of their families and dimensions, and one flat table of all their
+boundary moves whose statements ``_Records.statements`` decides with one
+``DependencyModel.independent_table`` call per model, so those suites run
+as array tests over the table.  The latent-witness search keys each DAG
+by the answers of one ``d_separated_table`` call.  The chain sweep reads
+only the graphs and their ``line_mask``.
 
 Reports are plain dataclasses with an ``ok`` property and a deterministic
 JSON form (no timestamps or runtimes inside, so identical runs serialize
@@ -29,8 +34,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, is_chordal
-from .graphs import mask_vertices, reach, vertex_mask
+from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_table, is_chordal
+from .graphs import mask_vertices, separated_table
 from .independence import (
     DependencyModel,
     canonical_triples,
@@ -56,31 +61,41 @@ class VerificationError(RuntimeError):
 # chordality double-oracle and enumeration
 
 
-def naive_is_chordal(graph: UndirectedGraph) -> bool:
-    """Independent chordality oracle: search all vertex subsets of size
-    at least four for one inducing a cycle (2-regular and connected)."""
-    n = graph.n
+def _cycle_table(n: int) -> list[tuple[int, int]]:
+    """(pair mask, cycle mask) for every cycle through all vertices of each
+    vertex set of size at least four, as line masks: the pair mask holds
+    every pair inside the set, the cycle mask the cycle's lines.  A graph
+    induces that cycle on the set iff its line mask ANDed with the pair
+    mask equals the cycle mask."""
+    table = []
     for size in range(4, n + 1):
         for sub in itertools.combinations(range(n), size):
-            smask = vertex_mask(sub)
-            if any(
-                (graph.neighbor_mask(v) & smask).bit_count() != 2 for v in sub
-            ):
-                continue
-            seen = 1 << sub[0]
-            frontier = seen
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    bit = m & -m
-                    m ^= bit
-                    nxt |= graph.neighbor_mask(bit.bit_length() - 1) & smask
-                frontier = nxt & ~seen
-                seen |= frontier
-            if seen == smask:
-                return False
-    return True
+            pairs = sum(_line_bit(n, a, b) for a, b in itertools.combinations(sub, 2))
+            first = sub[0]
+            for rest in itertools.permutations(sub[1:]):
+                if rest[0] > rest[-1]:
+                    continue  # the same cycle walked the other way
+                ring = (first, *rest, first)
+                cycle = sum(_line_bit(n, min(u, v), max(u, v)) for u, v in zip(ring, ring[1:]))
+                table.append((pairs, cycle))
+    return table
+
+
+def naive_chordal_masks(n: int, masks: np.ndarray) -> np.ndarray:
+    """Independent chordality oracle over an array of line masks on n
+    vertices: a graph is chordal iff no vertex set of size at least four
+    induces a cycle through all its vertices (``_cycle_table``)."""
+    if not 1 <= n <= MAX_ENUM_VERTICES:
+        raise ValueError(f"naive chordality supports 1..{MAX_ENUM_VERTICES} vertices")
+    cyclic = np.zeros(masks.shape, dtype=bool)
+    for pairs, cycle in _cycle_table(n):
+        cyclic |= masks & pairs == cycle
+    return ~cyclic
+
+
+def naive_is_chordal(graph: UndirectedGraph) -> bool:
+    """``naive_chordal_masks`` for one graph."""
+    return bool(naive_chordal_masks(graph.n, np.array([line_mask(graph)]))[0])
 
 
 def all_undirected(n: int) -> Iterable[UndirectedGraph]:
@@ -124,16 +139,17 @@ class ChordalityReport:
 
 
 def chordality_cross_check(n: int) -> ChordalityReport:
-    """Run both chordality oracles over every graph on n vertices."""
+    """Run both chordality oracles over every graph on n vertices: the
+    naive side decides all line masks at once, ``is_chordal`` each graph."""
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"cross-check supports 1..{MAX_ENUM_VERTICES} vertices")
+    naive = naive_chordal_masks(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.int64))
     mismatches = []
     checked = 0
     chordal = 0
-    for g in all_undirected(n):
+    for g, slow in zip(all_undirected(n), naive.tolist()):
         checked += 1
         fast = is_chordal(g)
-        slow = naive_is_chordal(g)
         if fast:
             chordal += 1
         if fast != slow:
@@ -281,8 +297,7 @@ class _Records:
     def statements(self, model: DependencyModel) -> np.ndarray:
         """Per move, whether its statement holds in ``model`` (vertices
         0..n-1 observed)."""
-        holds = [model.independent_masks(*key) for key in self.triples]
-        return np.array(holds, dtype=bool)[self.stmt]
+        return np.array(model.independent_table(self.triples), dtype=bool)[self.stmt]
 
     def forced_optima(self, model: DependencyModel) -> list[int]:
         """Indices, in catalogue order, of the graphs with no boundary move
@@ -589,7 +604,6 @@ def sample_chain_disjunctions(
             if rng.random() < p
         ]
         g = UndirectedGraph(nv, lines)
-        model = DependencyModel.from_undirected(g)
         x = int(rng.integers(nv))
         layers = _bfs_layers(g, x)
         reached = {v for layer in layers for v in layer}
@@ -601,6 +615,7 @@ def sample_chain_disjunctions(
                 depths.append((d, later))
         if not depths:
             continue
+        model = DependencyModel.from_undirected(g)
         d, later = depths[int(rng.integers(len(depths)))]
         y = later[int(rng.integers(len(later)))]
         interior = [list(layers[i]) for i in range(1, d)]
@@ -666,12 +681,10 @@ def _ug_margin_keys(observed: Sequence[int], triples) -> set:
     """Separation answer vectors of every undirected graph on the observed
     vertices, used to skip margins that some undirected graph realizes
     exactly (the undirected sweep covers those targets exhaustively)."""
-    keys = set()
-    k = len(observed)
-    for g in all_undirected(k):
-        masks = g.neighbor_masks
-        keys.add(tuple(not reach(masks, am, cm) & bm for am, bm, cm in triples))
-    return keys
+    return {
+        tuple(separated_table(g.neighbor_masks, triples))
+        for g in all_undirected(len(observed))
+    }
 
 
 @dataclass(frozen=True)
@@ -730,7 +743,7 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
         parmasks = [0] * n
         for u, v in arcs:
             parmasks[v] |= 1 << u
-        key = tuple(d_separated_masks(parmasks, am, bm, cm) for am, bm, cm in triples)
+        key = tuple(d_separated_table(parmasks, triples))
         if key in ug_keys:
             skipped += 1
             continue

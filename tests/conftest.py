@@ -1,10 +1,13 @@
 """Shared independent oracles and generators for the test suite.
 
-Everything here except ``random_chordal_graph`` deliberately avoids the
-library's own algorithms: chordality goes through networkx, separation
-through explicit path enumeration, and d-separation through a from-scratch
-ancestral-moral construction, so that agreement between the two sides is
-evidence rather than tautology.
+The oracles here deliberately avoid the library's own algorithms:
+chordality goes through networkx or a search over vertex subsets,
+separation through explicit path enumeration, and d-separation through a
+from-scratch ancestral-moral construction, so that agreement between the
+two sides is evidence rather than tautology.  The exceptions lean on the
+library and say so: ``random_chordal_graph``, and ``d_separated`` and
+``enumerate_independencies``, the set-argument front ends that tests use
+over the mask kernels.
 """
 
 import itertools
@@ -12,7 +15,10 @@ import itertools
 import networkx as nx
 import numpy as np
 
-from chordalearn.graphs import Dag, UndirectedGraph, reach
+from chordalearn.graphs import Dag, UndirectedGraph, d_separated_masks, mask_vertices
+from chordalearn.graphs import reach, vertex_mask
+from chordalearn.independence import ENUMERATION_BOUND, IndependenceStatement
+from chordalearn.independence import _check_bound, canonical_triples
 
 
 def to_nx(g: UndirectedGraph) -> nx.Graph:
@@ -24,6 +30,33 @@ def to_nx(g: UndirectedGraph) -> nx.Graph:
 
 def nx_is_chordal(g: UndirectedGraph) -> bool:
     return nx.is_chordal(to_nx(g))
+
+
+def subset_is_chordal(graph: UndirectedGraph) -> bool:
+    """Chordality oracle: search all vertex subsets of size at least four
+    for one inducing a cycle (2-regular and connected)."""
+    n = graph.n
+    for size in range(4, n + 1):
+        for sub in itertools.combinations(range(n), size):
+            smask = vertex_mask(sub)
+            if any(
+                (graph.neighbor_mask(v) & smask).bit_count() != 2 for v in sub
+            ):
+                continue
+            seen = 1 << sub[0]
+            frontier = seen
+            while frontier:
+                nxt = 0
+                m = frontier
+                while m:
+                    bit = m & -m
+                    m ^= bit
+                    nxt |= graph.neighbor_mask(bit.bit_length() - 1) & smask
+                frontier = nxt & ~seen
+                seen |= frontier
+            if seen == smask:
+                return False
+    return True
 
 
 def path_separated(g: UndirectedGraph, a, b, c) -> bool:
@@ -74,6 +107,24 @@ def naive_d_separated(d: Dag, a, b, c) -> bool:
         if reach & b:
             return False
     return True
+
+
+def d_separated(d: Dag, a, b, c=()) -> bool:
+    """d-separation of vertex collections, decided by the library's
+    ``d_separated_masks`` (disjoint sets, ``a`` and ``b`` nonempty)."""
+    return d_separated_masks(d.parent_masks, vertex_mask(a), vertex_mask(b), vertex_mask(c))
+
+
+def enumerate_independencies(m, bound: int = ENUMERATION_BOUND) -> set:
+    """All true canonical statements of the ``DependencyModel`` over its
+    observed vertices, as ``IndependenceStatement`` values.  Exhaustive,
+    so the observed count is bounded by ``bound``."""
+    _check_bound(m.observed, bound)
+    return {
+        IndependenceStatement(*map(mask_vertices, t))
+        for t in canonical_triples(m.observed)
+        if m.independent_masks(*t)
+    }
 
 
 def all_graphs(n: int):

@@ -15,7 +15,8 @@ from chordalearn.graphs import (
     NotChordalError,
     UndirectedGraph,
     check_chordality,
-    d_separated,
+    d_separated_masks,
+    d_separated_table,
     find_chordless_cycle,
     is_chordal,
     is_complete_mask,
@@ -26,13 +27,15 @@ from chordalearn.graphs import (
     orient_by_ordering,
     reach,
     separated,
+    separated_table,
     vertex_mask,
 )
-from chordalearn.independence import DependencyModel
+from chordalearn.independence import DependencyModel, canonical_triples
 from chordalearn.verification import all_dags, enumerate_chordal
 
 from conftest import (
     all_graphs,
+    d_separated,
     naive_d_separated,
     nx_is_chordal,
     path_separated,
@@ -594,3 +597,46 @@ class TestDSeparation:
         d = Dag(3, [(0, 1), (1, 2)])
         assert not d_separated(d, [0], [2], [])
         assert d_separated(d, [0], [2], [1])
+
+
+def parent_masks(n, arcs):
+    masks = [0] * n
+    for u, v in arcs:
+        masks[v] |= 1 << u
+    return masks
+
+
+class TestBatchSeparationKernels:
+    """The batch kernels answer a statement list exactly as one query per
+    statement does."""
+
+    def test_dag_table_equals_single_queries_n4(self):
+        for n in range(1, 5):
+            full = canonical_triples(tuple(range(n)))
+            # the highest vertex latent: statements over the others only
+            margin = canonical_triples(tuple(range(n - 1)))
+            dags = all_dags(n)
+            if n == 4:
+                assert len(dags) == 543
+            for arcs in dags:
+                pm = parent_masks(n, arcs)
+                for triples in (full, margin):
+                    expected = [d_separated_masks(pm, *t) for t in triples]
+                    assert d_separated_table(pm, triples) == expected, arcs
+
+    def test_dag_table_equals_single_queries_on_witness_scan(self):
+        # the DAGs on five vertices that the latent-witness search scans
+        # before its first witness, over the triples of its answer key
+        triples = canonical_triples((0, 1, 2, 3))
+        for arcs in all_dags(5)[:4432]:
+            pm = parent_masks(5, arcs)
+            expected = [d_separated_masks(pm, *t) for t in triples]
+            assert d_separated_table(pm, triples) == expected, arcs
+
+    def test_undirected_table_equals_reach_n5(self):
+        for n in range(1, 6):
+            triples = canonical_triples(tuple(range(n)))
+            for g in all_graphs(n):
+                masks = g.neighbor_masks
+                expected = [not reach(masks, a, c) & b for a, b, c in triples]
+                assert separated_table(masks, triples) == expected, g

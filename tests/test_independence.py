@@ -16,7 +16,6 @@ from chordalearn.independence import (
     IndependenceStatement,
     canonical_triples,
     chain_disjunction_holds,
-    enumerate_independencies,
     graphoid_report,
     inclusion_optimal,
     model_included,
@@ -26,6 +25,7 @@ from chordalearn.verification import all_dags
 
 from conftest import (
     all_graphs,
+    enumerate_independencies,
     holds,
     naive_d_separated,
     path_separated,
@@ -573,6 +573,14 @@ class TestMaskKernelsMatchSlowPath:
             assert enumerate_independencies(fresh(m)) == ref_enumerate_independencies(
                 fresh(m)
             )
+
+    def test_independent_table_equals_single_queries(self):
+        for m in oracle_models():
+            triples = canonical_triples(m.observed)
+            swapped = [(b, a, c) for a, b, c in triples]
+            for batch in (triples, swapped):
+                expected = [fresh(m).independent_masks(*t) for t in batch]
+                assert fresh(m).independent_table(batch) == expected
 
     def test_model_included_witnesses(self):
         rng = np.random.default_rng(29)

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import asdict
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from chordalearn import verification
@@ -33,6 +34,7 @@ from chordalearn.verification import (
     enumerate_chordal,
     find_nonoptimal_local_optimum,
     line_mask,
+    naive_chordal_masks,
     naive_is_chordal,
     oracle_self_check,
     probe_dag_targets,
@@ -44,7 +46,7 @@ from chordalearn.verification import (
     sweep_self_checks,
 )
 
-from conftest import nx_is_chordal
+from conftest import nx_is_chordal, subset_is_chordal
 
 
 class TestNaiveChordality:
@@ -61,6 +63,16 @@ class TestNaiveChordality:
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
             chordality_cross_check(9)
+        with pytest.raises(ValueError):
+            naive_is_chordal(UndirectedGraph(7))
+
+    def test_cycle_table_equals_subset_search_n6(self):
+        # the table oracle over all line masks at once against the
+        # per-graph search of vertex subsets, on every graph with n <= 6
+        for n in range(1, 7):
+            masks = np.arange(1 << (n * (n - 1) // 2), dtype=np.int64)
+            table = naive_chordal_masks(n, masks).tolist()
+            assert table == [subset_is_chordal(g) for g in all_undirected(n)]
 
 
 class TestEnumerateChordal:
