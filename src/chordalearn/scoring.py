@@ -17,21 +17,12 @@ import io
 import math
 import numbers
 import warnings
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import gammaln
 
-from .graphs import (
-    ChordalGraph,
-    Dag,
-    addition_keeps_chordal,
-    mask_vertices,
-    removal_keeps_chordal,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .search import Move
+from .graphs import ChordalGraph, Dag, mask_vertices
 
 LocalScoreKey = tuple[int, tuple[int, ...]]
 
@@ -193,9 +184,11 @@ def _parent_config_codes(
     column varying fastest, and the number of codes (the product of the
     columns' arities).  Callers pass parent sets sorted, so the code of a
     parent configuration does not depend on how the set was listed."""
-    q = 1
-    codes = np.zeros(rows.shape[0], dtype=np.int64)
-    for c in reversed(cols):
+    if not cols:
+        return np.zeros(rows.shape[0], dtype=np.int64), 1
+    codes = rows[:, cols[-1]].astype(np.int64)
+    q = arities[cols[-1]]
+    for c in reversed(cols[:-1]):
         codes *= arities[c]
         codes += rows[:, c]
         q *= arities[c]
@@ -283,30 +276,35 @@ def _dirichlet_sum(counts, n_cfg, rq: int, q: int, ess: float) -> float:
 def _tables_score(cells: np.ndarray, sizes, r: int, ess: float) -> list[float]:
     """``_table_score`` of each dense family table of one child of arity
     r, the tables given concatenated in ``cells`` with their ``sizes``,
-    with one ``gammaln`` pass over the nonzero cells of all the tables and
-    one over their nonzero configuration totals.
+    with one ``gammaln`` pass over all their nonzero cells and
+    configuration totals.
 
-    Each elementwise step is the one ``_dirichlet_sum`` takes.  Its two
-    sums are ``ndarray.sum``, which starts from the identity 0.0 and adds
-    the pairwise sum of the family's terms; here each family's sums are
-    one ``np.add.reduceat`` over its run of nonzero terms with a 0.0
-    inserted ahead of the run (``_run_sums``).  ``reduceat`` starts from
-    a run's first element, that 0.0, and adds the pairwise sum of the
-    rest, the family's terms, so it makes the same additions and the
+    Each elementwise step is the one ``_dirichlet_sum`` takes, a
+    configuration's gammaln(a) - gammaln(a + n) as the exact negation of
+    gammaln(a + n) - gammaln(a) (bar a zero's sign, which no sum shows).
+    Its two sums are ``ndarray.sum``, which starts from the identity 0.0
+    and adds the pairwise sum of the family's terms; here each family's
+    sums are one ``np.add.reduceat`` over its run of nonzero terms with a
+    0.0 inserted ahead of the run (``_run_sums``).  ``reduceat`` starts
+    from a run's first element, that 0.0, and adds the pairwise sum of
+    the rest, the family's terms, so it makes the same additions and the
     floats are ``_table_score``'s.  Keeping the zero terms in, or
     ``reduceat`` without the leading 0.0, would regroup the pairwise sums
     and can round differently."""
     sizes = np.asarray(sizes)
-    counts, n_cells = _nonzero_runs(cells, sizes)
-    # configurations are runs of r cells, and every table has a whole number
-    n_cfg, n_cfgs = _nonzero_runs(cells.reshape(-1, r).sum(axis=1), sizes // r)
-    a_cell = ess / sizes
-    a_cfg = ess / (sizes // r)
-    cell_terms = gammaln(np.repeat(a_cell, n_cells) + counts)
-    cell_terms -= np.repeat(gammaln(a_cell), n_cells)
-    cfg_terms = np.repeat(gammaln(a_cfg), n_cfgs)
-    cfg_terms -= gammaln(np.repeat(a_cfg, n_cfgs) + n_cfg)
-    return (_run_sums(cell_terms, n_cells) + _run_sums(cfg_terms, n_cfgs)).tolist()
+    # runs: each table's cells, then each table's configuration totals,
+    # every table being a whole number of configurations of r cells
+    values = np.concatenate((cells, cells.reshape(-1, r).sum(axis=1)))
+    lengths = np.concatenate((sizes, sizes // r))
+    alpha = ess / lengths  # ess / (r*q) per cell, ess / q per configuration
+    keep = values > 0
+    nonzero = np.add.reduceat(keep, np.cumsum(lengths) - lengths, dtype=np.intp)
+    terms = gammaln(np.repeat(alpha, nonzero) + values[keep])
+    terms -= np.repeat(gammaln(alpha), nonzero)
+    cfg_terms = terms[nonzero[:sizes.size].sum():]
+    np.negative(cfg_terms, out=cfg_terms)
+    sums = _run_sums(terms, nonzero)
+    return (sums[:sizes.size] + sums[sizes.size:]).tolist()
 
 
 def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -323,14 +321,6 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.add.reduceat(padded, heads)
 
 
-def _nonzero_runs(values: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero entries of ``values`` in order, and how many of them
-    fall in each of the consecutive runs of the given (positive) lengths."""
-    keep = values > 0
-    starts = np.cumsum(lengths) - lengths
-    return values[keep], np.add.reduceat(keep, starts, dtype=np.intp)
-
-
 class ScoreCache:
     """Memoized local scores bound to one (dataset, ess) pair.
 
@@ -345,6 +335,7 @@ class ScoreCache:
         self.ess = float(ess)
         self._table: dict[LocalScoreKey, float] = {}
         self._states: Optional[_StateCounts] = None
+        self._pairs: Optional[tuple[np.ndarray, list[slice]]] = None
 
     def local_score(self, v: int, parents: Iterable[int]) -> float:
         key = (v, tuple(sorted(set(parents))))
@@ -353,6 +344,61 @@ class ScoreCache:
             hit = bdeu_local_score(key[0], key[1], self.data, self.ess)
             self._table[key] = hit
         return hit
+
+    def family_scores(self, keys: Sequence[LocalScoreKey]) -> list[float]:
+        """``local_score`` of each (child, sorted distinct parents) key,
+        the same floats and cache entries, missing keys filled in one batch.
+        A family with at most one parent and a child of r <= N states is
+        read off the pairwise counts (``_pair_counts``); any other of
+        r*q <= N cells is counted by ``np.bincount``, or summed from a
+        family one parent wider in the batch; one ``_tables_score`` call
+        per child arity scores them.  The rest go to ``bdeu_local_score``."""
+        table = self._table
+        missing = [key for key in dict.fromkeys(keys) if key not in table]
+        if missing:
+            self._fill_families(missing)
+        return [table[key] for key in keys]
+
+    def _fill_families(self, keys: list) -> None:
+        data, ess = self.data, self.ess
+        arities, n, n_rows = data.arities, data.n_vars, data.n_rows
+        wanted = set(keys)
+        dense: dict[int, dict] = {}  # child arity -> family -> its dense table
+        # widest first, so that a family can be the marginal of a wider one
+        for key in sorted(keys, key=lambda key: len(key[1]), reverse=True):
+            v, parents = key
+            if v in parents or parents != tuple(sorted(set(parents))) or not 0 <= v < n or (
+                parents and not (parents[0] >= 0 and parents[-1] < n)
+            ):
+                raise ValueError(f"family {key!r} needs sorted, distinct parents in range")
+            r = rq = arities[v]
+            tables = dense.setdefault(r, {})
+            if key in tables:
+                continue
+            for p in parents:
+                rq *= arities[p]
+            if len(parents) <= 1 and r <= n_rows:
+                counts, spans = self._pairs = self._pairs or _pair_counts(data)
+                # rows: the parent's states, columns: v's; cell x_v + r * x_u
+                cells = counts[spans[parents[0] if parents else v], spans[v]]
+                tables[key] = cells.ravel() if parents else cells.diagonal()
+            elif rq > n_rows:
+                self._table[key] = bdeu_local_score(v, parents, data, ess)
+            else:
+                codes, _ = _parent_config_codes(data.rows, arities, (v,) + parents)
+                table = tables[key] = np.bincount(codes, minlength=rq)
+                # narrower families asked for: summed over q's axis, stride lo
+                lo = r
+                for i, q in enumerate(parents):
+                    sub = (v, parents[:i] + parents[i + 1:])
+                    if sub in wanted and sub not in tables:
+                        tables[sub] = table.reshape(-1, arities[q], lo).sum(axis=1).ravel()
+                    lo *= arities[q]
+        for r, tables in dense.items():
+            if tables:
+                cells = list(tables.values())
+                scores = _tables_score(np.concatenate(cells), [t.size for t in cells], r, ess)
+                self._table.update(zip(tables, scores))
 
     def toggled_scores(
         self, v: int, parents: Iterable[int], toggles: Sequence[int]
@@ -375,6 +421,9 @@ class ScoreCache:
           table's nonzero cells are those ``bdeu_local_score``'s
           ``np.unique`` branch lists.
 
+        With P empty, as in a search's first step, ``family_scores``
+        reads the additions off the pairwise counts instead.
+
         Each table is the integer table ``bdeu_local_score`` counts for
         that family, in its cell order.  ``_tables_score`` scores the
         group's tables together and gives ``_table_score``'s float for
@@ -390,6 +439,8 @@ class ScoreCache:
             raise ValueError(f"vertex {v} cannot be its own parent")
         pset = set(parents)
         keys = [(v, tuple(sorted(pset ^ {u}))) for u in toggles]
+        if not parents:  # every toggle adds one parent
+            return self.family_scores(keys)
         missing = [(u, key) for u, key in zip(toggles, keys) if key not in self._table]
         if missing:
             self._fill_toggled(v, parents, missing)
@@ -429,6 +480,24 @@ class ScoreCache:
 
     def __len__(self) -> int:
         return len(self._table)
+
+
+def _pair_counts(data: Dataset) -> tuple[np.ndarray, list[slice]]:
+    """The joint counts of every pair of variables' states, and each
+    variable's span of rows (and columns) in them; v's own counts are the
+    diagonal of its diagonal block.  One float64 product of the rows'
+    one-hot state indicator with itself, exact as every partial sum is an
+    integer of at most N < 2^53, in blocks no larger than ``data.rows``."""
+    rows, arities = data.rows, data.arities
+    first = np.cumsum((0,) + arities[:-1])
+    var = np.repeat(np.arange(len(arities)), arities)  # the variable of each column
+    state = np.arange(var.size) - first[var]
+    counts = np.zeros((var.size, var.size))
+    step = max(1, rows.size // var.size)
+    for start in range(0, rows.shape[0], step):
+        onehot = (rows[start:start + step, var] == state).astype(np.float64)
+        counts += onehot.T @ onehot
+    return counts.astype(np.int64), [slice(f, f + r) for f, r in zip(first.tolist(), arities)]
 
 
 class _StateCounts:
@@ -511,7 +580,8 @@ def score_dag(d: Dag, data: Dataset, ess: float = 1.0, cache: Optional[ScoreCach
     if d.n != data.n_vars:
         raise ValueError("graph and dataset have different variable counts")
     cache = _resolve_cache(data, ess, cache)
-    return math.fsum(cache.local_score(v, d.parents[v]) for v in range(d.n))
+    keys = [(v, mask_vertices(m)) for v, m in enumerate(d.parent_masks)]
+    return math.fsum(cache.family_scores(keys))
 
 
 def score_chordal(
@@ -525,56 +595,8 @@ def score_chordal(
     if g.n != data.n_vars:
         raise ValueError("graph and dataset have different variable counts")
     cache = _resolve_cache(data, ess, cache)
-    parents = g.oriented_parents()
-    return math.fsum(cache.local_score(v, parents[v]) for v in range(g.n))
-
-
-def line_delta(cache: ScoreCache, g: ChordalGraph, move: "Move") -> float:
-    """Score change of a single-line edit, new minus old, without checking
-    that the edit is legal.
-
-    Let S be the common neighbors of the endpoints (unaffected by the edit
-    itself).  Both the edited and the original graph admit perfect
-    orderings that differ only at one endpoint's parent set, so the score
-    difference collapses to two local terms at the higher endpoint:
-    removal scores f(b, S) - f(b, S + {a}); addition is the negation.
-    """
-    lo, child = sorted((move.a, move.b))
-    masks = g.graph.neighbor_masks
-    s = masks[lo] & masks[child]
-    added = cache.local_score(child, mask_vertices(s | 1 << lo))
-    d = added - cache.local_score(child, mask_vertices(s))
-    return d if move.kind == "add" else -d
-
-
-def move_delta(
-    g: ChordalGraph,
-    move: "Move",
-    data: Dataset,
-    ess: float = 1.0,
-    cache: Optional[ScoreCache] = None,
-) -> float:
-    """Score change of a legal single-line edit, new minus old (see
-    ``line_delta``).
-
-    Illegal moves (edits whose result is not chordal, or edits of
-    absent/present lines) are rejected.
-    """
-    cache = _resolve_cache(data, ess, cache)
-    a, b = move.a, move.b
-    if move.kind == "remove":
-        if not g.has_line(a, b):
-            raise ValueError(f"line {a}-{b} not present")
-        if not removal_keeps_chordal(g, a, b):
-            raise ValueError(f"removing {a}-{b} breaks chordality")
-    elif move.kind == "add":
-        if g.has_line(a, b):
-            raise ValueError(f"line {a}-{b} already present")
-        if not addition_keeps_chordal(g, a, b):
-            raise ValueError(f"adding {a}-{b} breaks chordality")
-    else:
-        raise ValueError(f"unknown move kind {move.kind!r}")
-    return line_delta(cache, g, move)
+    keys = [(v, mask_vertices(m)) for v, m in enumerate(g.oriented_parent_masks())]
+    return math.fsum(cache.family_scores(keys))
 
 
 def dimension(g: ChordalGraph, arities: Sequence[int]) -> int:

@@ -24,7 +24,8 @@ between steps:
   only, so ``BDeuScorer`` keeps f(b, S + a) - f(b, S) per (a, b, S) for
   the whole search; a removal reads the exact negation.  Nothing in it is
   ever invalidated, and only a miss builds the parent sets that
-  ``ScoreCache`` is keyed by.
+  ``ScoreCache`` is keyed by.  A step fills all its misses with one
+  ``ScoreCache.family_scores`` call.
 
 The DAG hill-climber does carry state between steps.  A move's delta
 depends only on its child's parent set (and its parent's, for a
@@ -44,9 +45,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, is_complete_mask
-from .graphs import reach, removal_keeps_chordal
+from .graphs import mask_vertices, reach, removal_keeps_chordal
 from .independence import DependencyModel
-from .scoring import Dataset, ScoreCache, _resolve_cache, line_delta, score_chordal, score_dag
+from .scoring import Dataset, ScoreCache, _resolve_cache, score_chordal, score_dag
 
 _KIND_ORDER = {"add": 0, "remove": 1, "reverse": 2}
 
@@ -171,18 +172,20 @@ def apply_move(g: ChordalGraph, move: Move) -> ChordalGraph:
 class ChordalScorer(Protocol):  # pragma: no cover - typing only
     def score(self, g: ChordalGraph) -> object: ...
 
-    def move_score(self, g: ChordalGraph, current, move: Move) -> object: ...
+    def move_scores(self, g: ChordalGraph, current, moves: Sequence[Move]) -> list: ...
 
 
 class BDeuScorer:
     """Data-driven scorer: totals are floats, move scores are the current
-    total plus a line delta of two cached local terms.
+    total plus a line delta.  Adding line a-b, a < b, with common
+    neighbors S changes the score by f(b, S + a) - f(b, S), as perfect
+    orderings of both graphs differ only at b's parents; removing it, by
+    the exact negation.
 
-    Line deltas are memoized for the scorer's lifetime by (a, b, S), with
-    a < b and S the common-neighbor bitmask, in the add sense
-    f(b, S + a) - f(b, S).  They depend on nothing else, so no entry is
-    ever stale; a removal returns the exact negation, the same float
-    ``line_delta`` returns."""
+    Line deltas are memoized for the scorer's lifetime by (a, b, S), S a
+    bitmask, in the add sense; they depend on nothing else, so no entry is
+    ever stale.  ``move_scores`` fills a step's missing entries with one
+    ``ScoreCache.family_scores`` call."""
 
     def __init__(self, data: Dataset, ess: float = 1.0, cache: Optional[ScoreCache] = None):
         self.cache = _resolve_cache(data, ess, cache)
@@ -193,17 +196,37 @@ class BDeuScorer:
     def score(self, g: ChordalGraph) -> float:
         return score_chordal(g, self.data, self.ess, self.cache)
 
-    def delta(self, g: ChordalGraph, move: Move) -> float:
-        a, b = (move.a, move.b) if move.a < move.b else (move.b, move.a)
+    def _memo_keys(self, g: ChordalGraph, moves: Sequence[Move]) -> list[tuple[int, int, int]]:
+        """The memo key (a, b, S) of each move, every missing entry filled."""
         masks = g.graph.neighbor_masks
-        key = (a, b, masks[a] & masks[b])
-        d = self._line_deltas.get(key)
-        if d is None:
-            d = self._line_deltas[key] = line_delta(self.cache, g, _move("add", a, b))
+        memo = self._line_deltas
+        keys = [(m.a, m.b, masks[m.a] & masks[m.b]) if m.a < m.b
+                else (m.b, m.a, masks[m.a] & masks[m.b]) for m in moves]
+        missing = dict.fromkeys([key for key in keys if key not in memo])
+        if missing:
+            families = []
+            for a, b, s in missing:
+                parents = mask_vertices(s)
+                families += [(b, tuple(sorted((a, *parents)))), (b, parents)]
+            terms = self.cache.family_scores(families)
+            for i, key in enumerate(missing):
+                memo[key] = terms[2 * i] - terms[2 * i + 1]
+        return keys
+
+    def delta(self, g: ChordalGraph, move: Move) -> float:
+        d = self._line_deltas[self._memo_keys(g, [move])[0]]
         return d if move.kind == "add" else -d
 
     def move_score(self, g: ChordalGraph, current: float, move: Move) -> float:
         return current + self.delta(g, move)
+
+    def move_scores(self, g: ChordalGraph, current: float, moves: Sequence[Move]) -> list[float]:
+        memo = self._line_deltas
+        # current - d is current + (-d) exactly
+        return [
+            current + memo[key] if m.kind == "add" else current - memo[key]
+            for key, m in zip(self._memo_keys(g, moves), moves)
+        ]
 
 
 class OracleScore:
@@ -298,6 +321,9 @@ class OracleScore:
             dim += 1 << pmask.bit_count()
         return (-self.violation_weight(g), -dim)
 
+    def move_scores(self, g: ChordalGraph, current: tuple[int, int], moves: Sequence[Move]):
+        return [self.move_score(g, current, move) for move in moves]
+
     def move_score(self, g: ChordalGraph, current: tuple[int, int], move: Move):
         masks = g.graph.neighbor_masks
         s = masks[move.a] & masks[move.b]
@@ -316,15 +342,13 @@ class OracleScore:
 
 
 def _best_move(g, scorer, current, moves):
-    # moves come in sort-key order, so the first of equal scores is kept
-    best = None
-    best_score = current
-    for move in moves:
-        cand = scorer.move_score(g, current, move)
-        if cand > best_score:
-            best = move
-            best_score = cand
-    return best, best_score
+    # moves come in sort-key order, and max and index both keep the first
+    # of equal scores
+    scores = scorer.move_scores(g, current, moves)
+    best = max(scores, default=current)
+    if not best > current:
+        return None, current
+    return moves[scores.index(best)], best
 
 
 def greedy_chordal(

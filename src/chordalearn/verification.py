@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -649,22 +649,38 @@ def sample_chain_disjunctions(
 
 def all_dags(n: int) -> list[tuple[tuple[int, int], ...]]:
     """Every labeled DAG on n vertices as its sorted arc tuple, ordered by
-    arc count then by arcs.  Each vertex pair is absent, forward or
-    backward.  The pairs are decided one at a time on reachability
-    bitmasks, and an arc a->b is tried only when b does not already reach
-    a, so a cyclic orientation is cut off at the arc that closes its cycle.
-    Raises ``ValueError`` above ``MAX_DAG_VERTICES``."""
+    arc count then by arcs (``iter_dags`` as a list)."""
+    return list(iter_dags(n))
+
+
+def iter_dags(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """``all_dags(n)`` generated one arc count at a time, so a scan that
+    stops early generates no larger count; raises ``ValueError`` above
+    ``MAX_DAG_VERTICES`` on the call itself."""
     if n > MAX_DAG_VERTICES:
         raise ValueError(f"DAG enumeration supports at most {MAX_DAG_VERTICES} vertices")
     pairs = list(itertools.combinations(range(n), 2))
+    buckets = (_dags_with_arcs(n, pairs, k) for k in range(len(pairs) + 1))
+    return itertools.chain.from_iterable(buckets)
+
+
+def _dags_with_arcs(n: int, pairs: list, k: int) -> list[tuple[tuple[int, int], ...]]:
+    """The DAGs on n vertices with exactly k arcs, sorted.  Each vertex
+    pair is absent, forward or backward, decided one at a time on
+    reachability bitmasks; an arc a->b is tried only when b does not
+    already reach a, which cuts a cyclic orientation off at the arc that
+    closes its cycle, and a branch ends at k arcs or when too few pairs
+    are left to reach k."""
     found = []
     # (pairs decided, arcs so far, down) where down[w] is the mask of w and
     # every vertex it reaches over those arcs
     stack = [(0, (), tuple(1 << w for w in range(n)))]
     while stack:
         i, arcs, down = stack.pop()
-        if i == len(pairs):
+        if len(arcs) == k:
             found.append(tuple(sorted(arcs)))
+            continue
+        if len(pairs) - i < k - len(arcs):
             continue
         u, v = pairs[i]
         stack.append((i + 1, arcs, down))
@@ -673,7 +689,7 @@ def all_dags(n: int) -> list[tuple[tuple[int, int], ...]]:
             if not (below >> a) & 1:
                 closure = tuple(m | below if (m >> a) & 1 else m for m in down)
                 stack.append((i + 1, arcs + ((a, b),), closure))
-    found.sort(key=lambda arcs: (len(arcs), arcs))
+    found.sort()
     return found
 
 
@@ -728,7 +744,7 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
     observed_count + 1 exceeds ``MAX_DAG_VERTICES``.
     """
     n = observed_count + 1
-    dags = all_dags(n)  # first, so an oversized n raises before other work
+    dags = iter_dags(n)  # first, so an oversized n raises before other work
     latent = n - 1
     observed = tuple(range(observed_count))
     triples = canonical_triples(observed)
@@ -790,7 +806,7 @@ def probe_dag_targets(n: int) -> DagProbeReport:
     forced local optima inclusion-optimal?  Failures are reported, not
     raised; no claim guarantees this family is clean.  Raises
     ``ValueError`` above ``MAX_DAG_VERTICES``."""
-    dags = all_dags(n)  # first, so an oversized n raises before other work
+    dags = iter_dags(n)  # first, so an oversized n raises before other work
     cat = _Records(n)
     targets = 0
     optima = 0

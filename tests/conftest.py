@@ -5,20 +5,26 @@ chordality goes through networkx or a search over vertex subsets,
 separation through explicit path enumeration, and d-separation through a
 from-scratch ancestral-moral construction, so that agreement between the
 two sides is evidence rather than tautology.  The exceptions lean on the
-library and say so: ``random_chordal_graph``, and ``d_separated`` and
+library and say so: ``random_chordal_graph``, ``d_separated`` and
 ``enumerate_independencies``, the set-argument front ends that tests use
-over the mask kernels.
+over the mask kernels, and ``line_delta``, ``move_delta`` and
+``per_move_greedy_chordal``, the one-move-at-a-time scoring path that
+the chordal search batches.
 """
 
 import itertools
+import math
 
 import networkx as nx
 import numpy as np
 
-from chordalearn.graphs import Dag, UndirectedGraph, d_separated_masks, mask_vertices
-from chordalearn.graphs import reach, vertex_mask
+from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks
+from chordalearn.graphs import addition_keeps_chordal, mask_vertices, reach
+from chordalearn.graphs import removal_keeps_chordal, vertex_mask
 from chordalearn.independence import ENUMERATION_BOUND, IndependenceStatement
 from chordalearn.independence import _check_bound, canonical_triples
+from chordalearn.scoring import ScoreCache, _resolve_cache
+from chordalearn.search import Move, apply_move, inclusion_boundary
 
 
 def to_nx(g: UndirectedGraph) -> nx.Graph:
@@ -191,3 +197,72 @@ def joint_table(net) -> np.ndarray:
     """Exact joint distribution of a ``DiscreteBayesNet`` over its
     ``joint_rows()`` order."""
     return np.exp(net.log_prob_rows(net.joint_rows()))
+
+
+def line_delta(cache: ScoreCache, g: ChordalGraph, move) -> float:
+    """Score change of a single-line edit, new minus old, from two
+    ``ScoreCache.local_score`` calls, without checking that the edit is
+    legal.
+
+    Let S be the common neighbors of the endpoints (unaffected by the edit
+    itself).  Both the edited and the original graph admit perfect
+    orderings that differ only at one endpoint's parent set, so the score
+    difference collapses to two local terms at the higher endpoint:
+    removal scores f(b, S) - f(b, S + {a}); addition is the negation.
+    """
+    lo, child = sorted((move.a, move.b))
+    masks = g.graph.neighbor_masks
+    s = masks[lo] & masks[child]
+    added = cache.local_score(child, mask_vertices(s | 1 << lo))
+    d = added - cache.local_score(child, mask_vertices(s))
+    return d if move.kind == "add" else -d
+
+
+def move_delta(g: ChordalGraph, move, data, ess: float = 1.0, cache=None) -> float:
+    """Score change of a legal single-line edit, new minus old (see
+    ``line_delta``).  Illegal moves (edits whose result is not chordal,
+    or edits of absent/present lines) are rejected."""
+    cache = _resolve_cache(data, ess, cache)
+    a, b = move.a, move.b
+    if move.kind == "remove":
+        if not g.has_line(a, b):
+            raise ValueError(f"line {a}-{b} not present")
+        if not removal_keeps_chordal(g, a, b):
+            raise ValueError(f"removing {a}-{b} breaks chordality")
+    elif move.kind == "add":
+        if g.has_line(a, b):
+            raise ValueError(f"line {a}-{b} already present")
+        if not addition_keeps_chordal(g, a, b):
+            raise ValueError(f"adding {a}-{b} breaks chordality")
+    else:
+        raise ValueError(f"unknown move kind {move.kind!r}")
+    return line_delta(cache, g, move)
+
+
+def per_move_greedy_chordal(data, ess: float = 1.0):
+    """The BDeu chordal search from the empty graph, one move at a time:
+    each line delta is memoized by (a, b, S) and a miss is computed by
+    ``line_delta``, and the first strictly best listed move is taken.
+    Returns the final graph, the start score, the steps as (move, delta,
+    total, fingerprint) and the ``ScoreCache`` it filled, one
+    ``local_score`` call at a time."""
+    cache = ScoreCache(data, ess)
+    g = ChordalGraph.empty(data.n_vars)
+    start = total = math.fsum(cache.local_score(v, ()) for v in range(g.n))
+    memo = {}
+    steps = []
+    while True:
+        masks = g.graph.neighbor_masks
+        best, best_total = None, total
+        for move in inclusion_boundary(g):
+            key = (move.a, move.b, masks[move.a] & masks[move.b])
+            if key not in memo:
+                memo[key] = line_delta(cache, g, Move("add", move.a, move.b))
+            cand = total + (memo[key] if move.kind == "add" else -memo[key])
+            if cand > best_total:
+                best, best_total = move, cand
+        if best is None:
+            return g, start, steps, cache
+        g = apply_move(g, best)
+        steps.append((best, best_total - total, best_total, g.fingerprint()))
+        total = best_total

@@ -23,11 +23,11 @@ from chordalearn.evaluation import (
     results_from_csv,
 )
 from chordalearn.graphs import ChordalGraph, is_perfect_order
-from chordalearn.scoring import Dataset, ScoreCache, move_delta, score_chordal
+from chordalearn.scoring import Dataset, ScoreCache, score_chordal
 from chordalearn.search import Move, inclusion_boundary
 from chordalearn.synthetic import ancestral_sample, random_chordal_target, rng_from
 
-from conftest import random_chordal_graph
+from conftest import move_delta, random_chordal_graph
 
 DELTA_TOL = 1e-9
 ORDERING_TOL = 1e-9

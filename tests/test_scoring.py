@@ -31,14 +31,13 @@ from chordalearn.scoring import (
     bdeu_local_score,
     dimension,
     dimension_dag,
-    move_delta,
     score_chordal,
     score_dag,
 )
 from chordalearn.search import Move, inclusion_boundary
 from chordalearn.synthetic import ancestral_sample, random_dag, random_parameters, rng_from
 
-from conftest import all_graphs, random_chordal_graph
+from conftest import all_graphs, move_delta, random_chordal_graph
 
 mpmath.mp.dps = 60
 
@@ -598,6 +597,98 @@ class TestToggledScores:
             cache.toggled_scores(0, (0,), [1])
         with pytest.raises(ValueError, match="out of range"):
             cache.toggled_scores(0, (1,), [3])
+
+
+def family_dataset(n_rows, seed):
+    """Six columns of arities 1, 2, 3, 3, 2, 1, with skewed state
+    frequencies, so some cells and configurations are empty."""
+    rng = rng_from(seed, n_rows)
+    arities = (1, 2, 3, 3, 2, 1)
+    cols = [rng.choice(r, size=n_rows, p=rng.dirichlet([0.4] * r)) for r in arities]
+    return Dataset(np.array(cols, dtype=np.int64).T.reshape(n_rows, len(arities)), arities)
+
+
+class TestFamilyScores:
+    @pytest.mark.parametrize("n_rows", [0, 5, 40, 3000])
+    def test_equals_local_kernel_on_every_family(self, monkeypatch, n_rows):
+        # every family with at most three parents, all children mixed in
+        # one call: every float and cache entry must be bdeu_local_score's,
+        # through each of the paths the batch takes
+        ran = Counter()
+        for name in ("_pair_counts", "_tables_score", "bdeu_local_score"):
+            def spy(*args, _inner=getattr(scoring, name), _name=name):
+                ran[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(scoring, name, spy)
+        data = family_dataset(n_rows, 73)
+        n = data.n_vars
+        families = [
+            (v, p)
+            for v in range(n)
+            for size in range(4)
+            for p in itertools.combinations([u for u in range(n) if u != v], size)
+        ]
+        for ess in (1.0, 3.7):
+            cache = ScoreCache(data, ess)
+            got = cache.family_scores(families)
+            want = [bdeu_local_score(v, p, data, ess) for v, p in families]
+            assert [x.hex() for x in got] == [x.hex() for x in want], (n_rows, ess)
+            assert cache._table == dict(zip(families, want))
+            # a second call reads the entries back
+            assert cache.family_scores(families[::-1]) == want[::-1]
+        assert ran["_pair_counts"] == (2 if n_rows else 0)
+        assert ran["_tables_score"] == (0 if n_rows == 0 else 2 * 3)  # child arities 1-3
+        # r*q > N, unless read off the pairwise counts
+        wide = sum(
+            data.arities[v] * math.prod(data.arities[u] for u in p) > n_rows
+            and not (len(p) <= 1 and data.arities[v] <= n_rows)
+            for v, p in families
+        )
+        assert ran["bdeu_local_score"] == 2 * wide
+        if n_rows == 5:
+            assert 0 < wide < len(families)
+            # one-parent families wider than N, off the pairwise counts
+            assert any(len(p) == 1 and data.arities[v] * data.arities[p[0]] > 5
+                       for v, p in families)
+
+    def test_marginals_equal_counted_tables(self, monkeypatch):
+        # (v, S) and (v, S + a) asked together: the narrower is read off
+        # the wider's table, and is still bdeu_local_score's float
+        data = skewed_dataset(6, 2000, rng_from(79))
+        families = [(0, (1, 2, 4)), (0, (1, 4)), (0, (2, 4)), (3, (1, 5)), (3, (5,)), (3, ())]
+        want = [bdeu_local_score(v, p, data) for v, p in families]
+        counted = Counter()
+        inner = scoring._parent_config_codes
+
+        def spy(rows, arities, cols):
+            counted[len(cols) - 1] += 1
+            return inner(rows, arities, cols)
+
+        monkeypatch.setattr(scoring, "_parent_config_codes", spy)
+        assert ScoreCache(data).family_scores(families) == want
+        assert counted == {3: 1, 2: 1}
+
+    def test_malformed_keys_rejected(self):
+        cache = ScoreCache(family_dataset(10, 83))
+        for key in ((0, (2, 1)), (0, (1, 1)), (1, (1,)), (6, ()), (0, (-1, 2)), (0, (1, 6))):
+            with pytest.raises(ValueError, match="sorted, distinct parents in range"):
+                cache.family_scores([key])
+        assert len(cache) == 0
+
+    @pytest.mark.parametrize("n_rows", [0, 2, 5, 40, 3000])
+    def test_no_parent_toggles_equal_local_score(self, n_rows):
+        # the DAG search's first step: every addition to an empty parent
+        # set, read off the pairwise counts when f(v) is dense
+        data = family_dataset(n_rows, 89)
+        n = data.n_vars
+        for v in range(n):
+            us = [u for u in range(n) if u != v]
+            cache = ScoreCache(data, 2.5)
+            got = cache.toggled_scores(v, (), us)
+            fresh = ScoreCache(data, 2.5)
+            assert [x.hex() for x in got] == [fresh.local_score(v, (u,)).hex() for u in us]
+            assert cache._table == fresh._table
 
 
 class TestTablesScore:

@@ -17,7 +17,7 @@ from chordalearn.independence import (
     inclusion_optimal,
     model_included,
 )
-from chordalearn.scoring import Dataset, ScoreCache, line_delta, score_chordal, score_dag
+from chordalearn.scoring import Dataset, ScoreCache, score_chordal, score_dag
 from chordalearn.search import (
     BDeuScorer,
     Move,
@@ -35,12 +35,13 @@ from chordalearn.search import (
 from chordalearn.synthetic import (
     DiscreteBayesNet,
     ancestral_sample,
+    random_chordal_target,
     random_dag,
     random_parameters,
     rng_from,
 )
 
-from conftest import all_graphs, random_chordal_graph, to_nx
+from conftest import all_graphs, line_delta, per_move_greedy_chordal, random_chordal_graph, to_nx
 
 
 class TestMove:
@@ -372,6 +373,32 @@ class TestGreedyChordal:
             assert rec["step"] == i + 1
             assert set(rec) == {"step", "move", "delta", "total"}
 
+    @pytest.mark.parametrize("n, rows", [(8, 60), (16, 500), (24, 5000), (32, 300), (48, 2000)])
+    def test_batched_search_equals_per_move_search(self, n, rows):
+        # one family_scores call per step in place of two local_score
+        # calls per memo miss: the same trace, final graph and cache
+        # entries, every float equal
+        rng = rng_from(97, n)
+        arities = tuple(int(r) for r in rng.integers(2, 4, size=n))
+        _, net = random_chordal_target(n, rng, arities=arities, max_parents=3)
+        assert_same_search(ancestral_sample(net, rows, rng))
+
+    def test_exact_ties_break_as_per_move_search(self):
+        # duplicated columns make equal deltas, bit for bit: the smallest
+        # move among equal scores must still win
+        rng = rng_from(101)
+        _, net = random_chordal_target(6, rng, max_parents=2)
+        base = ancestral_sample(net, 800, rng)
+        data = Dataset(np.column_stack([base.rows, base.rows[:, ::-1], base.rows[:, :3]]))
+        trace = assert_same_search(data)
+        scorer = BDeuScorer(data)
+        g, total, ties = ChordalGraph.empty(data.n_vars), trace.start_score, 0
+        for step in trace.steps:
+            scores = scorer.move_scores(g, total, inclusion_boundary(g))
+            ties += scores.count(max(scores)) > 1
+            g, total = apply_move(g, step.move), step.total
+        assert ties >= 3
+
     def test_strong_chain_recovered(self):
         # strongly coupled chain data: greedy BDeu recovers the chain
         rng = rng_from(19)
@@ -384,6 +411,19 @@ class TestGreedyChordal:
         data = ancestral_sample(net, 20000, rng)
         final, _ = greedy_chordal(BDeuScorer(data), ChordalGraph.empty(4))
         assert final.lines == ((0, 1), (1, 2), (2, 3))
+
+
+def assert_same_search(data: Dataset) -> SearchTrace:
+    """greedy_chordal against ``per_move_greedy_chordal``; returns the
+    trace."""
+    cache = ScoreCache(data)
+    final, trace = greedy_chordal(BDeuScorer(data, cache=cache), ChordalGraph.empty(data.n_vars))
+    want_final, want_start, want_steps, want_cache = per_move_greedy_chordal(data)
+    assert trace.terminal and trace.start_score == want_start
+    assert [(s.move, s.delta, s.total, s.fingerprint) for s in trace.steps] == want_steps
+    assert final.fingerprint() == want_final.fingerprint()
+    assert cache._table == want_cache._table
+    return trace
 
 
 class TestDagMoves:

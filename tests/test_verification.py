@@ -33,6 +33,7 @@ from chordalearn.verification import (
     chordality_cross_check,
     enumerate_chordal,
     find_nonoptimal_local_optimum,
+    iter_dags,
     line_mask,
     naive_chordal_masks,
     naive_is_chordal,
@@ -546,11 +547,28 @@ class TestAllDags:
         ds = all_dags(3)
         assert len(set(ds)) == len(ds)
 
+    def test_iter_generates_one_arc_count_at_a_time(self, monkeypatch):
+        # the latent-witness scan stops at DAG 4432 of n=5, among the
+        # 6,180 DAGs with 5 arcs: no larger count may have been generated
+        built = []
+        inner = verification._dags_with_arcs
+
+        def spy(n, pairs, k):
+            built.append(k)
+            return inner(n, pairs, k)
+
+        monkeypatch.setattr(verification, "_dags_with_arcs", spy)
+        head = list(itertools.islice(iter_dags(5), 4432))
+        assert built == [0, 1, 2, 3, 4, 5]
+        assert head == all_dags(5)[:4432]
+
     # each call below raises before enumerating anything; an unbounded
     # n=6 enumeration would walk 3^15 orientation states
     def test_bound_enforced(self):
         with pytest.raises(ValueError, match="at most 5 vertices"):
             all_dags(MAX_DAG_VERTICES + 1)
+        with pytest.raises(ValueError, match="at most 5 vertices"):
+            iter_dags(MAX_DAG_VERTICES + 1)
 
     def test_probe_bound_enforced(self):
         with pytest.raises(ValueError, match="at most 5 vertices"):
