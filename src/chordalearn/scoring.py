@@ -348,11 +348,11 @@ class ScoreCache:
     def family_scores(self, keys: Sequence[LocalScoreKey]) -> list[float]:
         """``local_score`` of each (child, sorted distinct parents) key,
         the same floats and cache entries, missing keys filled in one batch.
-        A family with at most one parent and a child of r <= N states is
-        read off the pairwise counts (``_pair_counts``); any other of
-        r*q <= N cells is counted by ``np.bincount``, or summed from a
-        family one parent wider in the batch; one ``_tables_score`` call
-        per child arity scores them.  The rest go to ``bdeu_local_score``."""
+        A family with at most one parent is read off the pairwise counts
+        (``_pair_counts``) when that table has no more cells than the data
+        (``data.rows``), so memory stays bounded by N; any other of
+        r*q <= N cells is counted by ``np.bincount``; one ``_tables_score``
+        call per child arity scores them.  The rest go to ``bdeu_local_score``."""
         table = self._table
         missing = [key for key in dict.fromkeys(keys) if key not in table]
         if missing:
@@ -362,10 +362,11 @@ class ScoreCache:
     def _fill_families(self, keys: list) -> None:
         data, ess = self.data, self.ess
         arities, n, n_rows = data.arities, data.n_vars, data.n_rows
-        wanted = set(keys)
+        # the K x K pair table (K states in all) only when it is no larger
+        # than the data; then every r <= K <= N, since K >= n
+        pairs_fit = sum(arities) ** 2 <= data.rows.size
         dense: dict[int, dict] = {}  # child arity -> family -> its dense table
-        # widest first, so that a family can be the marginal of a wider one
-        for key in sorted(keys, key=lambda key: len(key[1]), reverse=True):
+        for key in keys:
             v, parents = key
             if v in parents or parents != tuple(sorted(set(parents))) or not 0 <= v < n or (
                 parents and not (parents[0] >= 0 and parents[-1] < n)
@@ -373,11 +374,9 @@ class ScoreCache:
                 raise ValueError(f"family {key!r} needs sorted, distinct parents in range")
             r = rq = arities[v]
             tables = dense.setdefault(r, {})
-            if key in tables:
-                continue
             for p in parents:
                 rq *= arities[p]
-            if len(parents) <= 1 and r <= n_rows:
+            if len(parents) <= 1 and pairs_fit:
                 counts, spans = self._pairs = self._pairs or _pair_counts(data)
                 # rows: the parent's states, columns: v's; cell x_v + r * x_u
                 cells = counts[spans[parents[0] if parents else v], spans[v]]
@@ -386,14 +385,7 @@ class ScoreCache:
                 self._table[key] = bdeu_local_score(v, parents, data, ess)
             else:
                 codes, _ = _parent_config_codes(data.rows, arities, (v,) + parents)
-                table = tables[key] = np.bincount(codes, minlength=rq)
-                # narrower families asked for: summed over q's axis, stride lo
-                lo = r
-                for i, q in enumerate(parents):
-                    sub = (v, parents[:i] + parents[i + 1:])
-                    if sub in wanted and sub not in tables:
-                        tables[sub] = table.reshape(-1, arities[q], lo).sum(axis=1).ravel()
-                    lo *= arities[q]
+                tables[key] = np.bincount(codes, minlength=rq)
         for r, tables in dense.items():
             if tables:
                 cells = list(tables.values())
@@ -421,8 +413,9 @@ class ScoreCache:
           table's nonzero cells are those ``bdeu_local_score``'s
           ``np.unique`` branch lists.
 
-        With P empty, as in a search's first step, ``family_scores``
-        reads the additions off the pairwise counts instead.
+        With P empty, as in a search's first step, the additions go
+        through ``family_scores`` instead (off the pairwise counts when
+        that table fits).
 
         Each table is the integer table ``bdeu_local_score`` counts for
         that family, in its cell order.  ``_tables_score`` scores the

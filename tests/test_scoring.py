@@ -559,11 +559,17 @@ class TestToggledScores:
                 # the same entries local_score would have made
                 assert [cache.local_score(v, set(parents) ^ {u}) for u in others] == want
                 assert len(cache) == len(others)
-                # a dense f(v, P) table scores every toggle in one batch
+                # a dense f(v, P) table scores every toggle in one batch;
+                # with P empty, the pair table, if it fits, or else each
+                # family of at most N cells
                 rq = data.arities[v] * math.prod(data.arities[p] for p in parents)
                 dense = rq <= n_rows
-                assert batch["_tables_score"] == dense * len(others)
-                assert batch["bdeu_local_score"] == (not dense) * len(others)
+                batched = [dense] * len(others)
+                if not parents:
+                    pairs_fit = sum(data.arities) ** 2 <= data.rows.size
+                    batched = [pairs_fit or rq * data.arities[u] <= n_rows for u in others]
+                assert batch["_tables_score"] == sum(batched)
+                assert batch["bdeu_local_score"] == len(others) - sum(batched)
                 added = [data.arities[u] for u in others if u not in parents]
                 seen["arity 1", n_rows] += dense and 1 in added
                 # r*q*r_u > N: counted by the product, not np.unique
@@ -637,37 +643,37 @@ class TestFamilyScores:
             assert cache._table == dict(zip(families, want))
             # a second call reads the entries back
             assert cache.family_scores(families[::-1]) == want[::-1]
-        assert ran["_pair_counts"] == (2 if n_rows else 0)
+        # the 12 x 12 pair table is built when it has at most 6N cells
+        pairs_fit = 12 ** 2 <= data.rows.size
+        assert pairs_fit == (n_rows >= 40)
+        assert ran["_pair_counts"] == (2 if pairs_fit else 0)
         assert ran["_tables_score"] == (0 if n_rows == 0 else 2 * 3)  # child arities 1-3
         # r*q > N, unless read off the pairwise counts
         wide = sum(
             data.arities[v] * math.prod(data.arities[u] for u in p) > n_rows
-            and not (len(p) <= 1 and data.arities[v] <= n_rows)
+            and not (len(p) <= 1 and pairs_fit)
             for v, p in families
         )
         assert ran["bdeu_local_score"] == 2 * wide
         if n_rows == 5:
             assert 0 < wide < len(families)
-            # one-parent families wider than N, off the pairwise counts
-            assert any(len(p) == 1 and data.arities[v] * data.arities[p[0]] > 5
-                       for v, p in families)
 
-    def test_marginals_equal_counted_tables(self, monkeypatch):
-        # (v, S) and (v, S + a) asked together: the narrower is read off
-        # the wider's table, and is still bdeu_local_score's float
-        data = skewed_dataset(6, 2000, rng_from(79))
-        families = [(0, (1, 2, 4)), (0, (1, 4)), (0, (2, 4)), (3, (1, 5)), (3, (5,)), (3, ())]
+    def test_high_arity_column_skips_pair_table(self, monkeypatch):
+        # one column of 100,000 states: the 100,004 x 100,004 pair table
+        # would outgrow the data, so families with at most one parent are
+        # counted one by one, and still give bdeu_local_score's floats
+        def no_pair_table(data):
+            raise AssertionError("pair table built")
+
+        monkeypatch.setattr(scoring, "_pair_counts", no_pair_table)
+        rng = rng_from(79)
+        arities = (2, 100_000, 2)
+        rows = np.column_stack([rng.integers(0, r, size=50) for r in arities])
+        data = Dataset(rows, arities)
+        families = [(v, p) for v in range(3) for p in [()] + [(u,) for u in range(3) if u != v]]
         want = [bdeu_local_score(v, p, data) for v, p in families]
-        counted = Counter()
-        inner = scoring._parent_config_codes
-
-        def spy(rows, arities, cols):
-            counted[len(cols) - 1] += 1
-            return inner(rows, arities, cols)
-
-        monkeypatch.setattr(scoring, "_parent_config_codes", spy)
         assert ScoreCache(data).family_scores(families) == want
-        assert counted == {3: 1, 2: 1}
+        assert ScoreCache(data).toggled_scores(1, (), [0, 2]) == [want[4], want[5]]
 
     def test_malformed_keys_rejected(self):
         cache = ScoreCache(family_dataset(10, 83))
@@ -679,7 +685,7 @@ class TestFamilyScores:
     @pytest.mark.parametrize("n_rows", [0, 2, 5, 40, 3000])
     def test_no_parent_toggles_equal_local_score(self, n_rows):
         # the DAG search's first step: every addition to an empty parent
-        # set, read off the pairwise counts when f(v) is dense
+        # set, read off the pairwise counts when that table fits
         data = family_dataset(n_rows, 89)
         n = data.n_vars
         for v in range(n):
