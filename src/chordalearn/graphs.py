@@ -546,13 +546,8 @@ def orient_by_ordering(g: ChordalGraph, order: Sequence[int]) -> Dag:
 
 def moralize(d: Dag) -> UndirectedGraph:
     """Drop arrow directions and marry every pair of co-parents."""
-    lines = {(_normalize_line(u, v)) for u, v in d.arcs}
-    for v in range(d.n):
-        ps = sorted(d.parents[v])
-        for i, p in enumerate(ps):
-            for q in ps[i + 1 :]:
-                lines.add(_normalize_line(p, q))
-    return UndirectedGraph(d.n, lines)
+    adj = _moral_masks(d.parent_masks, (1 << d.n) - 1)
+    return UndirectedGraph(d.n, [(a, b) for a, m in enumerate(adj) for b in mask_vertices(m)])
 
 
 def min_fill_chordalize(
@@ -656,27 +651,16 @@ def _moral_masks(parent_masks: Sequence[int], anc: int) -> list:
     return adj
 
 
-def d_separated_masks(parent_masks: Sequence[int], a: int, b: int, c: int) -> bool:
-    """d-separation of the vertex bitmasks ``a`` and ``b`` given ``c``.
-
-    ``parent_masks[v]`` is the parent bitmask of v.  Uses the
-    ancestral-moral criterion (Lauritzen, Dawid, Larsen & Leimer,
-    "Independence properties of directed Markov fields", Networks 1990):
-    A and B are d-separated by C iff C separates them in the moral graph
-    of the subgraph induced on the ancestors of A, B and C.  The masks
-    must be disjoint, with ``a`` and ``b`` nonempty.
-    """
-    adj = _moral_masks(parent_masks, reach(parent_masks, a | b | c, 0))
-    return not reach(adj, a, c) & b
-
-
 def d_separated_table(
     parent_masks: Sequence[int], triples: Iterable[tuple[int, int, int]]
 ) -> list:
-    """``d_separated_masks`` for each (a, b, c) of ``triples``, in one
-    pass: the ancestral closure is taken once per distinct A ∪ B ∪ C and
-    the moral graph built once per distinct ancestral set, so each
-    statement costs one ``reach``."""
+    """For each (a, b, c) of ``triples``, whether the disjoint vertex
+    bitmasks a and b (nonempty) are d-separated by c, ``parent_masks[v]``
+    being the parent bitmask of v: by the ancestral-moral criterion
+    (Lauritzen, Dawid, Larsen & Leimer, Networks 1990), whether c separates
+    them in the moral graph of the ancestral closure of a | b | c.  That
+    closure is taken once per distinct union and its moral graph built once
+    per distinct closure, so each statement costs one ``reach``."""
     anc_of: dict = {}  # A ∪ B ∪ C -> its ancestral closure
     moral_of: dict = {}  # ancestral set -> its moral graph
     out = []

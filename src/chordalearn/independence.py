@@ -7,15 +7,13 @@ vertices).  Statements are triples of disjoint vertex sets A, B, C read as
 "A independent of B given C"; the canonical form sorts each side and puts
 the lexicographically smaller of A, B first.
 
-Queries are answered on vertex bitmasks.  Arguments are validated only at
-the public entry points that take vertex collections
+Every query is one ``DependencyModel.independent_table`` call on a list of
+vertex-bitmask triples, which trusts its arguments.  Arguments are
+validated only at the public entry points that take vertex collections
 (``DependencyModel.independent``, ``graphoid_report``, ``model_included``,
-``chain_disjunction_holds``); internal callers enumerate role bitmasks with
-``role_masks``/``canonical_triples`` and query
-``DependencyModel.independent_masks`` for one statement or
-``DependencyModel.independent_table`` for a list of them, which trust
-their arguments.  The graphoid axioms are rules of one table, ``_AXIOMS``,
-run as array tests.
+``chain_disjunction_holds``); internal callers enumerate role bitmasks
+with ``role_masks``/``canonical_triples``.  The graphoid axioms are rules
+of one table, ``_AXIOMS``, run as array tests.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks, d_separated_table
-from .graphs import mask_vertices, reach, removal_keeps_chordal, separated_table, vertex_mask
+from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_table, mask_vertices
+from .graphs import removal_keeps_chordal, separated_table, vertex_mask
 
 ENUMERATION_BOUND = 7  # observed-vertex cap for statement enumeration
 
@@ -63,17 +61,22 @@ class DependencyModel:
     """Queryable independence oracle over a graph backend.
 
     Use the ``from_undirected`` / ``from_dag`` / ``from_latent_dag``
-    factories.  Queries are memoized per statement and answered on vertex
-    bitmasks: plain reachability for the undirected backend, the
+    factories.  Queries are answered in batches on vertex bitmasks, with
+    no memo: plain reachability for the undirected backend, the
     ancestral-moral criterion for the DAG backends.
     """
 
+    _GRAPH_CLASS = {"ug": UndirectedGraph, "dag": Dag, "latent-dag": Dag}
+
     def __init__(self, kind, graph, observed):
-        self.kind = kind  # "ug" | "dag" | "latent-dag"
+        if kind not in self._GRAPH_CLASS:
+            raise ValueError(f"unknown model kind {kind!r}; known: {list(self._GRAPH_CLASS)}")
+        if not isinstance(graph, self._GRAPH_CLASS[kind]):
+            raise TypeError(f"a {kind!r} model needs a {self._GRAPH_CLASS[kind].__name__}")
+        self.kind = kind
         self.graph = graph
         self.observed = tuple(sorted(observed))
         self._obs_set = frozenset(self.observed)
-        self._cache: dict = {}
         # neighbor masks (undirected) or parent masks (DAG) of the graph
         self._masks = graph.neighbor_masks if kind == "ug" else graph.parent_masks
 
@@ -108,34 +111,17 @@ class DependencyModel:
             raise ValueError("both endpoint sets must be nonempty")
         if sa & sb or sa & sc or sb & sc:
             raise ValueError("the three vertex sets must be pairwise disjoint")
-        for s in (sa, sb, sc):
-            bad = s - self._obs_set
-            if bad:
-                raise ValueError(
-                    f"vertices {sorted(bad)} are not observable in this model"
-                )
-        return self.independent_masks(vertex_mask(sa), vertex_mask(sb), vertex_mask(sc))
-
-    def independent_masks(self, am: int, bm: int, cm: int) -> bool:
-        """``independent`` on vertex bitmasks, without validation: A and B
-        must be nonempty, the three masks pairwise disjoint and every
-        vertex observed."""
-        key = (am, bm, cm) if am < bm else (bm, am, cm)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        if self.kind == "ug":
-            out = not reach(self._masks, am, cm) & bm
-        else:
-            out = d_separated_masks(self._masks, am, bm, cm)
-        self._cache[key] = out
-        return out
+        bad = (sa | sb | sc) - self._obs_set
+        if bad:
+            raise ValueError(f"vertices {sorted(bad)} are not observable in this model")
+        return self.independent_table([(vertex_mask(sa), vertex_mask(sb), vertex_mask(sc))])[0]
 
     def independent_table(self, triples: Sequence[tuple[int, int, int]]) -> list:
-        """``independent_masks`` for each mask triple of ``triples``, in
-        one batch: one ``reach`` per statement, and for the DAG backends
-        one moral graph per ancestral set the statements share.  Neither
-        reads nor fills the memo."""
+        """``independent`` for each vertex-bitmask triple (A, B, C) of
+        ``triples``, in one batch and without validation: A and B must be
+        nonempty, the three masks pairwise disjoint and every vertex
+        observed.  One ``reach`` per statement, and for the DAG backends
+        one moral graph per ancestral set the statements share."""
         if self.kind == "ug":
             return separated_table(self._masks, triples)
         return d_separated_table(self._masks, triples)
@@ -177,37 +163,49 @@ def _check_bound(obs: tuple[int, ...], bound: int = ENUMERATION_BOUND) -> None:
 # model comparison
 
 
+def _inclusion_triples(n: int, target: DependencyModel) -> Sequence[tuple[int, int, int]]:
+    """The mask triples that decide inclusion in ``target`` of a graph on
+    its n observed vertices: the full-conditioning pair of each a < b, in
+    order, for ug/dag targets; ``canonical_triples`` for latent margins."""
+    if tuple(range(n)) != target.observed:
+        raise ValueError("graph vertices must match the target's observed set")
+    if target.kind != "latent-dag":
+        full = (1 << n) - 1
+        return [
+            (1 << a, 1 << b, full & ~(1 << a | 1 << b))
+            for a, b in itertools.combinations(range(n), 2)
+        ]
+    _check_bound(target.observed)
+    return canonical_triples(target.observed)
+
+
+def _separated(masks: Sequence[int], triples, target: DependencyModel) -> list:
+    """Which ``_inclusion_triples`` of ``target`` the graph of neighbor
+    bitmasks ``masks`` separates; a full-conditioning pair iff it is no line."""
+    if target.kind == "latent-dag":
+        return separated_table(masks, triples)
+    return [not masks[a.bit_length() - 1] & b for a, b, _ in triples]
+
+
 def model_included(g: ChordalGraph, target: DependencyModel):
     """Is every separation of the chordal graph ``g`` true in ``target``?
 
-    Returns (included, witness): the witness is a statement separating in
-    ``g`` but failing in ``target`` (None when included).
+    Returns (included, witness): the witness is the first statement, in
+    ``_inclusion_triples`` order, separating in ``g`` but failing in
+    ``target`` (None when included).
 
     For undirected and fully observed DAG targets the pairwise reduction
     applies: those models satisfy the semi-graphoid axioms plus
     intersection, under which the full-conditioning pairwise statements of
     all non-adjacent pairs imply every separation of the graph.  For
     latent-margin targets the comparison enumerates both statement sets,
-    so their observed count is bounded by ``ENUMERATION_BOUND``.
+    so their observed count is bounded by ``ENUMERATION_BOUND``.  The
+    target is asked the statements ``g`` separates in one batch.
     """
-    graph = g.graph
-    n = graph.n
-    if tuple(range(n)) != target.observed:
-        raise ValueError("graph vertices must match the target's observed set")
-    if target.kind in ("ug", "dag"):
-        full = (1 << n) - 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if graph.has_line(a, b):
-                    continue
-                cm = full & ~(1 << a | 1 << b)
-                if not target.independent_masks(1 << a, 1 << b, cm):
-                    return False, IndependenceStatement((a,), (b,), mask_vertices(cm))
-        return True, None
-    _check_bound(target.observed)
-    own = DependencyModel.from_undirected(graph)
-    for t in canonical_triples(target.observed):
-        if own.independent_masks(*t) and not target.independent_masks(*t):
+    triples = _inclusion_triples(g.n, target)
+    asked = list(itertools.compress(triples, _separated(g.graph.neighbor_masks, triples, target)))
+    for t, holds in zip(asked, target.independent_table(asked)):
+        if not holds:
             return False, IndependenceStatement(*map(mask_vertices, t))
     return True, None
 
@@ -219,17 +217,26 @@ def inclusion_optimal(g: ChordalGraph, target: DependencyModel) -> bool:
     The single-line reduction is sound because any strictly larger included
     model corresponds to a proper chordal subgraph, and chordal subgraph
     pairs are connected by single-line chordal chains.
+
+    The target answers every ``_inclusion_triples`` statement once.  Under
+    the pairwise reduction g - ab is included iff ``g`` is and the pair
+    (a, b) holds; for latent margins each subgraph's separations are one
+    ``separated_table`` over its neighbor masks.  No ``ChordalGraph`` is
+    built.
     """
-    ok, _ = model_included(g, target)
-    if not ok:
+    triples = _inclusion_triples(g.n, target)
+    holds = np.array(target.independent_table(triples), dtype=bool)
+
+    def included(masks) -> bool:
+        return not (np.array(_separated(masks, triples, target), dtype=bool) & ~holds).any()
+
+    if not included(g.graph.neighbor_masks):
         return False
-    for a, b in g.lines:
-        if not removal_keeps_chordal(g, a, b):
-            continue
-        ok, _ = model_included(ChordalGraph.from_graph(g.graph.without_line(a, b)), target)
-        if ok:
-            return False
-    return True
+    removable = [(a, b) for a, b in g.lines if removal_keeps_chordal(g, a, b)]
+    if target.kind != "latent-dag":
+        pair_holds = dict(zip(itertools.combinations(range(g.n), 2), holds))
+        return not any(pair_holds[line] for line in removable)
+    return not any(included(g.graph.without_line(a, b).neighbor_masks) for a, b in removable)
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +357,9 @@ def graphoid_report(
     (the transitivity middle set is a single vertex).
 
     Exhaustive, so bounded to 6 observed vertices: the model answers each
-    ordered statement once into a table indexed by observed-position
-    bitmasks, and each ``_AXIOMS`` rule is gathered from that table over
-    every role assignment.
+    statement once, in one batch, into a table indexed by observed-position
+    bitmasks and symmetric in A and B (every backend is), and each
+    ``_AXIOMS`` rule is gathered from that table over every role assignment.
     """
     k = m.n_observed
     if k > EXHAUSTIVE_AXIOM_BOUND:
@@ -366,10 +373,12 @@ def graphoid_report(
     for v in m.observed:
         real += [r | 1 << v for r in real]
     stmts = _role_rows(k, 3, (0, 1), False)
+    stmts = stmts[stmts[:, 0] < stmts[:, 1]]
     table = np.zeros((1 << k,) * 3, dtype=bool)
-    table[tuple(stmts.T)] = [
-        m.independent_masks(real[a], real[b], real[c]) for a, b, c in stmts.tolist()
-    ]
+    table[tuple(stmts.T)] = m.independent_table(
+        [(real[a], real[b], real[c]) for a, b, c in stmts.tolist()]
+    )
+    table |= table.transpose(1, 0, 2)
     q = lambda a, b, c: table[a, b, c]
     results = {}
     for name in axioms:

@@ -334,6 +334,9 @@ class ScoreCache:
         self.data = data
         self.ess = float(ess)
         self._table: dict[LocalScoreKey, float] = {}
+        # one-hot tables only when the K x K pair table (K states in all)
+        # is no larger than the data; then every r <= K <= N, as K >= n
+        self._onehot_fits = sum(data.arities) ** 2 <= data.rows.size
         self._states: Optional[_StateCounts] = None
         self._pairs: Optional[tuple[np.ndarray, list[slice]]] = None
 
@@ -362,9 +365,6 @@ class ScoreCache:
     def _fill_families(self, keys: list) -> None:
         data, ess = self.data, self.ess
         arities, n, n_rows = data.arities, data.n_vars, data.n_rows
-        # the K x K pair table (K states in all) only when it is no larger
-        # than the data; then every r <= K <= N, since K >= n
-        pairs_fit = sum(arities) ** 2 <= data.rows.size
         dense: dict[int, dict] = {}  # child arity -> family -> its dense table
         for key in keys:
             v, parents = key
@@ -376,7 +376,7 @@ class ScoreCache:
             tables = dense.setdefault(r, {})
             for p in parents:
                 rq *= arities[p]
-            if len(parents) <= 1 and pairs_fit:
+            if len(parents) <= 1 and self._onehot_fits:
                 counts, spans = self._pairs = self._pairs or _pair_counts(data)
                 # rows: the parent's states, columns: v's; cell x_v + r * x_u
                 cells = counts[spans[parents[0] if parents else v], spans[v]]
@@ -415,7 +415,7 @@ class ScoreCache:
 
         With P empty, as in a search's first step, the additions go
         through ``family_scores`` instead (off the pairwise counts when
-        that table fits).
+        that table fits), as does every toggle when it does not fit.
 
         Each table is the integer table ``bdeu_local_score`` counts for
         that family, in its cell order.  ``_tables_score`` scores the
@@ -432,7 +432,7 @@ class ScoreCache:
             raise ValueError(f"vertex {v} cannot be its own parent")
         pset = set(parents)
         keys = [(v, tuple(sorted(pset ^ {u}))) for u in toggles]
-        if not parents:  # every toggle adds one parent
+        if not parents or not self._onehot_fits:
             return self.family_scores(keys)
         missing = [(u, key) for u, key in zip(toggles, keys) if key not in self._table]
         if missing:

@@ -5,24 +5,29 @@ chordality goes through networkx or a search over vertex subsets,
 separation through explicit path enumeration, and d-separation through a
 from-scratch ancestral-moral construction, so that agreement between the
 two sides is evidence rather than tautology.  The exceptions lean on the
-library and say so: ``random_chordal_graph``, ``d_separated`` and
-``enumerate_independencies``, the set-argument front ends that tests use
-over the mask kernels, and ``line_delta``, ``move_delta`` and
+library and say so: ``random_chordal_graph``, ``d_separated_masks``,
+the one-statement d-separation that the batch ``d_separated_table`` is
+checked against, ``d_separated`` and ``enumerate_independencies``, the
+set-argument front ends that tests use over the mask kernels,
+``ref_model_included`` and ``ref_inclusion_optimal``, the
+one-statement-at-a-time model comparison that ``model_included`` and
+``inclusion_optimal`` batch, and ``line_delta``, ``move_delta`` and
 ``per_move_greedy_chordal``, the one-move-at-a-time scoring path that
 the chordal search batches.
 """
 
+import functools
 import itertools
 import math
 
 import networkx as nx
 import numpy as np
 
-from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_masks
+from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, _moral_masks
 from chordalearn.graphs import addition_keeps_chordal, mask_vertices, reach
 from chordalearn.graphs import removal_keeps_chordal, vertex_mask
-from chordalearn.independence import ENUMERATION_BOUND, IndependenceStatement
-from chordalearn.independence import _check_bound, canonical_triples
+from chordalearn.independence import ENUMERATION_BOUND, DependencyModel
+from chordalearn.independence import IndependenceStatement, _check_bound, canonical_triples
 from chordalearn.scoring import ScoreCache, _resolve_cache
 from chordalearn.search import Move, apply_move, inclusion_boundary
 
@@ -115,6 +120,16 @@ def naive_d_separated(d: Dag, a, b, c) -> bool:
     return True
 
 
+def d_separated_masks(parent_masks, a: int, b: int, c: int) -> bool:
+    """d-separation of the vertex bitmasks ``a`` and ``b`` given ``c``,
+    one statement at a time: C separates A from B in the moral graph of
+    the subgraph induced on the ancestors of A, B and C, built afresh from
+    the library's ``_moral_masks`` and ``reach`` (disjoint masks, ``a``
+    and ``b`` nonempty)."""
+    adj = _moral_masks(parent_masks, reach(parent_masks, a | b | c, 0))
+    return not reach(adj, a, c) & b
+
+
 def d_separated(d: Dag, a, b, c=()) -> bool:
     """d-separation of vertex collections, decided by the library's
     ``d_separated_masks`` (disjoint sets, ``a`` and ``b`` nonempty)."""
@@ -126,11 +141,73 @@ def enumerate_independencies(m, bound: int = ENUMERATION_BOUND) -> set:
     observed vertices, as ``IndependenceStatement`` values.  Exhaustive,
     so the observed count is bounded by ``bound``."""
     _check_bound(m.observed, bound)
+    triples = canonical_triples(m.observed)
     return {
         IndependenceStatement(*map(mask_vertices, t))
-        for t in canonical_triples(m.observed)
-        if m.independent_masks(*t)
+        for t, holds in zip(triples, m.independent_table(triples))
+        if holds
     }
+
+
+def ref_enumerate_independencies(m) -> set:
+    """``enumerate_independencies`` by one validated ``independent`` query
+    per canonical statement, listed by a product over vertex roles."""
+    obs = m.observed
+    out = set()
+    for assign in itertools.product(range(4), repeat=len(obs)):
+        a = tuple(v for v, k in zip(obs, assign) if k == 0)
+        b = tuple(v for v, k in zip(obs, assign) if k == 1)
+        c = tuple(v for v, k in zip(obs, assign) if k == 2)
+        if not a or not b or b < a:
+            continue  # canonical orientation only
+        if m.independent(a, b, c):
+            out.add(IndependenceStatement(a, b, c))
+    return out
+
+
+def ref_model_included(g: ChordalGraph, target):
+    """``model_included`` one validated statement at a time: the
+    full-conditioning pairs of g's non-adjacent pairs for undirected and
+    DAG targets, every separation of g in statement order otherwise."""
+    graph = g.graph
+    n = graph.n
+    if target.kind in ("ug", "dag"):
+        rest = set(range(n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                if graph.has_line(a, b):
+                    continue
+                cond = rest - {a, b}
+                if not target.independent([a], [b], cond):
+                    return False, IndependenceStatement((a,), (b,), tuple(cond))
+        return True, None
+    for stmt in separations_in_order(graph):
+        if not holds(target, stmt):
+            return False, stmt
+    return True, None
+
+
+@functools.cache
+def separations_in_order(graph: UndirectedGraph) -> list:
+    """Every separation statement of the graph, in statement order, by
+    ``ref_enumerate_independencies``; listed once per graph."""
+    own = DependencyModel.from_undirected(graph)
+    return sorted(ref_enumerate_independencies(own), key=lambda s: (s.a, s.b, s.c))
+
+
+def ref_inclusion_optimal(g: ChordalGraph, target, included=ref_model_included) -> bool:
+    """``inclusion_optimal`` one subgraph at a time: g is included, and no
+    single-line removal that keeps g chordal gives an included graph, each
+    rebuilt and compared afresh by ``included`` (``ref_model_included``
+    unless given)."""
+    if not included(g, target)[0]:
+        return False
+    for a, b in g.lines:
+        if removal_keeps_chordal(g, a, b) and included(
+            ChordalGraph.from_graph(g.graph.without_line(a, b)), target
+        )[0]:
+            return False
+    return True
 
 
 def all_graphs(n: int):

@@ -504,6 +504,7 @@ class TestVerify:
     FULL_REPORT_SHA256 = {
         "dag_probe_n4.json": "84a235bf3e3d9bc9e1598ae0c78a406464a1ba1306fe630b4c04efcac9da55d1",
         "graphoids_n5.json": "0f7368d0b828a2b5c7aa1aa543ac80e3e7421474afafab0a89ae4d880ff59bb2",
+        "local_optima_n3.json": "f78678807a787edca1190254a77d498cb8180f2c193494eaa134075c907da42e",
         "local_optima_n5.json": "53e982625df1b656d07d14d2ee82e63587fdeff8a7544bddd8644e6fd7f331cc",
     }
 
@@ -511,6 +512,7 @@ class TestVerify:
         reports = {
             "dag_probe_n4.json": probe_dag_targets(4),
             "graphoids_n5.json": sweep_graphoids(5),
+            "local_optima_n3.json": sweep_local_optima(3),
             "local_optima_n5.json": sweep_local_optima(5),
         }
         got = {

@@ -15,7 +15,6 @@ from chordalearn.graphs import (
     NotChordalError,
     UndirectedGraph,
     check_chordality,
-    d_separated_masks,
     d_separated_table,
     find_chordless_cycle,
     is_chordal,
@@ -36,6 +35,7 @@ from chordalearn.verification import all_dags, enumerate_chordal, iter_dags
 from conftest import (
     all_graphs,
     d_separated,
+    d_separated_masks,
     naive_d_separated,
     nx_is_chordal,
     path_separated,

@@ -1,5 +1,6 @@
 """Dependency models, statement enumeration, model comparison, axioms."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -21,7 +22,7 @@ from chordalearn.independence import (
     model_included,
     role_masks,
 )
-from chordalearn.verification import all_dags
+from chordalearn.verification import all_dags, enumerate_chordal
 
 from conftest import (
     all_graphs,
@@ -31,6 +32,9 @@ from conftest import (
     path_separated,
     random_dag,
     random_graph,
+    ref_enumerate_independencies,
+    ref_inclusion_optimal,
+    ref_model_included,
     statement_string,
 )
 
@@ -113,6 +117,17 @@ class TestDependencyModel:
         m = DependencyModel.from_undirected(g)
         q = ([0], [3], [1])
         assert m.independent(*q) == m.independent(*q)
+
+    def test_unknown_kind_and_wrong_graph_rejected(self):
+        d = Dag(3, [(0, 1)])
+        g = UndirectedGraph(3, [(0, 1)])
+        for kind in ("foo", "UG", "latent"):
+            with pytest.raises(ValueError, match="unknown model kind"):
+                DependencyModel(kind, d, range(3))
+        wrong = (("ug", d), ("dag", g), ("latent-dag", g), ("ug", ChordalGraph.empty(3)))
+        for kind, graph in wrong:
+            with pytest.raises(TypeError, match="needs a"):
+                DependencyModel(kind, graph, range(3))
 
 
 class TestEnumeration:
@@ -255,6 +270,79 @@ class TestInclusionOptimal:
             "n=4;0-1,0-2,0-3,1-2,2-3",
             "n=4;0-1,0-3,1-2,1-3,2-3",
         ]
+
+
+chordal_graphs = functools.cache(enumerate_chordal)
+
+
+def set_inclusion():
+    """``model_included``'s verdict as containment of the two models'
+    statement sets (``enumerate_independencies``), with no witness; each
+    graph's and each target's set is listed once."""
+    sets = {}
+
+    def statements(key, model):
+        if key not in sets:
+            sets[key] = enumerate_independencies(model)
+        return sets[key]
+
+    def included(g, target):
+        own = statements(g.fingerprint(), DependencyModel.from_undirected(g.graph))
+        return own <= statements(id(target), target), None
+
+    return included
+
+
+class TestInclusionOptimalMatchesPerSubgraph:
+    """``inclusion_optimal``, which decides g and every single-line
+    subgraph from one answer table, against ``ref_inclusion_optimal``,
+    which rebuilds and compares each subgraph afresh."""
+
+    def check(self, pairs, included=ref_model_included):
+        optimal, decided_by_subgraph = 0, False
+        for g, target in pairs:
+            got = inclusion_optimal(g, target)
+            assert got == ref_inclusion_optimal(g, target, included), (
+                g.fingerprint(),
+                target.kind,
+                target.graph.to_text(),
+            )
+            optimal += got
+            if not (got or decided_by_subgraph):
+                decided_by_subgraph = included(g, target)[0]
+        # both verdicts occur, and some included graph loses to a subgraph
+        assert optimal and decided_by_subgraph
+
+    def test_every_pair_up_to_four_vertices(self):
+        chordals = {n: chordal_graphs(n) for n in range(1, 5)}
+        ugs = [DependencyModel.from_undirected(t) for n in range(1, 5) for t in all_graphs(n)]
+        self.check([(g, t) for t in ugs for g in chordals[t.n_observed]])
+        dags = [Dag(4, arcs) for arcs in all_dags(4)]
+        assert len(dags) == 543
+        self.check([(g, DependencyModel.from_dag(d)) for d in dags for g in chordals[4]])
+        # the one-latent margins: vertex 3 hidden, graphs on 0..2
+        margins = [DependencyModel.from_latent_dag(d, [3]) for d in dags]
+        self.check([(g, m) for m in margins for g in chordals[3]])
+
+    def test_every_chordal_graph_on_five_and_six_vertices(self):
+        rng = np.random.default_rng(37)
+        for n, count in ((5, 3), (6, 1)):
+            targets = [DependencyModel.from_undirected(random_graph(n, rng)) for _ in range(count)]
+            targets += [DependencyModel.from_dag(random_dag(n, rng)) for _ in range(count)]
+            graphs = chordal_graphs(n)
+            self.check([(g, t) for t in targets for g in graphs])
+
+    def test_latent_margins_on_five_and_six_observed(self):
+        # every chordal graph on five observed vertices; on six, the
+        # chordal graphs missing at most two lines, where the included
+        # graphs of a dense margin lie (each six-vertex comparison reads
+        # 1,351 statements, so all 18,154 graphs would take about a minute)
+        rng = np.random.default_rng(41)
+        five = [DependencyModel.from_latent_dag(random_dag(6, rng, p=0.6), [5]) for _ in range(2)]
+        six = DependencyModel.from_latent_dag(random_dag(7, rng, p=0.6), [6])
+        dense = [g for g in chordal_graphs(6) if len(g.lines) >= 13]
+        pairs = [(g, t) for t in five for g in chordal_graphs(5)]
+        self.check(pairs + [(g, six) for g in dense], set_inclusion())
 
 
 class TestGraphoids:
@@ -460,42 +548,9 @@ def ref_graphoid_report(m, axioms=ALL_AXIOMS):
     return GraphoidReport(axioms=results)
 
 
-def ref_enumerate_independencies(m):
-    obs = m.observed
-    out = set()
-    for assign in itertools.product(range(4), repeat=len(obs)):
-        a = tuple(v for v, k in zip(obs, assign) if k == 0)
-        b = tuple(v for v, k in zip(obs, assign) if k == 1)
-        c = tuple(v for v, k in zip(obs, assign) if k == 2)
-        if not a or not b or b < a:
-            continue  # canonical orientation only
-        if m.independent(a, b, c):
-            out.add(IndependenceStatement(a, b, c))
-    return out
-
-
-def ref_model_included(g, target):
-    graph = g.graph
-    n = graph.n
-    if target.kind in ("ug", "dag"):
-        rest = set(range(n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                if graph.has_line(a, b):
-                    continue
-                cond = rest - {a, b}
-                if not target.independent([a], [b], cond):
-                    return False, IndependenceStatement((a,), (b,), tuple(cond))
-        return True, None
-    own = DependencyModel.from_undirected(graph)
-    for stmt in sorted(ref_enumerate_independencies(own), key=lambda s: (s.a, s.b, s.c)):
-        if not holds(target, stmt):
-            return False, stmt
-    return True, None
-
-
 def fresh(m):
-    """The same model with an empty memo."""
+    """A new model over ``m``'s graph and observed set, so that the paths
+    a test compares each query a model object of their own."""
     return DependencyModel(m.kind, m.graph, m.observed)
 
 
@@ -566,10 +621,10 @@ class TestMaskKernelsMatchSlowPath:
     def test_enumeration_and_every_canonical_triple(self):
         for m in oracle_models():
             masked, public = fresh(m), fresh(m)
-            for am, bm, cm in canonical_triples(m.observed):
-                a, b, c = vertices(am), vertices(bm), vertices(cm)
-                assert masked.independent_masks(am, bm, cm) == public.independent(a, b, c)
-                assert masked.independent_masks(bm, am, cm) == public.independent(b, a, c)
+            triples = canonical_triples(m.observed)
+            both = [t for am, bm, cm in triples for t in ((am, bm, cm), (bm, am, cm))]
+            expected = [public.independent(*map(vertices, t)) for t in both]
+            assert masked.independent_table(both) == expected
             assert enumerate_independencies(fresh(m)) == ref_enumerate_independencies(
                 fresh(m)
             )
@@ -579,7 +634,7 @@ class TestMaskKernelsMatchSlowPath:
             triples = canonical_triples(m.observed)
             swapped = [(b, a, c) for a, b, c in triples]
             for batch in (triples, swapped):
-                expected = [fresh(m).independent_masks(*t) for t in batch]
+                expected = [fresh(m).independent_table([t])[0] for t in batch]
                 assert fresh(m).independent_table(batch) == expected
 
     def test_model_included_witnesses(self):

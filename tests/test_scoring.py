@@ -559,21 +559,27 @@ class TestToggledScores:
                 # the same entries local_score would have made
                 assert [cache.local_score(v, set(parents) ^ {u}) for u in others] == want
                 assert len(cache) == len(others)
-                # a dense f(v, P) table scores every toggle in one batch;
-                # with P empty, the pair table, if it fits, or else each
-                # family of at most N cells
+                # a dense f(v, P) table scores every toggle in one batch
+                # when the pair table fits; with P empty, the pair table,
+                # if it fits, or else each family of at most N cells; with
+                # P nonempty and the pair table too large, each family of
+                # at most N cells
                 rq = data.arities[v] * math.prod(data.arities[p] for p in parents)
-                dense = rq <= n_rows
-                batched = [dense] * len(others)
-                if not parents:
-                    pairs_fit = sum(data.arities) ** 2 <= data.rows.size
-                    batched = [pairs_fit or rq * data.arities[u] <= n_rows for u in others]
+                pairs_fit = sum(data.arities) ** 2 <= data.rows.size
+                product = rq <= n_rows and pairs_fit
+                batched = [product] * len(others)
+                if not parents or not pairs_fit:
+                    sizes = [
+                        data.arities[v] * math.prod(data.arities[p] for p in set(parents) ^ {u})
+                        for u in others
+                    ]
+                    batched = [pairs_fit or size <= n_rows for size in sizes]
                 assert batch["_tables_score"] == sum(batched)
                 assert batch["bdeu_local_score"] == len(others) - sum(batched)
                 added = [data.arities[u] for u in others if u not in parents]
-                seen["arity 1", n_rows] += dense and 1 in added
+                seen["arity 1", n_rows] += product and 1 in added
                 # r*q*r_u > N: counted by the product, not np.unique
-                seen["wide addition", n_rows] += dense and any(rq * r > n_rows for r in added)
+                seen["wide addition", n_rows] += product and any(rq * r > n_rows for r in added)
         assert ran["_tables_score"] and ran["bdeu_local_score"]
         assert seen["arity 1", 5000] and seen["wide addition", 5000], seen
 
@@ -674,6 +680,21 @@ class TestFamilyScores:
         want = [bdeu_local_score(v, p, data) for v, p in families]
         assert ScoreCache(data).family_scores(families) == want
         assert ScoreCache(data).toggled_scores(1, (), [0, 2]) == [want[4], want[5]]
+
+    def test_high_arity_column_skips_state_indicator(self, monkeypatch):
+        # one column of 20,000 states at N = 2,000: the N x K indicator
+        # would hold 80 MB for 48 kB of rows, so the toggle group goes
+        # through family_scores and still gives bdeu_local_score's floats
+        def no_indicator(data):
+            raise AssertionError("state indicator built")
+
+        monkeypatch.setattr(scoring, "_StateCounts", no_indicator)
+        rng = rng_from(97)
+        arities = (2, 20_000, 2)
+        rows = np.column_stack([rng.integers(0, r, size=2000) for r in arities])
+        data = Dataset(rows, arities)
+        got = ScoreCache(data).toggled_scores(0, (2,), [1])
+        assert [x.hex() for x in got] == [bdeu_local_score(0, (1, 2), data).hex()]
 
     def test_malformed_keys_rejected(self):
         cache = ScoreCache(family_dataset(10, 83))

@@ -159,7 +159,7 @@ def reference_oracle_self_check(target, graphs):
             smaller = ChordalGraph.from_graph(cg.graph.without_line(mv.a, mv.b))
             sscore = oracle.score(smaller)
             s = masks[mv.a] & masks[mv.b]
-            holds = model.independent_masks(1 << mv.a, 1 << mv.b, s)
+            holds = model.independent_table([(1 << mv.a, 1 << mv.b, s)])[0]
             if holds != (sscore > score) or (not holds) != (sscore < score):
                 local.append(
                     {
@@ -311,7 +311,7 @@ def reference_sweep_local_optima(n, targets=None):
                 if scores[j] > scores[i]:
                     better = True
                 if mv.kind == "remove":
-                    holds = model.independent_masks(1 << mv.a, 1 << mv.b, mv.s_mask)
+                    holds = model.independent_table([(1 << mv.a, 1 << mv.b, mv.s_mask)])[0]
                     if holds != (scores[j] > scores[i]):
                         self_check.append(
                             {
@@ -589,7 +589,7 @@ def statement_local_optimum(g, target):
     masks = g.graph.neighbor_masks
     for move in inclusion_boundary(g):
         s = masks[move.a] & masks[move.b]
-        if target.independent_masks(1 << move.a, 1 << move.b, s) == (move.kind == "remove"):
+        if target.independent_table([(1 << move.a, 1 << move.b, s)])[0] == (move.kind == "remove"):
             return False
     return True
 
