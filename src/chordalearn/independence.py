@@ -357,9 +357,11 @@ def graphoid_report(
     (the transitivity middle set is a single vertex).
 
     Exhaustive, so bounded to 6 observed vertices: the model answers each
-    statement once, in one batch, into a table indexed by observed-position
-    bitmasks and symmetric in A and B (every backend is), and each
-    ``_AXIOMS`` rule is gathered from that table over every role assignment.
+    ordered statement once, (A, B, C) and (B, A, C) apart, in one batch,
+    into a table indexed by observed-position bitmasks, and each
+    ``_AXIOMS`` rule is gathered from that table over every role
+    assignment; so a backend that answers the two orientations of a
+    statement differently fails symmetry.
     """
     k = m.n_observed
     if k > EXHAUSTIVE_AXIOM_BOUND:
@@ -373,12 +375,10 @@ def graphoid_report(
     for v in m.observed:
         real += [r | 1 << v for r in real]
     stmts = _role_rows(k, 3, (0, 1), False)
-    stmts = stmts[stmts[:, 0] < stmts[:, 1]]
     table = np.zeros((1 << k,) * 3, dtype=bool)
     table[tuple(stmts.T)] = m.independent_table(
         [(real[a], real[b], real[c]) for a, b, c in stmts.tolist()]
     )
-    table |= table.transpose(1, 0, 2)
     q = lambda a, b, c: table[a, b, c]
     results = {}
     for name in axioms:

@@ -22,9 +22,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from scipy.special import gammaln
 
-from .graphs import ChordalGraph, Dag, mask_vertices
+from .graphs import ChordalGraph, Dag, mask_vertices, vertex_mask
 
-LocalScoreKey = tuple[int, tuple[int, ...]]
+LocalScoreKey = tuple[int, int]  # (child, parent bitmask)
+_CODE_BOUND = 2**63  # every int64 code lies below it
 
 
 class Dataset:
@@ -181,14 +182,26 @@ def _parent_config_codes(
     rows: np.ndarray, arities: Sequence[int], cols: Sequence[int]
 ) -> tuple[np.ndarray, int]:
     """Mixed-radix code per row of the ordered columns ``cols``, the first
-    column varying fastest, and the number of codes (the product of the
-    columns' arities).  Callers pass parent sets sorted, so the code of a
-    parent configuration does not depend on how the set was listed."""
+    column varying fastest, and the number of codes q (the product of the
+    columns' arities, an exact int).  Callers pass parent sets sorted, so
+    the code of a parent configuration does not depend on how the set was
+    listed.
+
+    Up to q = ``_CODE_BOUND`` the codes are the mixed-radix values.  Past
+    it, before a multiply would overflow, the codes so far are renumbered
+    by rank among the observed ones, so they still sort and group as the
+    exact mixed-radix values would."""
     if not cols:
         return np.zeros(rows.shape[0], dtype=np.int64), 1
     codes = rows[:, cols[-1]].astype(np.int64)
-    q = arities[cols[-1]]
+    q = span = arities[cols[-1]]  # every code is below span
     for c in reversed(cols[:-1]):
+        if span * arities[c] > _CODE_BOUND:
+            uniq, codes = np.unique(codes, return_inverse=True)
+            span = uniq.size
+            if span * arities[c] > _CODE_BOUND:
+                raise ValueError(f"column {c}'s arity is too large to count {span} codes")
+        span *= arities[c]
         codes *= arities[c]
         codes += rows[:, c]
         q *= arities[c]
@@ -229,88 +242,78 @@ def bdeu_local_score(
     counts them; otherwise ``np.unique`` sorts the N codes, which bounds
     memory by N whatever the arities.  Both branches yield the nonzero
     cell counts in ascending code order and the nonzero configuration
-    counts in ascending configuration order, the same integer arrays, so
-    the two sums are the same floats.
+    counts in ascending configuration order, the same integer arrays, and
+    ``_runs_score`` scores both, so the two branches give the same floats.
     """
     check_ess(ess)
-    parents = tuple(sorted(set(parents)))
-    if v in parents:
-        raise ValueError(f"vertex {v} cannot be its own parent")
-    for p in parents + (v,):
-        if not (0 <= p < data.n_vars):
-            raise ValueError(f"vertex {p} out of range")
+    parents = _family_parents(v, parents, data.n_vars)
     if data.n_rows == 0:
         return 0.0
     r = data.arities[v]
     cell, rq = _parent_config_codes(data.rows, data.arities, (v,) + parents)
     if rq <= data.n_rows:
-        return _table_score(np.bincount(cell, minlength=rq), r, ess)
-    q = rq // r
+        return _tables_score(np.bincount(cell, minlength=rq), [rq], r, ess)[0]
     uniq, counts = np.unique(cell, return_counts=True)
-    boundaries = np.flatnonzero(np.diff(uniq // r)) + 1
-    n_cfg = np.add.reduceat(counts, np.concatenate(([0], boundaries)))
-    return _dirichlet_sum(counts, n_cfg, rq, q, ess)
+    n_cfg = np.add.reduceat(counts, np.flatnonzero(np.diff(uniq // r, prepend=-1)))
+    runs, alpha = np.array([counts.size, n_cfg.size]), np.array([ess / rq, ess / (rq // r)])
+    return _runs_score(np.concatenate((counts, n_cfg)), runs, alpha)[0]
 
 
-def _table_score(table: np.ndarray, r: int, ess: float) -> float:
-    """BDeu local score from a dense family table in the child-first cell
-    layout (cell child + r * configuration, parents sorted, the lowest
-    varying fastest): its nonzero cells in ascending code order and its
-    nonzero configuration totals in ascending order."""
-    rq = table.size
-    q = rq // r
-    counts = table[table > 0]
-    n_cfg = table.reshape(q, r).sum(axis=1)
-    return _dirichlet_sum(counts, n_cfg[n_cfg > 0], rq, q, ess)
-
-
-def _dirichlet_sum(counts, n_cfg, rq: int, q: int, ess: float) -> float:
-    a_cell = ess / rq
-    a_cfg = ess / q
-    # ndarray.sum is the np.sum reduction without its Python wrapper
-    total = float((gammaln(a_cell + counts) - gammaln(a_cell)).sum())
-    total += float((gammaln(a_cfg) - gammaln(a_cfg + n_cfg)).sum())
-    return total
+def _family_parents(v: int, parents: Iterable[int], n: int) -> tuple[int, ...]:
+    """The parents of child ``v``, sorted and distinct, once every vertex
+    is checked to be in range and ``v`` not to be among them."""
+    parents = tuple(sorted(set(parents)))
+    if v in parents:
+        raise ValueError(f"vertex {v} cannot be its own parent")
+    for p in parents + (v,):
+        if not (0 <= p < n):
+            raise ValueError(f"vertex {p} out of range")
+    return parents
 
 
 def _tables_score(cells: np.ndarray, sizes, r: int, ess: float) -> list[float]:
-    """``_table_score`` of each dense family table of one child of arity
-    r, the tables given concatenated in ``cells`` with their ``sizes``,
-    with one ``gammaln`` pass over all their nonzero cells and
-    configuration totals.
-
-    Each elementwise step is the one ``_dirichlet_sum`` takes, a
-    configuration's gammaln(a) - gammaln(a + n) as the exact negation of
-    gammaln(a + n) - gammaln(a) (bar a zero's sign, which no sum shows).
-    Its two sums are ``ndarray.sum``, which starts from the identity 0.0
-    and adds the pairwise sum of the family's terms; here each family's
-    sums are one ``np.add.reduceat`` over its run of nonzero terms with a
-    0.0 inserted ahead of the run (``_run_sums``).  ``reduceat`` starts
-    from a run's first element, that 0.0, and adds the pairwise sum of
-    the rest, the family's terms, so it makes the same additions and the
-    floats are ``_table_score``'s.  Keeping the zero terms in, or
-    ``reduceat`` without the leading 0.0, would regroup the pairwise sums
-    and can round differently."""
+    """The BDeu local score of each dense family table of one child of
+    arity r, the tables given concatenated in ``cells`` with their
+    ``sizes``, each in the child-first cell layout (cell child + r *
+    configuration, parents sorted, the lowest varying fastest).  Their
+    nonzero cells and nonzero configuration totals, each in ascending
+    order, go to ``_runs_score`` in one call."""
     sizes = np.asarray(sizes)
     # runs: each table's cells, then each table's configuration totals,
     # every table being a whole number of configurations of r cells
     values = np.concatenate((cells, cells.reshape(-1, r).sum(axis=1)))
     lengths = np.concatenate((sizes, sizes // r))
-    alpha = ess / lengths  # ess / (r*q) per cell, ess / q per configuration
     keep = values > 0
     nonzero = np.add.reduceat(keep, np.cumsum(lengths) - lengths, dtype=np.intp)
-    terms = gammaln(np.repeat(alpha, nonzero) + values[keep])
-    terms -= np.repeat(gammaln(alpha), nonzero)
-    cfg_terms = terms[nonzero[:sizes.size].sum():]
+    # ess / (r*q) per cell, ess / q per configuration
+    return _runs_score(values[keep], nonzero, ess / lengths)
+
+
+def _runs_score(counts: np.ndarray, runs: np.ndarray, alpha: np.ndarray) -> list[float]:
+    """The BDeu local scores of k families from their nonzero counts, in
+    2k consecutive runs of ``counts`` of lengths ``runs``: each family's
+    cells, then each family's configuration totals, every run ascending.
+    ``alpha`` is each run's pseudo-count, ess/(r*q) or ess/q.
+
+    A family scores its cells' gammaln(a + n) - gammaln(a) less its
+    configurations', from one ``gammaln`` pass; negating a difference is
+    exact.  ``_run_sums`` adds each run to a leading 0.0, bit for bit as
+    ``ndarray.sum`` over the run alone, so a family's float does not
+    depend on the families scored with it.  Keeping zero counts in would
+    regroup the pairwise sums and can round differently."""
+    k = runs.size // 2
+    terms = gammaln(np.repeat(alpha, runs) + counts)
+    terms -= np.repeat(gammaln(alpha), runs)
+    cfg_terms = terms[runs[:k].sum():]
     np.negative(cfg_terms, out=cfg_terms)
-    sums = _run_sums(terms, nonzero)
-    return (sums[:sizes.size] + sums[sizes.size:]).tolist()
+    sums = _run_sums(terms, runs)
+    return (sums[:k] + sums[k:]).tolist()
 
 
 def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The sum of each of the consecutive runs of the given (nonnegative)
     lengths in ``values``, each bit for bit ``ndarray.sum`` over its run
-    (see ``_tables_score``); an empty run sums to 0.0.  This rests on
+    (see ``_runs_score``); an empty run sums to 0.0.  This rests on
     numpy's reduction order, which ``test_run_sums_equal_ndarray_sum``
     checks."""
     heads = np.cumsum(lengths) - lengths + np.arange(len(lengths))
@@ -324,9 +327,12 @@ def _run_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 class ScoreCache:
     """Memoized local scores bound to one (dataset, ess) pair.
 
-    Returned values are bit-identical across repeated queries of the same
-    (child, parent set) key.  Reads are safe to share; insertion happens
-    under the GIL, so plain dict semantics suffice here.
+    Every local score is keyed by (child, parent bitmask), the form in
+    which the graphs hold their parent sets; ``local_score`` is the one
+    place a parent set given as vertices becomes a mask.  Returned values
+    are bit-identical across repeated queries of the same key.  Reads are
+    safe to share; insertion happens under the GIL, so plain dict
+    semantics suffice here.
     """
 
     def __init__(self, data: Dataset, ess: float = 1.0):
@@ -341,17 +347,15 @@ class ScoreCache:
         self._pairs: Optional[tuple[np.ndarray, list[slice]]] = None
 
     def local_score(self, v: int, parents: Iterable[int]) -> float:
-        key = (v, tuple(sorted(set(parents))))
-        hit = self._table.get(key)
-        if hit is None:
-            hit = bdeu_local_score(key[0], key[1], self.data, self.ess)
-            self._table[key] = hit
-        return hit
+        """``bdeu_local_score(v, parents)`` on this cache's data and ess,
+        as the one key (v, parent mask) of ``family_scores``."""
+        parents = _family_parents(v, parents, self.data.n_vars)
+        return self.family_scores([(v, vertex_mask(parents))])[0]
 
     def family_scores(self, keys: Sequence[LocalScoreKey]) -> list[float]:
-        """``local_score`` of each (child, sorted distinct parents) key,
-        the same floats and cache entries, missing keys filled in one batch.
-        A family with at most one parent is read off the pairwise counts
+        """The local score of each (child, parent mask) key, the float
+        ``bdeu_local_score`` gives, missing keys filled in one batch.  A
+        family with at most one parent is read off the pairwise counts
         (``_pair_counts``) when that table has no more cells than the data
         (``data.rows``), so memory stays bounded by N; any other of
         r*q <= N cells is counted by ``np.bincount``; one ``_tables_score``
@@ -367,21 +371,20 @@ class ScoreCache:
         arities, n, n_rows = data.arities, data.n_vars, data.n_rows
         dense: dict[int, dict] = {}  # child arity -> family -> its dense table
         for key in keys:
-            v, parents = key
-            if v in parents or parents != tuple(sorted(set(parents))) or not 0 <= v < n or (
-                parents and not (parents[0] >= 0 and parents[-1] < n)
-            ):
-                raise ValueError(f"family {key!r} needs sorted, distinct parents in range")
-            r = rq = arities[v]
+            v, mask = key
+            if not (0 <= v < n and 0 <= mask < 1 << n) or mask >> v & 1:
+                raise ValueError(f"family {key!r} needs a parent mask of other vertices in range")
+            r = arities[v]
             tables = dense.setdefault(r, {})
-            for p in parents:
-                rq *= arities[p]
-            if len(parents) <= 1 and self._onehot_fits:
+            if not mask & (mask - 1) and self._onehot_fits:  # at most one parent
                 counts, spans = self._pairs = self._pairs or _pair_counts(data)
                 # rows: the parent's states, columns: v's; cell x_v + r * x_u
-                cells = counts[spans[parents[0] if parents else v], spans[v]]
-                tables[key] = cells.ravel() if parents else cells.diagonal()
-            elif rq > n_rows:
+                cells = counts[spans[mask.bit_length() - 1 if mask else v], spans[v]]
+                tables[key] = cells.ravel() if mask else cells.diagonal()
+                continue
+            parents = mask_vertices(mask)
+            rq = r * math.prod(arities[p] for p in parents)
+            if rq > n_rows:
                 self._table[key] = bdeu_local_score(v, parents, data, ess)
             else:
                 codes, _ = _parent_config_codes(data.rows, arities, (v,) + parents)
@@ -392,13 +395,11 @@ class ScoreCache:
                 scores = _tables_score(np.concatenate(cells), [t.size for t in cells], r, ess)
                 self._table.update(zip(tables, scores))
 
-    def toggled_scores(
-        self, v: int, parents: Iterable[int], toggles: Sequence[int]
-    ) -> list[float]:
-        """f(v, P ^ {u}) for each u in ``toggles``, with P = ``parents``:
-        the values and cache entries ``local_score`` would give, in one
-        call (Moore & Lee, JAIR 1998, on reusing one count across queries
-        that differ from it by one column).
+    def toggled_scores(self, v: int, parents: int, toggles: Sequence[int]) -> list[float]:
+        """f(v, P ^ {u}) for each u in ``toggles``, with P the parent mask
+        ``parents``: the values and cache entries ``family_scores`` would
+        give, in one call (Moore & Lee, JAIR 1998, on reusing one count
+        across queries that differ from it by one column).
 
         Only missing keys are computed.  When the family (v, *sorted(P))
         has r*q <= N cells, its rows are coded once and counted into the
@@ -418,20 +419,19 @@ class ScoreCache:
         that table fits), as does every toggle when it does not fit.
 
         Each table is the integer table ``bdeu_local_score`` counts for
-        that family, in its cell order.  ``_tables_score`` scores the
-        group's tables together and gives ``_table_score``'s float for
-        each, which is ``bdeu_local_score``'s, so the floats are the same.
+        that family, in its cell order, and ``_tables_score`` scores the
+        group's tables together, so the floats are ``bdeu_local_score``'s.
         Families with r*q > N go through ``bdeu_local_score`` one by one.
         """
-        data = self.data
-        parents = tuple(sorted(set(parents)))
-        for w in (v, *parents, *toggles):
-            if not 0 <= w < data.n_vars:
+        n = self.data.n_vars
+        for w in (v, *toggles):
+            if not 0 <= w < n:
                 raise ValueError(f"vertex {w} out of range")
-        if v in parents or v in toggles:
+        if not 0 <= parents < 1 << n:
+            raise ValueError(f"parent mask {parents!r} out of range")
+        if parents >> v & 1 or v in toggles:
             raise ValueError(f"vertex {v} cannot be its own parent")
-        pset = set(parents)
-        keys = [(v, tuple(sorted(pset ^ {u}))) for u in toggles]
+        keys = [(v, parents ^ 1 << u) for u in toggles]
         if not parents or not self._onehot_fits:
             return self.family_scores(keys)
         missing = [(u, key) for u, key in zip(toggles, keys) if key not in self._table]
@@ -439,21 +439,22 @@ class ScoreCache:
             self._fill_toggled(v, parents, missing)
         return [self._table[key] for key in keys]
 
-    def _fill_toggled(self, v: int, parents: tuple, missing: list) -> None:
+    def _fill_toggled(self, v: int, mask: int, missing: list) -> None:
         data, ess = self.data, self.ess
         arities = data.arities
+        parents = mask_vertices(mask)
         r = arities[v]
         rq = r * math.prod(arities[p] for p in parents)
         if rq > data.n_rows:  # no dense f(v, P) table; additions are wider
             for _, key in missing:
-                self._table[key] = bdeu_local_score(v, key[1], data, ess)
+                self._table[key] = bdeu_local_score(v, mask_vertices(key[1]), data, ess)
             return
         codes, _ = _parent_config_codes(data.rows, arities, (v,) + parents)
         table = np.bincount(codes, minlength=rq)
         keys, tables, sizes = [], [], []
         added, added_keys = [], []
         for u, key in missing:
-            if u not in parents:
+            if not mask >> u & 1:
                 added.append(u)
                 added_keys.append(key)
                 continue
@@ -568,13 +569,19 @@ def _resolve_cache(data: Dataset, ess: float, cache: Optional[ScoreCache]) -> Sc
     return cache
 
 
-def score_dag(d: Dag, data: Dataset, ess: float = 1.0, cache: Optional[ScoreCache] = None) -> float:
-    """Sum of local scores over the DAG's parent sets."""
-    if d.n != data.n_vars:
+def _score_families(
+    parent_masks: Sequence[int], data: Dataset, ess: float, cache: Optional[ScoreCache]
+) -> float:
+    """Sum of the local scores of every vertex with its parent mask."""
+    if len(parent_masks) != data.n_vars:
         raise ValueError("graph and dataset have different variable counts")
     cache = _resolve_cache(data, ess, cache)
-    keys = [(v, mask_vertices(m)) for v, m in enumerate(d.parent_masks)]
-    return math.fsum(cache.family_scores(keys))
+    return math.fsum(cache.family_scores(list(enumerate(parent_masks))))
+
+
+def score_dag(d: Dag, data: Dataset, ess: float = 1.0, cache: Optional[ScoreCache] = None) -> float:
+    """Sum of local scores over the DAG's parent sets."""
+    return _score_families(d.parent_masks, data, ess, cache)
 
 
 def score_chordal(
@@ -585,11 +592,18 @@ def score_chordal(
     All perfect orderings give the same value up to floating rounding,
     since the oriented DAGs encode the same factorization.
     """
-    if g.n != data.n_vars:
-        raise ValueError("graph and dataset have different variable counts")
-    cache = _resolve_cache(data, ess, cache)
-    keys = [(v, mask_vertices(m)) for v, m in enumerate(g.oriented_parent_masks())]
-    return math.fsum(cache.family_scores(keys))
+    return _score_families(g.oriented_parent_masks(), data, ess, cache)
+
+
+def _families_dimension(parent_masks: Sequence[int], arities: Sequence[int]) -> int:
+    """Sum over vertices of (arity - 1) times the product of the arities
+    of the parents in its mask."""
+    if len(arities) != len(parent_masks):
+        raise ValueError("arity count does not match vertex count")
+    return sum(
+        (arities[v] - 1) * math.prod(arities[p] for p in mask_vertices(m))
+        for v, m in enumerate(parent_masks)
+    )
 
 
 def dimension(g: ChordalGraph, arities: Sequence[int]) -> int:
@@ -600,26 +614,9 @@ def dimension(g: ChordalGraph, arities: Sequence[int]) -> int:
     the clique-minus-separator state-space count and is the same for every
     perfect ordering.
     """
-    if len(arities) != g.n:
-        raise ValueError("arity count does not match vertex count")
-    parents = g.oriented_parents()
-    total = 0
-    for v in range(g.n):
-        block = arities[v] - 1
-        for p in parents[v]:
-            block *= arities[p]
-        total += block
-    return total
+    return _families_dimension(g.oriented_parent_masks(), arities)
 
 
 def dimension_dag(d: Dag, arities: Sequence[int]) -> int:
     """Free parameters of a DAG model: sum of (arity-1) * parent states."""
-    if len(arities) != d.n:
-        raise ValueError("arity count does not match vertex count")
-    total = 0
-    for v in range(d.n):
-        block = arities[v] - 1
-        for p in d.parents[v]:
-            block *= arities[p]
-        total += block
-    return total
+    return _families_dimension(d.parent_masks, arities)

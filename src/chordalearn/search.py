@@ -23,9 +23,9 @@ between steps:
 * delta memo: a line's score change depends on the data and on (a, b, S)
   only, so ``BDeuScorer`` keeps f(b, S + a) - f(b, S) per (a, b, S) for
   the whole search; a removal reads the exact negation.  Nothing in it is
-  ever invalidated, and only a miss builds the parent sets that
-  ``ScoreCache`` is keyed by.  A step fills all its misses with one
-  ``ScoreCache.family_scores`` call.
+  ever invalidated.  A step fills all its misses with one
+  ``ScoreCache.family_scores`` call, whose keys, (b, S | 1 << a) and
+  (b, S), are the bitmasks themselves.
 
 The DAG hill-climber does carry state between steps.  A move's delta
 depends only on its child's parent set (and its parent's, for a
@@ -33,8 +33,9 @@ reversal), so per child it keeps the local terms and the additions and
 removals they score, ranked best first, and rebuilds them only for the
 one or two children a move edits (Chickering, JMLR 2002).  Each step runs
 one legality pass over descendant bitmasks, the one ``dag_moves`` lists
-from, fetches only the terms of newly listed moves, and reads each
-child's best legal move off the front of its ranking.
+from, fetches only the terms of newly listed moves, keyed by the
+children's parent bitmasks, and reads each child's best legal move off
+the front of its ranking.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, is_complete_mask
-from .graphs import mask_vertices, reach, removal_keeps_chordal
+from .graphs import reach, removal_keeps_chordal
 from .independence import DependencyModel
 from .scoring import Dataset, ScoreCache, _resolve_cache, score_chordal, score_dag
 
@@ -185,7 +186,8 @@ class BDeuScorer:
     Line deltas are memoized for the scorer's lifetime by (a, b, S), S a
     bitmask, in the add sense; they depend on nothing else, so no entry is
     ever stale.  ``move_scores`` fills a step's missing entries with one
-    ``ScoreCache.family_scores`` call."""
+    ``ScoreCache.family_scores`` call over the families (b, S | 1 << a)
+    and (b, S), keyed by those parent masks as they are."""
 
     def __init__(self, data: Dataset, ess: float = 1.0, cache: Optional[ScoreCache] = None):
         self.cache = _resolve_cache(data, ess, cache)
@@ -206,8 +208,7 @@ class BDeuScorer:
         if missing:
             families = []
             for a, b, s in missing:
-                parents = mask_vertices(s)
-                families += [(b, tuple(sorted((a, *parents)))), (b, parents)]
+                families += [(b, s | 1 << a), (b, s)]
             terms = self.cache.family_scores(families)
             for i, key in enumerate(missing):
                 memo[key] = terms[2 * i] - terms[2 * i + 1]
@@ -460,7 +461,7 @@ class _DagCarry:
             self._reset(v)
 
     def _reset(self, v: int) -> None:
-        self.base[v] = self.cache.local_score(v, self.d.parents[v])
+        self.base[v] = self.cache.family_scores([(v, self.d.parent_masks[v])])[0]
         self.toggled[v] = {}
         self.held[v] = 0
         self.ranked[v] = []
@@ -491,10 +492,10 @@ class _DagCarry:
                 continue
             self.held[v] |= missing
             us = [u for u in range(d.n) if (missing >> u) & 1]
-            parents = d.parents[v]
-            for u, f in zip(us, self.cache.toggled_scores(v, parents, us)):
+            pmask = d.parent_masks[v]
+            for u, f in zip(us, self.cache.toggled_scores(v, pmask, us)):
                 toggled[v][u] = f
-                kind = "remove" if u in parents else "add"
+                kind = "remove" if (pmask >> u) & 1 else "add"
                 ranked[v].append((-(f - base[v]), _KIND_ORDER[kind], u, _move(kind, u, v)))
             ranked[v].sort()
         firsts = [next(self.legal(v), (0.0, None)) for v in range(d.n)]

@@ -11,9 +11,10 @@ checked against, ``d_separated`` and ``enumerate_independencies``, the
 set-argument front ends that tests use over the mask kernels,
 ``ref_model_included`` and ``ref_inclusion_optimal``, the
 one-statement-at-a-time model comparison that ``model_included`` and
-``inclusion_optimal`` batch, and ``line_delta``, ``move_delta`` and
-``per_move_greedy_chordal``, the one-move-at-a-time scoring path that
-the chordal search batches.
+``inclusion_optimal`` batch, ``table_score``, the one-table BDeu kernel
+that every local score must equal bit for bit, and ``line_delta``,
+``move_delta`` and ``per_move_greedy_chordal``, the one-move-at-a-time
+scoring path that the chordal search batches.
 """
 
 import functools
@@ -22,6 +23,7 @@ import math
 
 import networkx as nx
 import numpy as np
+from scipy.special import gammaln
 
 from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, _moral_masks
 from chordalearn.graphs import addition_keeps_chordal, mask_vertices, reach
@@ -274,6 +276,24 @@ def joint_table(net) -> np.ndarray:
     """Exact joint distribution of a ``DiscreteBayesNet`` over its
     ``joint_rows()`` order."""
     return np.exp(net.log_prob_rows(net.joint_rows()))
+
+
+def table_score(table: np.ndarray, r: int, ess: float) -> float:
+    """BDeu local score of one dense family table in the child-first cell
+    layout (cell child + r * configuration, parents sorted, the lowest
+    varying fastest): its nonzero cells in ascending code order and its
+    nonzero configuration totals in ascending order, each side summed by
+    ``ndarray.sum``.  The library's batched kernel must give this float
+    for every family, whichever way it was counted."""
+    rq = table.size
+    q = rq // r
+    counts = table[table > 0]
+    n_cfg = table.reshape(q, r).sum(axis=1)
+    a_cell = ess / rq
+    a_cfg = ess / q
+    total = float((gammaln(a_cell + counts) - gammaln(a_cell)).sum())
+    total += float((gammaln(a_cfg) - gammaln(a_cfg + n_cfg[n_cfg > 0])).sum())
+    return total
 
 
 def line_delta(cache: ScoreCache, g: ChordalGraph, move) -> float:

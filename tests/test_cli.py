@@ -522,6 +522,52 @@ class TestVerify:
         assert got == self.FULL_REPORT_SHA256
 
 
+class TestLearnPinned:
+    # sha256 of structure.txt and trace.jsonl from `learn`, both learners,
+    # on seeded data from `generate`: any change to the scores, the move
+    # order or the tie-breaks of either search shows here
+    LEARN_SHA256 = {
+        "chordal_n12_a3/chordal/structure.txt": "1d5c4f4fc1c8fd0dc6fd07231b7d2e2a2130a9730ce0fe6a028d506ac36ba78a",
+        "chordal_n12_a3/chordal/trace.jsonl": "e1a081e6ad4f03e9e57563a9a0636f11f3784a84ab7f79dca51296334aa6a8c7",
+        "chordal_n12_a3/dag/structure.txt": "203a0867f8bc03fe24ef58e5c54fab38e21d34015a52b20a9088ba361ed86245",
+        "chordal_n12_a3/dag/trace.jsonl": "dfdb783ceb039c974df027a5853cf6f67cc79dce4d02146ac6c0717ddc9dbbf2",
+        "dag_n12_a2/chordal/structure.txt": "71652d445f6b3f0b6a4ee00c6901f224cff9e4600eabe994456fd4cf1c9df9b4",
+        "dag_n12_a2/chordal/trace.jsonl": "23c573313da57236dcf63a1c826023e86aa90183f4d4425421b8f15335b1aa81",
+        "dag_n12_a2/dag/structure.txt": "4fc294fd1bab5452b5ba75a636649f5d9bcfdda19d21e4841dfca39346398a1a",
+        "dag_n12_a2/dag/trace.jsonl": "2f4c566e4c38cc428be1792375fef10466a457b1826b7bcd739973f535c797a7",
+        "chordal_n24_a2/chordal/structure.txt": "280a63c36d463a658477311b445b50cb1e777d9eb5212d45788bf89fefb7baac",
+        "chordal_n24_a2/chordal/trace.jsonl": "4ebef3cffc7f40d10bcbc5cbf026a2bba98c9393d1456abae76e55ab0edb98a3",
+        "chordal_n24_a2/dag/structure.txt": "9700ba2554eaa1884fef1fca227501abaf469985e44de6e37adfd33b87735047",
+        "chordal_n24_a2/dag/trace.jsonl": "73174542e8ca2ac3d4d4d0927a7604019df5a29e798a6954298e37fc5300dfb8",
+        "dag_n24_a3/chordal/structure.txt": "6c12f0bc22519659325ffa0abfefb53e006b7e331a69a8c495bc44324a62ab7e",
+        "dag_n24_a3/chordal/trace.jsonl": "1563939b041dfd7a5f49eb04709a9ff79ee131fbaa80dc8a400e0ba8fe9360f9",
+        "dag_n24_a3/dag/structure.txt": "4b73118af5dfd5d41f493051c88d3512f04490abca59d96d97ad3e8988b43ac4",
+        "dag_n24_a3/dag/trace.jsonl": "0bc107a0f70303f54c35fe236c24245e0edf1fc2b56293e5d46d04ed246dfa25",
+    }
+
+    @pytest.mark.parametrize(
+        "kind,n,arity", [("chordal", 12, 3), ("dag", 12, 2), ("chordal", 24, 2), ("dag", 24, 3)]
+    )
+    def test_learned_outputs_pinned(self, tmp_path, kind, n, arity):
+        cfg = write_json(
+            tmp_path / "gen.json",
+            {"target_kind": kind, "n_vars": n, "arity": arity, "n_obs": [2000],
+             "test_obs": 10, "seed": 11},
+        )
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        data = tmp_path / "run" / "data" / f"{kind}_n{n}_r0" / "train_2000.csv"
+        got, want = {}, {}
+        for learner in ("chordal", "dag"):
+            out = tmp_path / learner
+            argv = ["learn", "--data", str(data), "--learner", learner, "--out", str(out)]
+            assert cli.main(argv) == 0
+            for name in ("structure.txt", "trace.jsonl"):
+                key = f"{kind}_n{n}_a{arity}/{learner}/{name}"
+                got[key] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+                want[key] = self.LEARN_SHA256[key]
+        assert got == want
+
+
 class TestExperiment:
     def exp_config(self, tmp_path, **overrides):
         doc = {

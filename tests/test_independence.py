@@ -370,6 +370,23 @@ class TestGraphoids:
             )
             assert rep.all_passed
 
+    def test_symmetry_fails_on_a_one_sided_backend(self):
+        # a backend that answers only the A < B orientation of each
+        # statement (the mirror reads as dependent) breaks symmetry
+        # whenever the model has an independence at all
+        class OneSided(DependencyModel):
+            def independent_table(self, triples):
+                answers = super().independent_table(triples)
+                return [holds and a < b for (a, b, _), holds in zip(triples, answers)]
+
+        for g in all_graphs(3):
+            m = OneSided("ug", g, (0, 1, 2))
+            got = graphoid_report(m).axioms["symmetry"]
+            want = ref_graphoid_report(m, ("symmetry",)).axioms["symmetry"]
+            assert got.to_dict() == want.to_dict()
+            assert got.checked == 18
+            assert got.passed == (len(g.lines) == 3), g.fingerprint()
+
     def test_exhaustive_bound(self):
         m = DependencyModel.from_undirected(UndirectedGraph(7))
         with pytest.raises(ValueError):

@@ -21,7 +21,9 @@ from chordalearn.graphs import (
     UndirectedGraph,
     is_chordal,
     is_perfect_order,
+    mask_vertices,
     orient_by_ordering,
+    vertex_mask,
 )
 from chordalearn.scoring import (
     Dataset,
@@ -37,7 +39,7 @@ from chordalearn.scoring import (
 from chordalearn.search import Move, inclusion_boundary
 from chordalearn.synthetic import ancestral_sample, random_dag, random_parameters, rng_from
 
-from conftest import all_graphs, move_delta, random_chordal_graph
+from conftest import all_graphs, move_delta, random_chordal_graph, table_score
 
 mpmath.mp.dps = 60
 
@@ -411,6 +413,72 @@ class TestParentCodes:
         codes, q = _parent_config_codes(np.zeros((5, 2), dtype=int), (2, 2), ())
         assert q == 1 and not codes.any()
 
+    @staticmethod
+    def small_states(arities, seed, n_rows=40):
+        """Rows with states below 3 in columns of any arity."""
+        rng = rng_from(seed)
+        return np.column_stack([rng.integers(0, min(r, 3), size=n_rows) for r in arities])
+
+    def test_codes_past_int64_keep_the_exact_order(self):
+        # arities whose product passes 2**63: the int64 codes must sort
+        # and tie as the exact (Python int) mixed-radix codes do, and q
+        # must be the exact product
+        arities = (2, 2**32, 2**32, 4)
+        rows = self.small_states(arities, 101)
+        for cols in ((0, 1, 2, 3), (1, 2), (3, 1, 2, 0), (2, 1, 3)):
+            codes, q = _parent_config_codes(rows, arities, cols)
+            assert q == math.prod(arities[c] for c in cols)
+            exact = []
+            for row in rows.tolist():
+                code, radix = 0, 1
+                for c in cols:
+                    code += row[c] * radix
+                    radix *= arities[c]
+                exact.append(code)
+            rank = {c: i for i, c in enumerate(sorted(set(exact)))}
+            got = {c: i for i, c in enumerate(sorted(set(codes.tolist())))}
+            assert [got[c] for c in codes.tolist()] == [rank[c] for c in exact], cols
+
+    def test_family_past_int64_matches_counter_oracle(self):
+        # every family of these columns whose cells number more than
+        # 2**63: the int64 codes used to wrap and give a wrong score
+        arities = (2, 2**32, 2**32, 4)
+        data = Dataset(self.small_states(arities, 103), arities)
+        checked = 0
+        for v in range(4):
+            others = [u for u in range(4) if u != v]
+            for size in range(4):
+                for parents in itertools.combinations(others, size):
+                    if arities[v] * math.prod(arities[p] for p in parents) <= 2**63:
+                        continue
+                    for ess in (1.0, 3.7):
+                        want = oracle_local_score(v, parents, data, ess)
+                        got = bdeu_local_score(v, parents, data, ess)
+                        assert abs(got - want) < 1e-9, (v, parents, ess, got, want)
+                        assert ScoreCache(data, ess).local_score(v, parents) == got
+                    checked += 1
+        assert checked == 12
+
+    def test_family_within_int64_unchanged(self):
+        # r*q = 2**63 exactly: no renumbering, the codes are the strided
+        # mixed-radix codes and the score the sort kernel's, bit for bit
+        arities = (2, 2**30, 2**30, 4)
+        data = Dataset(self.small_states(arities, 107), arities)
+        cell, rq = _parent_config_codes(data.rows, arities, (0, 1, 2, 3))
+        pcodes, q = reference_parent_codes(data.rows, arities, (1, 2, 3))
+        assert rq == 2 * q == 2**63
+        assert np.array_equal(cell, pcodes * 2 + data.rows[:, 0])
+        for ess in (1.0, 3.7):
+            got = bdeu_local_score(0, (1, 2, 3), data, ess)
+            assert got.hex() == reference_local_score(0, (1, 2, 3), data, ess).hex()
+
+    def test_arity_past_int64_over_the_rows_rejected(self):
+        # even renumbered, three codes times 2**62 states overflow int64
+        arities = (2, 2**62, 4)
+        data = Dataset(self.small_states(arities, 109), arities)
+        with pytest.raises(ValueError, match="too large"):
+            bdeu_local_score(0, (1, 2), data)
+
 
 class TestLocalScore:
     def test_known_value_single_binary_variable(self):
@@ -550,7 +618,7 @@ class TestToggledScores:
                 ess = (1.0, 3.7)[trial % 2]
                 cache = ScoreCache(data, ess)
                 before = Counter(ran)
-                got = cache.toggled_scores(v, parents, others)
+                got = cache.toggled_scores(v, vertex_mask(parents), others)
                 batch = ran - before
                 want = [
                     bdeu_local_score(v, set(parents) ^ {u}, data, ess) for u in others
@@ -595,20 +663,23 @@ class TestToggledScores:
             return inner(cells, sizes, *args)
 
         monkeypatch.setattr(scoring, "_tables_score", spy)
-        got = cache.toggled_scores(0, (1,), [3, 2, 3])
+        got = cache.toggled_scores(0, 0b10, [3, 2, 3])
         assert got[0] == got[2] == known
         assert calls["scored"] == 1
-        assert cache.toggled_scores(0, (1,), [2, 3]) == [got[1], known]
+        assert cache.toggled_scores(0, 0b10, [2, 3]) == [got[1], known]
         assert calls["scored"] == 1
 
     def test_invalid_vertices_rejected(self):
         cache = ScoreCache(skewed_dataset(3, 10, rng_from(61)))
         with pytest.raises(ValueError, match="own parent"):
-            cache.toggled_scores(0, (1,), [0])
+            cache.toggled_scores(0, 0b10, [0])
         with pytest.raises(ValueError, match="own parent"):
-            cache.toggled_scores(0, (0,), [1])
+            cache.toggled_scores(0, 0b1, [1])
         with pytest.raises(ValueError, match="out of range"):
-            cache.toggled_scores(0, (1,), [3])
+            cache.toggled_scores(0, 0b10, [3])
+        for mask in (-2, 1 << 3):
+            with pytest.raises(ValueError, match="out of range"):
+                cache.toggled_scores(0, mask, [1])
 
 
 def family_dataset(n_rows, seed):
@@ -626,6 +697,20 @@ class TestFamilyScores:
         # every family with at most three parents, all children mixed in
         # one call: every float and cache entry must be bdeu_local_score's,
         # through each of the paths the batch takes
+        data = family_dataset(n_rows, 73)
+        n = data.n_vars
+        families = [
+            (v, vertex_mask(p))
+            for v in range(n)
+            for size in range(4)
+            for p in itertools.combinations([u for u in range(n) if u != v], size)
+        ]
+        # worked out before the spies go in: bdeu_local_score counts its
+        # own dense tables with _tables_score
+        wants = {
+            ess: [bdeu_local_score(v, mask_vertices(p), data, ess) for v, p in families]
+            for ess in (1.0, 3.7)
+        }
         ran = Counter()
         for name in ("_pair_counts", "_tables_score", "bdeu_local_score"):
             def spy(*args, _inner=getattr(scoring, name), _name=name):
@@ -633,18 +718,9 @@ class TestFamilyScores:
                 return _inner(*args)
 
             monkeypatch.setattr(scoring, name, spy)
-        data = family_dataset(n_rows, 73)
-        n = data.n_vars
-        families = [
-            (v, p)
-            for v in range(n)
-            for size in range(4)
-            for p in itertools.combinations([u for u in range(n) if u != v], size)
-        ]
-        for ess in (1.0, 3.7):
+        for ess, want in wants.items():
             cache = ScoreCache(data, ess)
             got = cache.family_scores(families)
-            want = [bdeu_local_score(v, p, data, ess) for v, p in families]
             assert [x.hex() for x in got] == [x.hex() for x in want], (n_rows, ess)
             assert cache._table == dict(zip(families, want))
             # a second call reads the entries back
@@ -656,8 +732,8 @@ class TestFamilyScores:
         assert ran["_tables_score"] == (0 if n_rows == 0 else 2 * 3)  # child arities 1-3
         # r*q > N, unless read off the pairwise counts
         wide = sum(
-            data.arities[v] * math.prod(data.arities[u] for u in p) > n_rows
-            and not (len(p) <= 1 and pairs_fit)
+            data.arities[v] * math.prod(data.arities[u] for u in mask_vertices(p)) > n_rows
+            and not (p.bit_count() <= 1 and pairs_fit)
             for v, p in families
         )
         assert ran["bdeu_local_score"] == 2 * wide
@@ -676,10 +752,10 @@ class TestFamilyScores:
         arities = (2, 100_000, 2)
         rows = np.column_stack([rng.integers(0, r, size=50) for r in arities])
         data = Dataset(rows, arities)
-        families = [(v, p) for v in range(3) for p in [()] + [(u,) for u in range(3) if u != v]]
-        want = [bdeu_local_score(v, p, data) for v, p in families]
+        families = [(v, p) for v in range(3) for p in [0] + [1 << u for u in range(3) if u != v]]
+        want = [bdeu_local_score(v, mask_vertices(p), data) for v, p in families]
         assert ScoreCache(data).family_scores(families) == want
-        assert ScoreCache(data).toggled_scores(1, (), [0, 2]) == [want[4], want[5]]
+        assert ScoreCache(data).toggled_scores(1, 0, [0, 2]) == [want[4], want[5]]
 
     def test_high_arity_column_skips_state_indicator(self, monkeypatch):
         # one column of 20,000 states at N = 2,000: the N x K indicator
@@ -693,14 +769,19 @@ class TestFamilyScores:
         arities = (2, 20_000, 2)
         rows = np.column_stack([rng.integers(0, r, size=2000) for r in arities])
         data = Dataset(rows, arities)
-        got = ScoreCache(data).toggled_scores(0, (2,), [1])
+        got = ScoreCache(data).toggled_scores(0, 1 << 2, [1])
         assert [x.hex() for x in got] == [bdeu_local_score(0, (1, 2), data).hex()]
 
     def test_malformed_keys_rejected(self):
         cache = ScoreCache(family_dataset(10, 83))
-        for key in ((0, (2, 1)), (0, (1, 1)), (1, (1,)), (6, ()), (0, (-1, 2)), (0, (1, 6))):
-            with pytest.raises(ValueError, match="sorted, distinct parents in range"):
+        # the child's own bit, negative masks, a bit >= n, children out of range
+        for key in ((1, 0b10), (0, 0b11), (0, -1), (0, -4), (0, 1 << 6), (0, 0b10 | 1 << 9),
+                    (6, 0), (-1, 0)):
+            with pytest.raises(ValueError, match="parent mask of other vertices in range"):
                 cache.family_scores([key])
+        # a parent set given as vertices is no key
+        with pytest.raises(TypeError):
+            cache.family_scores([(0, (1, 2))])
         assert len(cache) == 0
 
     @pytest.mark.parametrize("n_rows", [0, 2, 5, 40, 3000])
@@ -712,7 +793,7 @@ class TestFamilyScores:
         for v in range(n):
             us = [u for u in range(n) if u != v]
             cache = ScoreCache(data, 2.5)
-            got = cache.toggled_scores(v, (), us)
+            got = cache.toggled_scores(v, 0, us)
             fresh = ScoreCache(data, 2.5)
             assert [x.hex() for x in got] == [fresh.local_score(v, (u,)).hex() for u in us]
             assert cache._table == fresh._table
@@ -726,7 +807,7 @@ class TestTablesScore:
         # and whole configurations are empty, and at N=5000 some tables
         # hold more than 128 and 256 nonzero cells or configurations,
         # where ndarray.sum's pairwise sum splits its run: every table's
-        # score must be _table_score's, bit for bit
+        # score must be the one-table kernel's, bit for bit
         rng = rng_from(67, n_rows)
         seen = Counter()
         for trial in range(36):
@@ -749,12 +830,34 @@ class TestTablesScore:
             sizes = [t.size for t in tables]
             for ess in (1.0, 3.7):
                 got = scoring._tables_score(cells, sizes, r, ess)
-                want = [scoring._table_score(t, r, ess) for t in tables]
+                want = [table_score(t, r, ess) for t in tables]
                 assert [x.hex() for x in got] == [x.hex() for x in want], (trial, ess)
         assert seen["zero cell"] and seen["zero configuration"]
         if n_rows == 5000:
             assert all(seen[f"{what} > {k}"] for what in ("cells", "configurations")
                        for k in (128, 256)), seen
+
+    @pytest.mark.parametrize("n_rows", [1, 7, 300])
+    def test_local_kernel_bit_identical_to_one_table_kernel(self, n_rows):
+        # bdeu_local_score's bincount (r*q <= N) and np.unique (r*q > N)
+        # branches both score through _runs_score: each float must be the
+        # one-table kernel's over the family's dense table
+        rng = rng_from(113, n_rows)
+        data = skewed_dataset(7, n_rows, rng, low=1)
+        branches = Counter()
+        for trial in range(60):
+            v = int(rng.integers(7))
+            others = [u for u in range(7) if u != v]
+            chosen = rng.choice(others, size=trial % 7, replace=False)
+            parents = tuple(sorted(int(u) for u in chosen))
+            r = data.arities[v]
+            pcodes, q = reference_parent_codes(data.rows, data.arities, parents)
+            table = np.bincount(pcodes * r + data.rows[:, v], minlength=r * q)
+            branches[r * q <= n_rows] += 1
+            for ess in (1.0, 3.7):
+                got = bdeu_local_score(v, parents, data, ess)
+                assert got.hex() == table_score(table, r, ess).hex(), (trial, ess)
+        assert branches[False] and (n_rows == 1 or branches[True]), branches
 
     def test_run_sums_equal_ndarray_sum(self):
         # _tables_score relies on np.add.reduceat over runs each led by a
@@ -770,7 +873,7 @@ class TestTablesScore:
             assert got == want, (
                 "np.add.reduceat over a run led by 0.0 no longer equals ndarray.sum over "
                 "the run (0.0 plus the run's pairwise sum) in this numpy; the batched "
-                f"BDeu scores would stop matching _table_score (trial {trial}, lengths "
+                f"BDeu scores would stop matching table_score (trial {trial}, lengths "
                 f"{lengths.tolist()})"
             )
 
