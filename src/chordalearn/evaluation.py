@@ -13,7 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .graphs import ChordalGraph, Dag, UndirectedGraph, orient_by_ordering
+from .graphs import ChordalGraph, Dag, UndirectedGraph, mask_vertices, orient_by_ordering
 from .scoring import Dataset, _parent_config_codes, check_ess
 from .synthetic import DiscreteBayesNet
 
@@ -39,9 +39,9 @@ def fit_parameters(
     if dag.n != data.n_vars:
         raise ValueError("structure and data have different variable counts")
     tables = []
-    for v in range(dag.n):
+    for v, pmask in enumerate(dag.parent_masks):
         r = data.arities[v]
-        cell, rq = _parent_config_codes(data.rows, data.arities, [v, *sorted(dag.parents[v])])
+        cell, rq = _parent_config_codes(data.rows, data.arities, (v, *mask_vertices(pmask)))
         q = rq // r
         counts = np.bincount(cell, minlength=rq).reshape(q, r)
         alpha_cell = ess / rq

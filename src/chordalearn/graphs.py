@@ -3,11 +3,12 @@ perfect ordering certificate, and DAGs.
 
 Vertices are integers 0..n-1.  Undirected edges are called lines and stored
 as (a, b) pairs with a < b; directed edges are called arrows and stored as
-(parent, child) pairs.  All graph values are immutable and hashable.  An
-undirected graph stores its adjacency once, as one neighbor bitmask per
-vertex next to its sorted lines; a DAG builds one parent bitmask per vertex
-next to its parent sets.  That keeps line queries O(1) at the scale this
-package targets (n up to a few dozen).
+(parent, child) pairs.  All graph values are immutable and hashable, and
+each holds its adjacency in one form, bitmasks: an undirected graph one
+neighbor bitmask per vertex next to its sorted lines, a DAG one parent
+bitmask per vertex next to its sorted arcs and topological order.  Every
+algorithm here runs on those masks, which keep line queries O(1) at the
+scale this package targets (n up to a few dozen).
 
 Ordering convention used throughout: a vertex ordering is *perfect* for a
 graph when every vertex's earlier-ordered neighbors form a complete
@@ -19,7 +20,7 @@ v-structure (no pair of non-adjacent parents sharing a child).
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -215,36 +216,41 @@ def find_chordless_cycle(g: UndirectedGraph) -> Optional[tuple[int, ...]]:
     chordless cycle has this shape around each of its vertices, so the scan
     is exhaustive.
     """
+    masks = g.neighbor_masks
     for v in range(g.n):
-        nbrs = sorted(g.neighbors(v))
+        nbrs = mask_vertices(masks[v])
+        far = ~(masks[v] | 1 << v)  # the vertices not adjacent to v
         for i, x in enumerate(nbrs):
             for y in nbrs[i + 1 :]:
-                if g.has_line(x, y):
+                if masks[x] >> y & 1:
                     continue
-                allowed = (set(range(g.n)) - set(nbrs) - {v}) | {x, y}
-                path = _shortest_path(g, x, y, allowed)
+                path = _shortest_path(masks, x, y, far | 1 << x | 1 << y)
                 if path is not None:
                     return (v, *path)
     return None
 
 
 def _shortest_path(
-    g: UndirectedGraph, src: int, dst: int, allowed: set
+    masks: Sequence[int], src: int, dst: int, allowed: int
 ) -> Optional[tuple[int, ...]]:
-    prev = {src: None}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
+    """A shortest src-dst path inside the vertex bitmask ``allowed``, or
+    None: breadth first, first in first out, neighbors (``masks[v]``) taken
+    in ascending order."""
+    prev = {src: src}
+    seen = 1 << src
+    queue = [src]
+    for u in queue:  # the loop reaches the vertices appended below
         if u == dst:
-            path = []
-            while u is not None:
-                path.append(u)
+            path = [u]
+            while u != src:
                 u = prev[u]
+                path.append(u)
             return tuple(reversed(path))
-        for w in g.neighbors(u):
-            if w in allowed and w not in prev:
-                prev[w] = u
-                queue.append(w)
+        new = masks[u] & allowed & ~seen
+        seen |= new
+        for w in mask_vertices(new):
+            prev[w] = u
+            queue.append(w)
     return None
 
 
@@ -320,17 +326,7 @@ class ChordalGraph:
     def oriented_parent_masks(self) -> tuple[int, ...]:
         """Parent bitmasks induced by the stored ordering: parents of v are
         its earlier-ordered neighbors.  Indexed by vertex id."""
-        masks = self.graph.neighbor_masks
-        parents = [0] * self.n
-        earlier = 0
-        for v in self.ordering:
-            parents[v] = masks[v] & earlier
-            earlier |= 1 << v
-        return tuple(parents)
-
-    def oriented_parents(self) -> tuple[frozenset, ...]:
-        """``oriented_parent_masks`` as vertex sets."""
-        return tuple(frozenset(mask_vertices(m)) for m in self.oriented_parent_masks())
+        return _earlier_neighbors(self.graph.neighbor_masks, self.ordering)
 
     def __eq__(self, other: object) -> bool:
         # graphs compare by structure; the certificate ordering is not part
@@ -364,7 +360,14 @@ def vertex_mask(vertices: Iterable[int]) -> int:
 
 def mask_vertices(mask: int) -> tuple[int, ...]:
     """The vertices of the bitmask ``mask``, ascending."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
+    if mask < 0:
+        raise ValueError(f"vertex bitmask {mask} is negative")
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def reach(masks: Sequence[int], src: int, blocked: int) -> int:
@@ -398,18 +401,6 @@ def is_complete_mask(masks: Sequence[int], s: int) -> bool:
     return True
 
 
-def addition_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
-    """True when adding the absent line a-b leaves ``g`` chordal.
-
-    For a chordal graph this holds exactly when the common neighbors of a
-    and b separate a from b (Giudici & Green, Biometrika 1999; Deshpande,
-    Garofalakis & Jordan, UAI 2001): a path avoiding them would close a
-    chordless cycle through the new line.
-    """
-    masks = g.graph.neighbor_masks
-    return not (reach(masks, 1 << a, masks[a] & masks[b]) >> b) & 1
-
-
 def removal_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
     """True when removing the present line a-b leaves ``g`` chordal.
 
@@ -426,70 +417,82 @@ def removal_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
 
 
 class Dag:
-    """An immutable directed acyclic graph given by per-vertex parent sets."""
+    """An immutable directed acyclic graph stored as one parent bitmask per
+    vertex, with its sorted arcs and topological order derived once."""
 
-    __slots__ = ("n", "parents", "parent_masks", "_arcs", "_topo", "_hash")
+    __slots__ = ("n", "parent_masks", "arcs", "_topo")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        arc_set = set()
+        arcs = [(operator.index(u), operator.index(v)) for u, v in arcs]  # no fixed-width masks
+        masks = [0] * n
         for u, v in arcs:
             if u == v:
                 raise ValueError(f"self-arrow {u}->{v}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arrow {u}->{v} out of range for n={n}")
-            arc_set.add((u, v))
-        parents = [set() for _ in range(n)]
-        masks = [0] * n
-        for u, v in arc_set:
-            if (v, u) in arc_set:
-                raise CycleError(f"two-cycle between {u} and {v}")
-            parents[v].add(u)
             masks[v] |= 1 << u
-        self.n = n
-        self.parents = tuple(frozenset(p) for p in parents)
-        # parent bitmask of every vertex, indexed by vertex id
-        self.parent_masks = tuple(masks)
-        self._arcs = tuple(sorted(arc_set))
-        self._topo = self._topological_order()
-        self._hash = hash((n, self._arcs))
+        try:
+            self._derive(n, tuple(masks))
+        except CycleError:
+            # a two-cycle is named first, in the order the arc set lists it
+            arc_set = set(arcs)
+            for u, v in arc_set:
+                if (v, u) in arc_set:
+                    raise CycleError(f"two-cycle between {u} and {v}") from None
+            raise
 
-    def _topological_order(self) -> tuple[int, ...]:
-        indeg = [len(p) for p in self.parents]
-        children = [[] for _ in range(self.n)]
-        for u, v in self._arcs:
-            children[u].append(v)
-        queue = deque(v for v in range(self.n) if indeg[v] == 0)
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for c in children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if len(order) != self.n:
+    def _derive(self, n: int, masks: tuple[int, ...]) -> "Dag":
+        """Store ``masks`` and what follows from them, the arcs sorted and
+        the topological order of Kahn's algorithm (first in first out, each
+        vertex's children taken in ascending order), and return the DAG.
+        Raises ``CycleError`` when the masks hold a directed cycle."""
+        children = [[] for _ in range(n)]  # each ascending, as v ascends
+        for v, m in enumerate(masks):
+            for u in mask_vertices(m):
+                children[u].append(v)
+        order = [v for v in range(n) if not masks[v]]
+        done = 0
+        for u in order:  # the loop reaches the vertices appended below
+            done |= 1 << u
+            for c in children[u]:
+                if not masks[c] & ~done:  # u was c's last parent to be done
+                    order.append(c)
+        if len(order) != n:
             raise CycleError("arrow set contains a directed cycle")
-        return tuple(order)
+        self.n = n
+        # parent bitmask of every vertex, indexed by vertex id
+        self.parent_masks = masks
+        self.arcs = tuple((u, c) for u in range(n) for c in children[u])
+        self._topo = tuple(order)
+        return self
 
     @property
-    def arcs(self) -> tuple[tuple[int, int], ...]:
-        return self._arcs
+    def parents(self) -> tuple[frozenset, ...]:
+        """Parent set of every vertex, built from its bitmask on every call."""
+        return tuple(frozenset(mask_vertices(m)) for m in self.parent_masks)
 
     def topological_order(self) -> tuple[int, ...]:
         return self._topo
 
     def has_arc(self, u: int, v: int) -> bool:
-        return u in self.parents[v]
+        return u >= 0 and bool(self.parent_masks[v] >> u & 1)
 
     def with_arc(self, u: int, v: int) -> "Dag":
-        return Dag(self.n, self._arcs + ((u, v),))
+        n = self.n
+        if u == v or not (0 <= u < n and 0 <= v < n) or self.parent_masks[u] >> v & 1:
+            return Dag(n, self.arcs + ((u, v),))  # raises, naming the bad arrow
+        masks = list(self.parent_masks)
+        masks[v] |= 1 << u
+        return _dag_of_masks(n, masks)
 
     def without_arc(self, u: int, v: int) -> "Dag":
         if not self.has_arc(u, v):
             raise ValueError(f"arrow {u}->{v} not present")
-        return Dag(self.n, [a for a in self._arcs if a != (u, v)])
+        masks = list(self.parent_masks)
+        masks[v] ^= 1 << u
+        return _dag_of_masks(self.n, masks)
 
     def reachable_from(self, v: int) -> set:
         """Vertices reachable along arrows starting at v (excluding v
@@ -503,29 +506,45 @@ class Dag:
         while stack:
             u = stack.pop()
             for c in range(self.n):
-                if u in self.parents[c] and c not in out:
+                if self.parent_masks[c] >> u & 1 and c not in out:
                     out.add(c)
                     stack.append(c)
         return out
 
+    # the masks fix n and the arcs, so they are the whole value
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Dag) and self.n == other.n and self._arcs == other._arcs
+        return isinstance(other, Dag) and self.parent_masks == other.parent_masks
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.parent_masks)
 
     def __repr__(self) -> str:
-        return f"Dag(n={self.n}, arcs={list(self._arcs)})"
+        return f"Dag(n={self.n}, arcs={list(self.arcs)})"
 
     def to_text(self) -> str:
         out = [f"n {self.n}"]
-        out.extend(f"{u} {v}" for u, v in self._arcs)
+        out.extend(f"{u} {v}" for u, v in self.arcs)
         return "\n".join(out) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Dag":
         n, pairs = _parse_graph_text(text)
         return cls(n, pairs)
+
+
+def _dag_of_masks(n: int, masks: Sequence[int]) -> Dag:
+    """The DAG of parent bitmasks known to be in range, checked only for acyclicity."""
+    return Dag.__new__(Dag)._derive(n, tuple(masks))
+
+
+def _earlier_neighbors(masks: Sequence[int], order: Sequence[int]) -> tuple[int, ...]:
+    """Per vertex v, the bitmask of its neighbors (``masks[v]``) before it in ``order``."""
+    parents = [0] * len(masks)
+    earlier = 0
+    for v in order:
+        parents[v] = masks[v] & earlier
+        earlier |= 1 << v
+    return tuple(parents)
 
 
 def orient_by_ordering(g: ChordalGraph, order: Sequence[int]) -> Dag:
@@ -537,11 +556,7 @@ def orient_by_ordering(g: ChordalGraph, order: Sequence[int]) -> Dag:
     """
     if not is_perfect_order(g.graph, order):
         raise ValueError("ordering is not perfect for the graph")
-    pos = {v: i for i, v in enumerate(order)}
-    arcs = [
-        (a, b) if pos[a] < pos[b] else (b, a) for a, b in g.graph.lines
-    ]
-    return Dag(g.n, arcs)
+    return _dag_of_masks(g.n, _earlier_neighbors(g.graph.neighbor_masks, order))
 
 
 def moralize(d: Dag) -> UndirectedGraph:
@@ -556,37 +571,33 @@ def min_fill_chordalize(
     """Triangulate by greedy minimum fill-in; ties go to the lowest vertex.
 
     Returns the filled chordal graph (already chordal inputs come back
-    unchanged with an empty fill list) and the added lines.  The reverse of
-    the elimination sequence is a perfect ordering of the filled graph.
+    unchanged with an empty fill list) and the added lines, in the order
+    they were added: per eliminated vertex, its non-adjacent neighbor pairs
+    (a, b), a < b, ascending.  The reverse of the elimination sequence is a
+    perfect ordering of the filled graph.
     """
-    nbr = {v: set(g.neighbors(v)) for v in range(g.n)}
+    adj = list(g.neighbor_masks)  # among the vertices not yet eliminated
     fills: list[tuple[int, int]] = []
     elim: list[int] = []
-    remaining = set(range(g.n))
+    remaining = (1 << g.n) - 1
     while remaining:
-        best_v = -1
-        best_missing: list[tuple[int, int]] = []
-        best_count = None
-        for v in sorted(remaining):
-            vs = sorted(nbr[v])
-            missing = [
-                (a, b)
-                for i, a in enumerate(vs)
-                for b in vs[i + 1 :]
-                if b not in nbr[a]
-            ]
-            if best_count is None or len(missing) < best_count:
-                best_count = len(missing)
-                best_v = v
-                best_missing = missing
-        for a, b in best_missing:
-            nbr[a].add(b)
-            nbr[b].add(a)
-            fills.append(_normalize_line(a, b))
-        for u in nbr[best_v]:
-            nbr[u].discard(best_v)
-        del nbr[best_v]
-        remaining.discard(best_v)
+        best_v, best_count = -1, -1
+        for v in mask_vertices(remaining):
+            # -(2 << a) is the mask of every vertex above a
+            count = sum(
+                (adj[v] & ~adj[a] & -(2 << a)).bit_count() for a in mask_vertices(adj[v])
+            )
+            if best_count < 0 or count < best_count:
+                best_v, best_count = v, count
+        nbrs = mask_vertices(adj[best_v])
+        for a in nbrs:
+            for b in mask_vertices(adj[best_v] & ~adj[a] & -(2 << a)):
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+                fills.append((a, b))
+        for u in nbrs:
+            adj[u] ^= 1 << best_v
+        remaining ^= 1 << best_v
         elim.append(best_v)
     filled = UndirectedGraph(g.n, list(g.lines) + fills)
     ordering = tuple(reversed(elim))
@@ -597,31 +608,22 @@ def min_fill_chordalize(
 # separation
 
 
-def _as_vertex_set(vertices: Iterable[int], n: int, label: str) -> set:
-    out = set(vertices)
-    for v in out:
-        if not (0 <= v < n):
-            raise ValueError(f"{label} contains out-of-range vertex {v}")
-    return out
-
-
-def _check_disjoint_triple(a: set, b: set, c: set) -> None:
-    if not a or not b:
-        raise ValueError("both endpoint sets must be nonempty")
-    if a & b or a & c or b & c:
-        raise ValueError("the three vertex sets must be pairwise disjoint")
-
-
 def separated(
     g: UndirectedGraph, a: Iterable[int], b: Iterable[int], c: Iterable[int] = ()
 ) -> bool:
     """Undirected separation: every path from ``a`` to ``b`` meets ``c``."""
-    sa = _as_vertex_set(a, g.n, "a")
-    sb = _as_vertex_set(b, g.n, "b")
-    sc = _as_vertex_set(c, g.n, "c")
-    _check_disjoint_triple(sa, sb, sc)
-    reached = reach(g.neighbor_masks, vertex_mask(sa), vertex_mask(sc))
-    return not reached & vertex_mask(sb)
+    masks = [0, 0, 0]
+    for i, (label, vertices) in enumerate((("a", a), ("b", b), ("c", c))):
+        for v in vertices:
+            if not 0 <= v < g.n:
+                raise ValueError(f"{label} contains out-of-range vertex {v}")
+            masks[i] |= 1 << v
+    ma, mb, mc = masks
+    if not ma or not mb:
+        raise ValueError("both endpoint sets must be nonempty")
+    if ma & mb or ma & mc or mb & mc:
+        raise ValueError("the three vertex sets must be pairwise disjoint")
+    return not reach(g.neighbor_masks, ma, mc) & mb
 
 
 def separated_table(masks: Sequence[int], triples: Iterable[tuple[int, int, int]]) -> list:
@@ -635,19 +637,12 @@ def _moral_masks(parent_masks: Sequence[int], anc: int) -> list:
     """Neighbor bitmasks of the moral graph of the subgraph induced on the
     ancestral vertex bitmask ``anc``."""
     adj = [0] * len(parent_masks)
-    rest = anc
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        v = low.bit_length() - 1
+    for v in mask_vertices(anc):
         ps = parent_masks[v]  # inside anc: it is ancestral
         adj[v] |= ps
-        others = ps
-        while others:
-            p = others & -others
-            others ^= p
+        for p in mask_vertices(ps):
             # marry p to its child and to every co-parent
-            adj[p.bit_length() - 1] |= low | (ps ^ p)
+            adj[p] |= (1 << v) | (ps ^ 1 << p)
     return adj
 
 

@@ -244,6 +244,8 @@ def bdeu_local_score(
     cell counts in ascending code order and the nonzero configuration
     counts in ascending configuration order, the same integer arrays, and
     ``_runs_score`` scores both, so the two branches give the same floats.
+    A family of more cells than a float can count (about 2^1024) has no
+    pseudo-count and raises ``ValueError``.
     """
     check_ess(ess)
     parents = _family_parents(v, parents, data.n_vars)
@@ -253,9 +255,13 @@ def bdeu_local_score(
     cell, rq = _parent_config_codes(data.rows, data.arities, (v,) + parents)
     if rq <= data.n_rows:
         return _tables_score(np.bincount(cell, minlength=rq), [rq], r, ess)[0]
+    try:
+        alpha = np.array([ess / rq, ess / (rq // r)])
+    except OverflowError:
+        raise ValueError(f"child {v}'s family has {rq} cells, past a float's range") from None
     uniq, counts = np.unique(cell, return_counts=True)
     n_cfg = np.add.reduceat(counts, np.flatnonzero(np.diff(uniq // r, prepend=-1)))
-    runs, alpha = np.array([counts.size, n_cfg.size]), np.array([ess / rq, ess / (rq // r)])
+    runs = np.array([counts.size, n_cfg.size])
     return _runs_score(np.concatenate((counts, n_cfg)), runs, alpha)[0]
 
 
@@ -421,7 +427,8 @@ class ScoreCache:
         Each table is the integer table ``bdeu_local_score`` counts for
         that family, in its cell order, and ``_tables_score`` scores the
         group's tables together, so the floats are ``bdeu_local_score``'s.
-        Families with r*q > N go through ``bdeu_local_score`` one by one.
+        When f(v, P) itself has r*q > N cells, the toggles go to
+        ``family_scores``'s filling.
         """
         n = self.data.n_vars
         for w in (v, *toggles):
@@ -446,8 +453,7 @@ class ScoreCache:
         r = arities[v]
         rq = r * math.prod(arities[p] for p in parents)
         if rq > data.n_rows:  # no dense f(v, P) table; additions are wider
-            for _, key in missing:
-                self._table[key] = bdeu_local_score(v, mask_vertices(key[1]), data, ess)
+            self._fill_families([key for _, key in missing])
             return
         codes, _ = _parent_config_codes(data.rows, arities, (v,) + parents)
         table = np.bincount(codes, minlength=rq)

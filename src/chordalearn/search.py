@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, is_complete_mask
-from .graphs import reach, removal_keeps_chordal
+from .graphs import mask_vertices, reach, removal_keeps_chordal
 from .independence import DependencyModel
 from .scoring import Dataset, ScoreCache, _resolve_cache, score_chordal, score_dag
 
@@ -401,16 +401,15 @@ def _legal_arcs(d: Dag) -> tuple[list[int], list[tuple[int, int]]]:
     Every removal is legal.
     """
     n = d.n
-    parents = d.parents
+    pmasks = d.parent_masks
     desc = [0] * n  # proper descendants of each vertex
     via_children = [0] * n  # union of the children's proper descendants
     for v in reversed(d.topological_order()):
         below = desc[v]
-        for p in parents[v]:
+        for p in mask_vertices(pmasks[v]):
             via_children[p] |= below
             desc[p] |= below | (1 << v)
     full = (1 << n) - 1
-    pmasks = d.parent_masks
     adds = [full & ~(desc[v] | pmasks[v] | (1 << v)) for v in range(n)]
     # v is not its own descendant, so only a path through another child of
     # u can put v in via_children[u]
@@ -491,7 +490,7 @@ class _DagCarry:
             if not missing:
                 continue
             self.held[v] |= missing
-            us = [u for u in range(d.n) if (missing >> u) & 1]
+            us = mask_vertices(missing)
             pmask = d.parent_masks[v]
             for u, f in zip(us, self.cache.toggled_scores(v, pmask, us)):
                 toggled[v][u] = f

@@ -16,6 +16,7 @@ import numpy as np
 from .graphs import (
     ChordalGraph,
     Dag,
+    mask_vertices,
     min_fill_chordalize,
     moralize,
     orient_by_ordering,
@@ -51,7 +52,7 @@ class DiscreteBayesNet:
             raise ValueError("need one table per vertex")
         fixed = []
         for v in range(dag.n):
-            q = math.prod(arities[p] for p in dag.parents[v])
+            q = math.prod(arities[p] for p in mask_vertices(dag.parent_masks[v]))
             t = np.ascontiguousarray(np.asarray(tables[v], dtype=np.float64))
             if t.shape != (q, arities[v]):
                 raise ValueError(
@@ -84,7 +85,7 @@ class DiscreteBayesNet:
         with np.errstate(divide="ignore"):
             for v in range(self.n):
                 codes, _ = _parent_config_codes(
-                    rows, self.arities, sorted(self.dag.parents[v])
+                    rows, self.arities, mask_vertices(self.dag.parent_masks[v])
                 )
                 total += np.log(self.tables[v][codes, rows[:, v]])
         return total
@@ -117,7 +118,7 @@ class DiscreteBayesNet:
             arities = doc["arities"]
             tables = []
             for v in range(dag.n):
-                q = math.prod(arities[p] for p in dag.parents[v])
+                q = math.prod(arities[p] for p in mask_vertices(dag.parent_masks[v]))
                 tables.append(np.asarray(doc["tables"][v]).reshape(q, arities[v]))
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed net JSON: {exc!r}") from exc
@@ -180,7 +181,7 @@ def random_parameters(
         r = arities[v]
         if min_prob is not None and not 0 <= min_prob * r <= 1:
             raise ValueError("min_prob must lie in [0, 1/arity]")
-        q = math.prod(arities[p] for p in dag.parents[v])
+        q = math.prod(arities[p] for p in mask_vertices(dag.parent_masks[v]))
         rows = rng.dirichlet(np.ones(r), size=q)
         if min_prob is not None:
             lam = min_prob * r
@@ -221,7 +222,7 @@ def ancestral_sample(net: DiscreteBayesNet, count: int, rng: np.random.Generator
         raise ValueError("count must be nonnegative")
     rows = np.zeros((count, net.n), dtype=np.int64, order="F")
     for v in net.dag.topological_order():
-        codes, _ = _parent_config_codes(rows, net.arities, sorted(net.dag.parents[v]))
+        codes, _ = _parent_config_codes(rows, net.arities, mask_vertices(net.dag.parent_masks[v]))
         cum = np.cumsum(net.tables[v][codes], axis=1)
         cum[:, -1] = 1.0
         u = rng.random(count)

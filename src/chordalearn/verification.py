@@ -563,15 +563,13 @@ class ChainSampleReport:
 def _bfs_layers(g: UndirectedGraph, x: int) -> list[tuple[int, ...]]:
     """Breadth-first distance layers from x, each ascending."""
     masks = g.neighbor_masks
-    seen = frontier = 1 << x
+    seen = 1 << x
     layers = [(x,)]
     while True:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & ~seen
+        frontier = 0
+        for v in layers[-1]:
+            frontier |= masks[v]
+        frontier &= ~seen
         if not frontier:
             return layers
         seen |= frontier

@@ -14,20 +14,25 @@ one-statement-at-a-time model comparison that ``model_included`` and
 ``inclusion_optimal`` batch, ``table_score``, the one-table BDeu kernel
 that every local score must equal bit for bit, and ``line_delta``,
 ``move_delta`` and ``per_move_greedy_chordal``, the one-move-at-a-time
-scoring path that the chordal search batches.
+scoring path that the chordal search batches, ``addition_keeps_chordal``,
+the one-``reach``-per-pair legality rule that the boundary's components
+decide, and ``oriented_parents``.  The ``ref_`` graph algorithms are the
+set-based versions that the bitmask ones in ``graphs`` replaced, kept so
+that each mask version can be checked to give the same witnesses, fills
+and orders.
 """
 
 import functools
 import itertools
 import math
+from collections import deque
 
 import networkx as nx
 import numpy as np
 from scipy.special import gammaln
 
-from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, _moral_masks
-from chordalearn.graphs import addition_keeps_chordal, mask_vertices, reach
-from chordalearn.graphs import removal_keeps_chordal, vertex_mask
+from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, _moral_masks, _normalize_line
+from chordalearn.graphs import mask_vertices, reach, removal_keeps_chordal, vertex_mask
 from chordalearn.independence import ENUMERATION_BOUND, DependencyModel
 from chordalearn.independence import IndependenceStatement, _check_bound, canonical_triples
 from chordalearn.scoring import ScoreCache, _resolve_cache
@@ -363,3 +368,107 @@ def per_move_greedy_chordal(data, ess: float = 1.0):
         g = apply_move(g, best)
         steps.append((best, best_total - total, best_total, g.fingerprint()))
         total = best_total
+
+
+def addition_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:
+    """True when adding the absent line a-b leaves ``g`` chordal.
+
+    For a chordal graph this holds exactly when the common neighbors of a
+    and b separate a from b (Giudici & Green, Biometrika 1999; Deshpande,
+    Garofalakis & Jordan, UAI 2001): a path avoiding them would close a
+    chordless cycle through the new line.  One ``reach`` per pair, the
+    rule the search's per-component boundary is checked against.
+    """
+    masks = g.graph.neighbor_masks
+    return not (reach(masks, 1 << a, masks[a] & masks[b]) >> b) & 1
+
+
+def oriented_parents(cg: ChordalGraph) -> tuple[frozenset, ...]:
+    """``ChordalGraph.oriented_parent_masks`` as vertex sets."""
+    return tuple(frozenset(mask_vertices(m)) for m in cg.oriented_parent_masks())
+
+
+def ref_find_chordless_cycle(g: UndirectedGraph):
+    """``graphs.find_chordless_cycle`` on vertex sets and a deque."""
+    for v in range(g.n):
+        nbrs = sorted(g.neighbors(v))
+        for i, x in enumerate(nbrs):
+            for y in nbrs[i + 1 :]:
+                if g.has_line(x, y):
+                    continue
+                allowed = (set(range(g.n)) - set(nbrs) - {v}) | {x, y}
+                path = ref_shortest_path(g, x, y, allowed)
+                if path is not None:
+                    return (v, *path)
+    return None
+
+
+def ref_shortest_path(g: UndirectedGraph, src: int, dst: int, allowed: set):
+    """Breadth-first search through ``allowed`` with a deque, neighbors in
+    the iteration order of ``g.neighbors`` (ascending for n <= 8)."""
+    prev = {src: None}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            path = []
+            while u is not None:
+                path.append(u)
+                u = prev[u]
+            return tuple(reversed(path))
+        for w in g.neighbors(u):
+            if w in allowed and w not in prev:
+                prev[w] = u
+                queue.append(w)
+    return None
+
+
+def ref_min_fill_chordalize(g: UndirectedGraph):
+    """``graphs.min_fill_chordalize`` on a dict of neighbor sets: returns
+    the filled graph's lines, the fills in order and the ordering."""
+    nbr = {v: set(g.neighbors(v)) for v in range(g.n)}
+    fills, elim = [], []
+    remaining = set(range(g.n))
+    while remaining:
+        best_v, best_missing, best_count = -1, [], None
+        for v in sorted(remaining):
+            vs = sorted(nbr[v])
+            missing = [(a, b) for i, a in enumerate(vs) for b in vs[i + 1 :] if b not in nbr[a]]
+            if best_count is None or len(missing) < best_count:
+                best_count, best_v, best_missing = len(missing), v, missing
+        for a, b in best_missing:
+            nbr[a].add(b)
+            nbr[b].add(a)
+            fills.append(_normalize_line(a, b))
+        for u in nbr[best_v]:
+            nbr[u].discard(best_v)
+        del nbr[best_v]
+        remaining.discard(best_v)
+        elim.append(best_v)
+    lines = tuple(sorted(set(g.lines) | set(fills)))
+    return lines, tuple(fills), tuple(reversed(elim))
+
+
+def ref_topological_order(d: Dag) -> tuple:
+    """Kahn's algorithm on child lists and a deque, children in ``d.arcs``
+    order (ascending), sources ascending."""
+    indeg = [len(p) for p in d.parents]
+    children = [[] for _ in range(d.n)]
+    for u, v in d.arcs:
+        children[u].append(v)
+    queue = deque(v for v in range(d.n) if indeg[v] == 0)
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for c in children[v]:
+            indeg[c] -= 1
+            if indeg[c] == 0:
+                queue.append(c)
+    assert len(order) == d.n
+    return tuple(order)
+
+
+def ref_mask_vertices(mask: int) -> tuple:
+    """``graphs.mask_vertices`` by testing every bit below the highest."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)

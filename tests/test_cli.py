@@ -568,6 +568,46 @@ class TestLearnPinned:
         assert got == want
 
 
+class TestGeneratePinned:
+    # sha256 of every file `generate` writes, for one chordal and one DAG
+    # target at n=24: the min-fill triangulation, the perfect ordering and
+    # the topological sampling order all show here
+    GENERATE_SHA256 = {
+        "chordal/config.json": "3d1c158bae1ffe191801b455cd4e54ab9174038cd77fbc5eb5335bf2502a7ca4",
+        "chordal/data/chordal_n24_r0/arities.json": "2213b446b511f337d1130557a3a1499e6ddb30cdd35570c02513083eede86448",
+        "chordal/data/chordal_n24_r0/test.csv": "faf2523e13cf6e685931e61d424ec0d3b7e9640ff3a7763e8881e86f85c83a27",
+        "chordal/data/chordal_n24_r0/train_1000.csv": "a8411c7616b0ef319960d61bc03b859b9ac9c4764ef82758851d6defa5b1a37b",
+        "chordal/data/chordal_n24_r0/train_300.csv": "00456d2bfd0ef19ecc8c8f4ebd1e4fa5eea52858822f3d1087db2249c12c47c0",
+        "chordal/targets/chordal_n24_r0/lines.txt": "d6dc3ae61bd295af08a6594b862b38281eaeeae6ad2562a4d02c71e28f5f4939",
+        "chordal/targets/chordal_n24_r0/net.json": "49673f90296f6fd27547476108530726cccfab26d7c03d505958dcc422a93d04",
+        "chordal/targets/chordal_n24_r0/structure.txt": "d6dc3ae61bd295af08a6594b862b38281eaeeae6ad2562a4d02c71e28f5f4939",
+        "dag/config.json": "aeda278adedfdb0543b16498183739c27a9cc902e69b2f5a1ae32c1d85786893",
+        "dag/data/dag_n24_r0/arities.json": "e552a8188396d8a6738aea3c3b915885302516acab7057f35d0dfe1d99d181b8",
+        "dag/data/dag_n24_r0/test.csv": "9eda6ccf598d9d20ef9b03fb4e4409d195d85032e862a24d9d17b1b52ba270e4",
+        "dag/data/dag_n24_r0/train_1000.csv": "21bb526f1f9f9e4122471bfa1d3e2b63577daa508c134a0df28b24b2df653922",
+        "dag/data/dag_n24_r0/train_300.csv": "bf3a3a025f482a6caaea36efdc364d7b787056d2e61870affc9abf41b597d614",
+        "dag/targets/dag_n24_r0/lines.txt": "7718895f0644749d90fb596512cf3e0e6ef1269e7a80e4f4af86599012fd9257",
+        "dag/targets/dag_n24_r0/net.json": "ea9429335f371115cc3cbdaa5a887086a7b10f6c97ed8561f752cebf2d12ede9",
+        "dag/targets/dag_n24_r0/structure.txt": "8a288c7571befc0858f87193fd1775f5c6cd2c5209f1c113442fc0996801db5f",
+    }
+
+    @pytest.mark.parametrize("kind,arity", [("chordal", 2), ("dag", 3)])
+    def test_generated_artifacts_pinned(self, tmp_path, kind, arity):
+        cfg = write_json(
+            tmp_path / "gen.json",
+            {"target_kind": kind, "n_vars": 24, "arity": arity, "n_obs": [300, 1000],
+             "test_obs": 200, "seed": 23},
+        )
+        out = tmp_path / "run"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        got = {
+            f"{kind}/{name}": hashlib.sha256(data).hexdigest()
+            for name, data in tree_bytes(out).items()
+        }
+        want = {k: v for k, v in self.GENERATE_SHA256.items() if k.startswith(f"{kind}/")}
+        assert got == want
+
+
 class TestExperiment:
     def exp_config(self, tmp_path, **overrides):
         doc = {

@@ -20,6 +20,7 @@ from chordalearn.graphs import (
     is_chordal,
     is_complete_mask,
     is_perfect_order,
+    mask_vertices,
     maximum_cardinality_order,
     min_fill_chordalize,
     moralize,
@@ -38,10 +39,15 @@ from conftest import (
     d_separated_masks,
     naive_d_separated,
     nx_is_chordal,
+    oriented_parents,
     path_separated,
     random_chordal_graph,
     random_dag,
     random_graph,
+    ref_find_chordless_cycle,
+    ref_mask_vertices,
+    ref_min_fill_chordalize,
+    ref_topological_order,
 )
 
 
@@ -347,7 +353,7 @@ class TestMaskAdjacency:
         for g in itertools.chain(*small, chordal6):
             if is_chordal(g):
                 cg = ChordalGraph.from_graph(g)
-                assert cg.oriented_parents() == reference_oriented_parents(cg)
+                assert oriented_parents(cg) == reference_oriented_parents(cg)
 
     def test_line_queries_match_line_set(self, graphs):
         small, chordal6 = graphs
@@ -382,6 +388,83 @@ class TestMaskAdjacency:
         assert len(set(everything)) == len(everything)
 
 
+class TestMaskAlgorithmsMatchSetOracles:
+    """The bitmask witness search, min-fill, topological order and bit
+    walk against the set-based versions they replaced (``conftest``):
+    the same witnesses, fills and orders."""
+
+    def test_chordless_cycle_witnesses_exhaustive_n6(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                assert find_chordless_cycle(g) == ref_find_chordless_cycle(g)
+
+    def test_min_fill_seeded_up_to_n64(self):
+        rng = np.random.default_rng(29)
+        for n in (0, 1, 2, 3, 5, 8, 12, 16, 24, 32, 48, 64):
+            for _ in range(6 if n <= 24 else 2):
+                # sparse moral-like graphs up to dense ones
+                g = random_graph(n, rng, p=float(rng.choice([0.05, 0.1, 0.2, 0.4, 0.7])))
+                chordal, fills = min_fill_chordalize(g)
+                assert (chordal.lines, fills, chordal.ordering) == ref_min_fill_chordalize(g)
+
+    def test_topological_order_every_dag_n4(self):
+        dags = all_dags(4)
+        assert len(dags) == 543
+        for arcs in dags:
+            d = Dag(4, arcs)
+            assert d.topological_order() == ref_topological_order(d)
+
+    def test_topological_order_seeded_n36(self):
+        rng = np.random.default_rng(31)
+        for p in (0.02, 0.05, 0.1, 0.2, 0.5, 0.9):
+            for _ in range(5):
+                d = random_dag(36, rng, p=p)
+                assert d.topological_order() == ref_topological_order(d)
+                # and after the edits the DAG search makes
+                for u, v in d.arcs[:5]:
+                    e = d.without_arc(u, v)
+                    assert e.topological_order() == ref_topological_order(e)
+
+    def test_arc_edits_match_validating_constructor_n3(self):
+        # with_arc and without_arc give the DAG, or the exception and
+        # message, of building the edited arc list from scratch
+        def outcome(make):
+            try:
+                d = make()
+            except ValueError as exc:  # CycleError is a ValueError
+                return type(exc), str(exc)
+            return d, d.arcs, d.parent_masks, d.topological_order()
+
+        for arcs in all_dags(3):
+            d = Dag(3, arcs)
+            for u, v in itertools.product(range(-1, 4), repeat=2):
+                assert outcome(lambda: d.with_arc(u, v)) == outcome(
+                    lambda: Dag(3, arcs + ((u, v),))
+                )
+                if not 0 <= v < 3:
+                    continue
+                assert d.has_arc(u, v) is ((u, v) in arcs)
+                if d.has_arc(u, v):
+                    assert outcome(lambda: d.without_arc(u, v)) == outcome(
+                        lambda: Dag(3, [a for a in arcs if a != (u, v)])
+                    )
+                else:
+                    with pytest.raises(ValueError, match=f"^arrow {u}->{v} not present$"):
+                        d.without_arc(u, v)
+
+    def test_mask_vertices_matches_bit_scan(self):
+        rng = np.random.default_rng(37)
+        for _ in range(500):
+            mask = 0
+            for bit in rng.choice(201, size=int(rng.integers(0, 12)), replace=False):
+                mask |= 1 << int(bit)
+            assert mask_vertices(mask) == ref_mask_vertices(mask)
+        assert mask_vertices(0) == ()
+        assert mask_vertices(1 << 200 | 1) == (0, 200)
+        with pytest.raises(ValueError, match="negative"):
+            mask_vertices(-1)
+
+
 class TestChordalGraph:
     def test_from_graph_requires_chordal(self):
         hole = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -395,7 +478,7 @@ class TestChordalGraph:
 
     def test_oriented_parents_earlier_neighbours(self):
         g = ChordalGraph.from_lines(4, [(0, 1), (1, 2), (1, 3), (2, 3)])
-        pa = g.oriented_parents()
+        pa = oriented_parents(g)
         order = g.ordering
         pos = {v: i for i, v in enumerate(order)}
         for v in range(4):
@@ -425,6 +508,15 @@ class TestDag:
         assert Dag(2, [(0, 1), (0, 1)]).arcs == ((0, 1),)
         with pytest.raises(CycleError):
             Dag(2, [(0, 1), (1, 0)])
+
+    def test_numpy_vertex_ids_give_exact_masks(self):
+        # numpy integers would make fixed-width masks that lose bits >= 63
+        arcs = [(65, 0), (3, 1), (0, 69)]
+        d = Dag(70, [(np.int64(u), np.int64(v)) for u, v in arcs])
+        assert d == Dag(70, arcs) and d.arcs == ((0, 69), (3, 1), (65, 0))
+        assert d.parent_masks[0] == 1 << 65
+        with pytest.raises(TypeError):
+            Dag(3, [(1.0, 2)])
 
     def test_topological_order(self):
         d = Dag(4, [(2, 0), (0, 3), (2, 3), (1, 3)])

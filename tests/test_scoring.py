@@ -479,6 +479,21 @@ class TestParentCodes:
         with pytest.raises(ValueError, match="too large"):
             bdeu_local_score(0, (1, 2), data)
 
+    def test_family_past_float_range_rejected(self):
+        # 2 * (2**32)**33 = 2**1057 cells: ess / rq used to raise a bare
+        # OverflowError ("int too large to convert to float")
+        arities = (2,) + (2**32,) * 33
+        data = Dataset(self.small_states(arities, 113), arities)
+        cells = str(2**1057)
+        with pytest.raises(ValueError, match=f"^child 0's family has {cells} cells"):
+            bdeu_local_score(0, range(1, 34), data)
+        with pytest.raises(ValueError, match="child 0's family"):
+            ScoreCache(data).local_score(0, range(1, 34))
+        # one column fewer, 2**1025 cells, is past the range too; 2**993 is not
+        with pytest.raises(ValueError, match=f"has {2**1025} cells"):
+            bdeu_local_score(0, range(1, 33), data)
+        assert math.isfinite(bdeu_local_score(0, range(1, 32), data))
+
 
 class TestLocalScore:
     def test_known_value_single_binary_variable(self):
@@ -668,6 +683,35 @@ class TestToggledScores:
         assert calls["scored"] == 1
         assert cache.toggled_scores(0, 0b10, [2, 3]) == [got[1], known]
         assert calls["scored"] == 1
+
+    def test_wide_family_toggles_filled_as_family_scores(self, monkeypatch):
+        # f(v, P) with more cells than rows has no dense table to marginal
+        # or extend: its toggles go to family_scores's filling, so those
+        # with at most one parent come off the pair table, the others of
+        # at most N cells from one bincount, and only the wider ones go
+        # to bdeu_local_score, all with bdeu_local_score's floats
+        arities = (2, 2, 2, 8, 8)
+        rng = rng_from(67)
+        data = Dataset(rng.integers(0, arities, size=(100, 5)), arities)
+        want = {
+            (p, u): bdeu_local_score(0, mask_vertices(p ^ 1 << u), data)
+            for p in (0b11000, 0b11010)
+            for u in (1, 2, 3, 4)
+        }
+        calls = Counter()
+        for name in ("_tables_score", "bdeu_local_score"):
+            def spy(*args, _inner=getattr(scoring, name), _name=name):
+                calls[_name] += len(args[1]) if _name == "_tables_score" else 1
+                return _inner(*args)
+
+            monkeypatch.setattr(scoring, name, spy)
+        for p, batched, wide in ((0b11000, 2, 2), (0b11010, 2, 2)):
+            # 2*8*8 = 128 and 2*2*8*8 = 256 cells against 100 rows
+            cache = ScoreCache(data)
+            before = Counter(calls)
+            got = cache.toggled_scores(0, p, [1, 2, 3, 4])
+            assert [f.hex() for f in got] == [want[p, u].hex() for u in (1, 2, 3, 4)]
+            assert calls - before == Counter(_tables_score=batched, bdeu_local_score=wide)
 
     def test_invalid_vertices_rejected(self):
         cache = ScoreCache(skewed_dataset(3, 10, rng_from(61)))

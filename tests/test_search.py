@@ -11,7 +11,6 @@ import pytest
 
 from chordalearn import search
 from chordalearn.graphs import ChordalGraph, CycleError, Dag, UndirectedGraph, is_chordal
-from chordalearn.graphs import addition_keeps_chordal
 from chordalearn.independence import (
     DependencyModel,
     inclusion_optimal,
@@ -41,7 +40,8 @@ from chordalearn.synthetic import (
     rng_from,
 )
 
-from conftest import all_graphs, line_delta, per_move_greedy_chordal, random_chordal_graph, to_nx
+from conftest import addition_keeps_chordal, all_graphs, line_delta, per_move_greedy_chordal
+from conftest import random_chordal_graph, to_nx
 
 
 class TestMove:

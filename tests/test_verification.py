@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from chordalearn import verification
-from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal, vertex_mask
+from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal
 from chordalearn.independence import DependencyModel, inclusion_optimal, model_included
 from chordalearn.search import Move, OracleScore, inclusion_boundary
 from chordalearn.verification import (
@@ -235,10 +235,9 @@ def reference_records(n):
     for cg, mask in zip(graphs, masks):
         fp = []
         dim = 0
-        for v, ps in enumerate(cg.oriented_parents()):
-            pmask = vertex_mask(ps)
+        for v, pmask in enumerate(cg.oriented_parent_masks()):
             fp.append((pmask | (1 << v), pmask))
-            dim += 1 << len(ps)
+            dim += 1 << pmask.bit_count()
         fam_pa.append(tuple(fp))
         dims.append(dim)
         recs = []
@@ -478,7 +477,7 @@ class TestMoveTable:
     def test_families_and_dimensions(self):
         cat = _Records(4)
         for cg, fam, pa, dim in zip(cat.graphs, cat.fam, cat.pa, cat.dims):
-            parents = [vertex_mask(ps) for ps in cg.oriented_parents()]
+            parents = list(cg.oriented_parent_masks())
             assert list(pa) == parents
             assert list(fam) == [p | 1 << v for v, p in enumerate(parents)]
             assert dim == -OracleScore(UndirectedGraph(4)).score(cg)[1]
