@@ -20,6 +20,7 @@ v-structure (no pair of non-adjacent parents sharing a child).
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -52,7 +53,8 @@ class UndirectedGraph:
     def __init__(self, n: int, lines: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        norm = {_normalize_line(a, b) for a, b in lines}
+        # plain int ids, so a numpy id makes no fixed-width mask
+        norm = {_normalize_line(operator.index(a), operator.index(b)) for a, b in lines}
         mask = [0] * n
         for a, b in norm:
             if not (0 <= a < n and 0 <= b < n):
@@ -433,15 +435,11 @@ class Dag:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arrow {u}->{v} out of range for n={n}")
             masks[v] |= 1 << u
-        try:
-            self._derive(n, tuple(masks))
-        except CycleError:
-            # a two-cycle is named first, in the order the arc set lists it
-            arc_set = set(arcs)
-            for u, v in arc_set:
-                if (v, u) in arc_set:
-                    raise CycleError(f"two-cycle between {u} and {v}") from None
-            raise
+        # a two-cycle is named first: the first arc whose reverse is listed
+        for u, v in arcs:
+            if masks[u] >> v & 1:
+                raise CycleError(f"two-cycle between {u} and {v}")
+        self._derive(n, tuple(masks))
 
     def _derive(self, n: int, masks: tuple[int, ...]) -> "Dag":
         """Store ``masks`` and what follows from them, the arcs sorted and
@@ -629,8 +627,10 @@ def separated(
 def separated_table(masks: Sequence[int], triples: Iterable[tuple[int, int, int]]) -> list:
     """For each (a, b, c) of ``triples``, whether the vertex bitmask ``c``
     separates ``a`` from ``b`` in the graph of neighbor bitmasks ``masks``:
-    one ``reach`` per statement, with no per-statement validation or memo."""
-    return [not reach(masks, a, c) & b for a, b, c in triples]
+    one ``reach`` per distinct (a, c), kept for the call only, with no
+    per-statement validation."""
+    reached = functools.cache(lambda a, c: reach(masks, a, c))
+    return [not reached(a, c) & b for a, b, c in triples]
 
 
 def _moral_masks(parent_masks: Sequence[int], anc: int) -> list:

@@ -45,6 +45,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Protocol, Sequence
 
+import numpy as np
+
 from .graphs import ChordalGraph, Dag, UndirectedGraph, is_complete_mask
 from .graphs import mask_vertices, reach, removal_keeps_chordal
 from .independence import DependencyModel
@@ -243,7 +245,9 @@ class OracleScore:
     independent fair coin per connected vertex set of the target graph,
     each vertex observing the coins of the sets containing it.  Entropies
     of that distribution are integers (in coin units): the entropy of a
-    set W of vertices is the number of connected sets meeting W.
+    set W of vertices is the number of connected sets meeting W.  The score
+    is kept as those entropies only: ``entropy``, a read-only int64 array
+    indexed by vertex mask, which every method below reads.
 
     Consequences, checkable exhaustively with ``verification``:
 
@@ -271,30 +275,22 @@ class OracleScore:
             raise TypeError("target must be an UndirectedGraph or a model over one")
         self.target = model
         self.target_graph = graph
-        n = graph.n
-        self._full = (1 << n) - 1
-        # connected[mask] for all vertex masks, then counts of connected
-        # subsets inside each mask (a subset-sum / zeta transform)
-        connected = self._connected_table(graph)
-        counts = [1 if connected[m] else 0 for m in range(1 << n)]
-        for bit in range(n):
-            step = 1 << bit
-            for m in range(1 << n):
-                if m & step:
-                    counts[m] += counts[m ^ step]
-        self._conn_count = counts
-        self._total_entropy = counts[self._full]
-
-    @staticmethod
-    def _connected_table(graph: UndirectedGraph) -> list[bool]:
         # a nonempty set is connected when its lowest vertex reaches all of
-        # it without leaving it
+        # it without leaving it; count[m], the connected sets inside the
+        # mask m, sums that indicator over the subsets of m, and W meets
+        # every connected set not inside full - W, W's index read backwards
         masks = graph.neighbor_masks
-        return [m != 0 and reach(masks, m & -m, ~m) == m for m in range(1 << graph.n)]
+        connected = [m != 0 and reach(masks, m & -m, ~m) == m for m in range(1 << graph.n)]
+        count = np.array(connected, dtype=np.int64)
+        for bit in range(graph.n):
+            halves = count.reshape(-1, 2, 1 << bit)
+            halves[:, 1] += halves[:, 0]
+        self.entropy = count[-1] - count[::-1]
+        self.entropy.flags.writeable = False
 
     def set_entropy(self, mask: int) -> int:
         """Number of connected target sets meeting the masked vertex set."""
-        return self._total_entropy - self._conn_count[self._full & ~mask]
+        return int(self.entropy[mask])
 
     def conditional_info(self, a: int, b: int, s_mask: int) -> int:
         """Connected target sets containing both a and b and avoiding the
@@ -309,10 +305,11 @@ class OracleScore:
         )
 
     def violation_weight(self, g: ChordalGraph) -> int:
-        total = 0
-        for v, pmask in enumerate(g.oriented_parent_masks()):
-            total += self.set_entropy(pmask | (1 << v)) - self.set_entropy(pmask)
-        return total - self._total_entropy
+        # one graph's row of ``verification._Records.oracle_scores``; the
+        # full vertex set is the table's last mask
+        pa = np.array(g.oriented_parent_masks(), dtype=np.int64)
+        fam = pa | 1 << np.arange(g.n)
+        return int(self.entropy[fam].sum() - self.entropy[pa].sum() - self.entropy[-1])
 
     def score(self, g: ChordalGraph) -> tuple[int, int]:
         if g.n != self.target_graph.n:

@@ -16,9 +16,11 @@ one per-n catalogue of the labeled chordal graphs (``_Records``): arrays
 of their families and dimensions, and one flat table of all their
 boundary moves whose statements ``_Records.statements`` decides with one
 ``DependencyModel.independent_table`` call per model, so those suites run
-as array tests over the table.  The latent-witness search keys each DAG
-by the answers of one ``d_separated_table`` call.  The chain sweep reads
-only the graphs and their ``line_mask``.
+as array tests over the table; the two oracle suites score every graph
+with one gather over ``OracleScore.entropy`` and decide inclusion in the
+undirected target by line containment.  The latent-witness search keys
+each DAG by the answers of one ``d_separated_table`` call, and the chain
+sweep reads only the graphs and their ``line_mask``.
 
 Reports are plain dataclasses with an ``ok`` property and a deterministic
 JSON form (no timestamps or runtimes inside, so identical runs serialize
@@ -42,7 +44,6 @@ from .independence import (
     graphoid_report,
     chain_disjunction_holds,
     inclusion_optimal,
-    model_included,
 )
 from .search import OracleScore, inclusion_boundary
 from .synthetic import rng_from
@@ -308,6 +309,12 @@ class _Records:
         counts = np.bincount(self.src[forced], minlength=len(self.graphs))
         return np.flatnonzero(counts == 0).tolist()
 
+    def oracle_scores(self, entropy: np.ndarray) -> np.ndarray:
+        """Every graph's violation weight under the entropy table
+        ``entropy`` (``OracleScore.entropy``, the full set its last mask):
+        the graph's oracle score is (-weight, -dims)."""
+        return entropy[self.fam].sum(1) - entropy[self.pa].sum(1) - entropy[-1]
+
 
 # ---------------------------------------------------------------------------
 # oracle-score self-check
@@ -333,58 +340,58 @@ def oracle_self_check(
     Two families of checks, both against independent oracles:
 
     * consistency: graphs whose model is included in the target (decided
-      by model_included, not by the score) beat every non-included graph,
-      and among included graphs lower dimension wins;
+      by line containment, not by the score: the pairwise reduction
+      ``model_included`` rests on for undirected targets) beat every
+      non-included graph, and among included graphs lower dimension wins;
     * local consistency: for every legal removal a-b with common neighbor
       set S, the full scores of the two graphs compare as the statement
       "a independent of b given S" (decided by graph separation) demands,
       strictly in both directions.
 
     ``cat`` is the ``_Records`` catalogue for ``target.n`` (built when
-    omitted); a removal's score is read from its result's entry, and a
-    listed removal with a non-chordal result raises VerificationError.
+    omitted).  Scores come from ``_Records.oracle_scores`` and ``dims``;
+    consistency is one array test per graph, in ``itertools.permutations``
+    order, local consistency one over the move table's removals.  A listed
+    removal with a non-chordal result raises VerificationError.
     """
     if cat is None:
         cat = _Records(target.n)
+    if cat.n != target.n:
+        raise ValueError("graph and target have different vertex counts")
     graphs = cat.graphs
-    oracle = OracleScore(target)
     model = DependencyModel.from_undirected(target)
-    scores = [oracle.score(cg) for cg in graphs]
-    included = [model_included(cg, model)[0] for cg in graphs]
-    dims = [-s[1] for s in scores]
+    weight, dims = cat.oracle_scores(OracleScore(target).entropy), cat.dims
+    included = (line_mask(target) & ~cat.masks) == 0
     consistency = []
-    for i, j in itertools.permutations(range(len(graphs)), 2):
-        if included[j] and not included[i] and not scores[j] > scores[i]:
+    for i in range(len(graphs)):
+        # graph j scores above graph i: lower weight, or equal and smaller
+        above = (weight < weight[i]) | ((weight == weight[i]) & (dims < dims[i]))
+        if included[i]:
+            names, flagged = ("smaller", "larger"), included & (dims < dims[i]) & ~above
+        else:
+            names, flagged = ("included", "excluded"), included & ~above
+        for j in np.flatnonzero(flagged):
             consistency.append(
-                {
-                    "included": graphs[j].fingerprint(),
-                    "excluded": graphs[i].fingerprint(),
-                }
+                {names[0]: graphs[j].fingerprint(), names[1]: graphs[i].fingerprint()}
             )
-        if included[i] and included[j] and dims[i] > dims[j] and not scores[j] > scores[i]:
-            consistency.append(
-                {
-                    "smaller": graphs[j].fingerprint(),
-                    "larger": graphs[i].fingerprint(),
-                }
-            )
-    local = []
-    holds = cat.statements(model)
     removals = np.flatnonzero(cat.remove)
-    if (cat.dst[removals] < 0).any():
+    src, dst = cat.src[removals], cat.dst[removals]
+    if (dst < 0).any():
         raise VerificationError("a boundary removal leaves a non-chordal graph")
-    for k in removals:
-        score, sscore, h = scores[cat.src[k]], scores[cat.dst[k]], bool(holds[k])
-        if h != (sscore > score) or (not h) != (sscore < score):
-            local.append(
-                {
-                    "graph": graphs[cat.src[k]].fingerprint(),
-                    "move": f"remove {cat.a[k]} {cat.b[k]}",
-                    "statement_holds": h,
-                    "score": list(score),
-                    "removed_score": list(sscore),
-                }
-            )
+    holds = cat.statements(model)[removals]
+    ws, wd, ds, dd = weight[src], weight[dst], dims[src], dims[dst]
+    better = (wd < ws) | ((wd == ws) & (dd < ds))
+    worse = (wd > ws) | ((wd == ws) & (dd > ds))
+    local = [
+        {
+            "graph": graphs[src[k]].fingerprint(),
+            "move": f"remove {cat.a[removals[k]]} {cat.b[removals[k]]}",
+            "statement_holds": bool(holds[k]),
+            "score": [-int(ws[k]), -int(ds[k])],
+            "removed_score": [-int(wd[k]), -int(dd[k])],
+        }
+        for k in np.flatnonzero((holds != better) | (holds == worse))
+    ]
     return SelfCheckReport(target.fingerprint(), len(graphs), consistency, local)
 
 
@@ -446,7 +453,6 @@ def sweep_local_optima(
     """
     recs = _Records(n)
     tlist = list(targets) if targets is not None else list(all_undirected(n))
-    full = (1 << n) - 1
     src, dst, dims = recs.src, recs.dst, recs.dims
     legal = dst >= 0
     violations: list = []
@@ -455,12 +461,9 @@ def sweep_local_optima(
     for t in tlist:
         if t.n != n:
             raise ValueError("target vertex count mismatch")
-        oracle = OracleScore(t)
-        ent = np.array([oracle.set_entropy(m) for m in range(1 << n)], dtype=np.int64)
         model = DependencyModel.from_undirected(t)
         tfp = t.fingerprint()
-        # minus the first score component; dims are minus the second
-        weight = ent[recs.fam].sum(1) - ent[recs.pa].sum(1) - ent[full]
+        weight = recs.oracle_scores(OracleScore(t).entropy)
         included = (line_mask(t) & ~recs.masks) == 0
         for i in np.flatnonzero((weight == 0) != included):
             self_check.append(

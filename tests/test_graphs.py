@@ -98,6 +98,15 @@ class TestUndirectedGraph:
         assert len(UndirectedGraph.complete(4).lines) == 6
         assert len(UndirectedGraph.empty(4).lines) == 0
 
+    def test_numpy_vertex_ids_give_exact_masks(self):
+        # numpy integers would make fixed-width masks that lose bits >= 63
+        g = UndirectedGraph(70, [(np.int64(0), np.int64(65)), (np.int64(65), 69)])
+        assert g.has_line(0, 65) and g == UndirectedGraph(70, [(0, 65), (65, 69)])
+        assert g.neighbor_mask(65) == 1 | 1 << 69
+        assert is_chordal(g)
+        with pytest.raises(TypeError):
+            UndirectedGraph(3, [(1.0, 2)])
+
 
 class TestRandomChordalGraph:
     # sha256 over the fingerprints of 100 back-to-back draws, one row per
@@ -508,6 +517,17 @@ class TestDag:
         assert Dag(2, [(0, 1), (0, 1)]).arcs == ((0, 1),)
         with pytest.raises(CycleError):
             Dag(2, [(0, 1), (1, 0)])
+
+    def test_two_cycle_named_by_first_arc_in_input_order(self):
+        with pytest.raises(CycleError, match="two-cycle between 3 and 2"):
+            Dag(4, [(3, 2), (1, 0), (2, 3), (0, 1)])
+        with pytest.raises(CycleError, match="two-cycle between 1 and 0"):
+            Dag(4, [(1, 0), (2, 3), (0, 1), (3, 2)])
+        # range and self-arrow errors come first, wherever they are listed
+        with pytest.raises(ValueError, match="out of range"):
+            Dag(4, [(2, 3), (3, 2), (0, 4)])
+        with pytest.raises(ValueError, match="self-arrow"):
+            Dag(4, [(2, 3), (3, 2), (1, 1)])
 
     def test_numpy_vertex_ids_give_exact_masks(self):
         # numpy integers would make fixed-width masks that lose bits >= 63

@@ -298,9 +298,12 @@ class TestOracleScore:
                     if nx.is_connected(h.subgraph(v for v in range(n) if m >> v & 1))
                 ]
                 oracle = OracleScore(g)
-                for mask in range(1 << n):
-                    expected = sum(1 for m in connected if m & mask)
-                    assert oracle.set_entropy(mask) == expected, (g, mask)
+                expected = [sum(1 for m in connected if m & w) for w in range(1 << n)]
+                # the table is the score's one form, read-only
+                assert oracle.entropy.dtype == np.int64
+                assert not oracle.entropy.flags.writeable
+                assert oracle.entropy.tolist() == expected, g
+                assert [oracle.set_entropy(w) for w in range(1 << n)] == expected
 
     def test_conditional_info_zero_iff_separated(self):
         g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])

@@ -1,8 +1,9 @@
 """Brute-force sweeps, their reports, and fault injection.
 
 The fault-injection tests monkeypatch ``verification.inclusion_boundary``
-with broken variants and require the sweeps to flag violations: a checker
-that cannot catch a planted bug proves nothing when it passes.
+with broken variants, or plant a fault in the oracle score's entropy
+table, and require the sweeps to flag violations: a checker that cannot
+catch a planted bug proves nothing when it passes.
 """
 
 import hashlib
@@ -173,6 +174,20 @@ def reference_oracle_self_check(target, graphs):
     return SelfCheckReport(target.fingerprint(), len(graphs), consistency, local)
 
 
+def plant_extra_coin(monkeypatch):
+    """Plant one extra coin for every set holding both 0 and 1 in the
+    entropy table of every ``OracleScore`` built, the one form of the score
+    that the sweeps and their references all read."""
+    init = OracleScore.__init__
+
+    def faulty(self, target):
+        init(self, target)
+        masks = np.arange(len(self.entropy))
+        self.entropy = self.entropy + (masks & 3 == 3)
+
+    monkeypatch.setattr(OracleScore, "__init__", faulty)
+
+
 def self_check_pairs(max_n=4):
     """(catalogue report, reference report) for every target with n <= max_n."""
     for n in range(1, max_n + 1):
@@ -190,15 +205,10 @@ class TestSelfChecks:
             assert got.ok
 
     def test_matches_reference_under_planted_fault(self, monkeypatch):
-        # penalize every graph holding line 0-1: removing that line now
-        # looks better than it should, so both checks must flag it
-        score = OracleScore.score
-
-        def faulty(self, g):
-            viol, dim = score(self, g)
-            return (viol - 1, dim) if g.has_line(0, 1) else (viol, dim)
-
-        monkeypatch.setattr(OracleScore, "score", faulty)
+        # one extra coin for every set holding both 0 and 1, planted in the
+        # entropy table: removing line 0-1 now costs one coin less than it
+        # should, so both checks must flag it
+        plant_extra_coin(monkeypatch)
         pairs = list(self_check_pairs())
         for got, want in pairs:
             assert got == want
@@ -208,6 +218,10 @@ class TestSelfChecks:
     def test_single_target(self):
         rep = oracle_self_check(UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)]))
         assert rep.ok
+
+    def test_catalogue_of_another_size_rejected(self):
+        with pytest.raises(ValueError, match="different vertex counts"):
+            oracle_self_check(UndirectedGraph(3), _Records(4))
 
     def test_non_chordal_removal_raises(self, monkeypatch):
         # a removal without a chordal result has no score to compare
@@ -434,15 +448,9 @@ class TestLocalOptimaSweep:
         assert any(got.violations for got, _ in reports)
 
     def test_matches_reference_under_planted_entropy_fault(self, monkeypatch):
-        # one extra coin for every set holding both 0 and 1: graphs that
-        # separate 0 from 1 in a target joining them look better than they
-        # are, so both sweeps must report self-check violations
-        entropy = OracleScore.set_entropy
-
-        def faulty(self, mask):
-            return entropy(self, mask) + (mask & 3 == 3)
-
-        monkeypatch.setattr(OracleScore, "set_entropy", faulty)
+        # graphs that separate 0 from 1 in a target joining them look better
+        # than they are, so both sweeps must report self-check violations
+        plant_extra_coin(monkeypatch)
         reports = assert_sweeps_agree()
         assert any(got.self_check_violations for got, _ in reports)
         assert any(want.self_check_violations for _, want in reports)
@@ -481,6 +489,16 @@ class TestMoveTable:
             assert list(pa) == parents
             assert list(fam) == [p | 1 << v for v, p in enumerate(parents)]
             assert dim == -OracleScore(UndirectedGraph(4)).score(cg)[1]
+
+    def test_oracle_scores_equal_per_graph_scores(self):
+        # the catalogue gather and the per-graph score read one table
+        for n in range(1, 5):
+            cat = _Records(n)
+            for t in all_undirected(n):
+                oracle = OracleScore(t)
+                weight = cat.oracle_scores(oracle.entropy)
+                got = [(-int(w), -int(d)) for w, d in zip(weight, cat.dims)]
+                assert got == [oracle.score(cg) for cg in cat.graphs], t
 
 
 class TestGraphoidSweep:
