@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -155,19 +154,6 @@ def _parse_graph_text(text: str) -> tuple[int, list[tuple[int, int]]]:
 # chordality
 
 
-@dataclass(frozen=True)
-class ChordalityResult:
-    """Outcome of a chordality test: a perfect ordering when the graph is
-    chordal, otherwise a witness chordless cycle (length >= 4)."""
-
-    ordering: Optional[tuple[int, ...]]
-    chordless_cycle: Optional[tuple[int, ...]]
-
-    @property
-    def is_chordal(self) -> bool:
-        return self.ordering is not None
-
-
 def maximum_cardinality_order(g: UndirectedGraph) -> tuple[int, ...]:
     """Maximum cardinality search order; ties go to the lowest index.
 
@@ -256,17 +242,6 @@ def _shortest_path(
     return None
 
 
-def check_chordality(g: UndirectedGraph) -> ChordalityResult:
-    """Test chordality; return a perfect ordering or a witness cycle."""
-    order = maximum_cardinality_order(g)
-    if is_perfect_order(g, order):
-        return ChordalityResult(ordering=order, chordless_cycle=None)
-    cycle = find_chordless_cycle(g)
-    if cycle is None:  # pragma: no cover - would indicate an algorithm bug
-        raise AssertionError("search order imperfect but no witness cycle found")
-    return ChordalityResult(ordering=None, chordless_cycle=cycle)
-
-
 def is_chordal(g: UndirectedGraph) -> bool:
     return is_perfect_order(g, maximum_cardinality_order(g))
 
@@ -291,17 +266,20 @@ class ChordalGraph:
 
     @classmethod
     def from_graph(cls, graph: UndirectedGraph) -> "ChordalGraph":
-        res = check_chordality(graph)
-        if not res.is_chordal:
-            raise NotChordalError(
-                f"graph has a chordless cycle {res.chordless_cycle}",
-                cycle=res.chordless_cycle or (),
-            )
-        # check_chordality has just verified the ordering; skip the re-check
-        # that the public constructor makes
+        """``graph`` certified by its maximum cardinality search order;
+        raises ``NotChordalError`` with a chordless cycle when that order
+        is not perfect."""
+        order = maximum_cardinality_order(graph)
+        if not is_perfect_order(graph, order):
+            cycle = find_chordless_cycle(graph)
+            if cycle is None:  # pragma: no cover - would indicate an algorithm bug
+                raise AssertionError("search order imperfect but no witness cycle found")
+            raise NotChordalError(f"graph has a chordless cycle {cycle}", cycle=cycle)
+        # the order has just been verified; skip the re-check that the
+        # public constructor makes
         chordal = cls.__new__(cls)
         chordal.graph = graph
-        chordal.ordering = tuple(res.ordering)
+        chordal.ordering = order
         return chordal
 
     @classmethod
@@ -475,9 +453,11 @@ class Dag:
         return self._topo
 
     def has_arc(self, u: int, v: int) -> bool:
-        return u >= 0 and bool(self.parent_masks[v] >> u & 1)
+        n = self.n
+        return 0 <= u < n and 0 <= v < n and bool(self.parent_masks[v] >> u & 1)
 
     def with_arc(self, u: int, v: int) -> "Dag":
+        u, v = operator.index(u), operator.index(v)  # no fixed-width masks
         n = self.n
         if u == v or not (0 <= u < n and 0 <= v < n) or self.parent_masks[u] >> v & 1:
             return Dag(n, self.arcs + ((u, v),))  # raises, naming the bad arrow
@@ -486,6 +466,7 @@ class Dag:
         return _dag_of_masks(n, masks)
 
     def without_arc(self, u: int, v: int) -> "Dag":
+        u, v = operator.index(u), operator.index(v)
         if not self.has_arc(u, v):
             raise ValueError(f"arrow {u}->{v} not present")
         masks = list(self.parent_masks)

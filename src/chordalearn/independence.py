@@ -13,7 +13,11 @@ validated only at the public entry points that take vertex collections
 (``DependencyModel.independent``, ``graphoid_report``, ``model_included``,
 ``chain_disjunction_holds``); internal callers enumerate role bitmasks
 with ``role_masks``/``canonical_triples``.  The graphoid axioms are rules
-of one table, ``_AXIOMS``, run as array tests.
+of one table, ``_AXIOMS``, run as array tests.  The separation-chain rule
+is written once, as ``_chain_statements``: ``chain_disjunction_holds``
+checks every chain vertex is observed and asks its statements in one
+batch, and the verification sampler asks them of a graph's neighbor
+bitmasks with one ``separated_table`` call.
 """
 
 from __future__ import annotations
@@ -111,10 +115,13 @@ class DependencyModel:
             raise ValueError("both endpoint sets must be nonempty")
         if sa & sb or sa & sc or sb & sc:
             raise ValueError("the three vertex sets must be pairwise disjoint")
-        bad = (sa | sb | sc) - self._obs_set
+        self._require_observed(sa | sb | sc)
+        return self.independent_table([(vertex_mask(sa), vertex_mask(sb), vertex_mask(sc))])[0]
+
+    def _require_observed(self, vertices: frozenset) -> None:
+        bad = vertices - self._obs_set
         if bad:
             raise ValueError(f"vertices {sorted(bad)} are not observable in this model")
-        return self.independent_table([(vertex_mask(sa), vertex_mask(sb), vertex_mask(sc))])[0]
 
     def independent_table(self, triples: Sequence[tuple[int, int, int]]) -> list:
         """``independent`` for each vertex-bitmask triple (A, B, C) of
@@ -400,6 +407,15 @@ def graphoid_report(
 # separation chains
 
 
+def _chain_statements(masks: Sequence[int]) -> tuple[list, list]:
+    """The statements of the chain of vertex bitmasks A0..An, x = A0 and
+    y = An: the premise (A(i-1), A(i+1), A(i)) for each interior i, and the
+    disjunction (x, Ai, 0) for i = 1..n-1, then (x, y, A(n-1))."""
+    x, y = masks[0], masks[-1]
+    premise = [(masks[i - 1], masks[i + 1], masks[i]) for i in range(1, len(masks) - 1)]
+    return premise, [(x, a, 0) for a in masks[1:-1]] + [(x, y, masks[-2])]
+
+
 def chain_disjunction_holds(m: DependencyModel, chain: Sequence[Iterable[int]]) -> bool:
     """Endpoint-disjunction property of separation chains.
 
@@ -409,25 +425,20 @@ def chain_disjunction_holds(m: DependencyModel, chain: Sequence[Iterable[int]]) 
     a model realizable as an undirected graph must satisfy at least one of:
     x independent of Ai (i = 1..n-1) marginally, or x independent of y
     given A(n-1).  A failed premise makes the property vacuously true.
+    Every vertex of the chain must be observed; the model answers the
+    premise and the disjunction in one batch.
     """
-    sets = [tuple(sorted(set(s))) for s in chain]
+    sets = [frozenset(s) for s in chain]
     if len(sets) < 4:
         raise ValueError("chain needs at least four sets (n >= 3)")
     if len(sets[0]) != 1 or len(sets[-1]) != 1:
         raise ValueError("chain ends must be singleton sets")
-    if any(not s for s in sets):
+    if not all(sets):
         raise ValueError("chain sets must be nonempty")
-    seen: set = set()
-    for s in sets:
-        if seen & set(s):
-            raise ValueError("chain sets must be pairwise disjoint")
-        seen |= set(s)
-    for i in range(1, len(sets) - 1):
-        if not m.independent(sets[i - 1], sets[i + 1], sets[i]):
-            return True  # premise fails: vacuous
-    x = sets[0]
-    y = sets[-1]
-    for i in range(1, len(sets) - 1):
-        if m.independent(x, sets[i]):
-            return True
-    return m.independent(x, y, sets[-2])
+    union = frozenset().union(*sets)
+    if len(union) != sum(map(len, sets)):
+        raise ValueError("chain sets must be pairwise disjoint")
+    m._require_observed(union)
+    premise, disjunction = _chain_statements([vertex_mask(s) for s in sets])
+    answers = m.independent_table(premise + disjunction)
+    return not all(answers[: len(premise)]) or any(answers[len(premise) :])

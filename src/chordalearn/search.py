@@ -289,7 +289,10 @@ class OracleScore:
         self.entropy.flags.writeable = False
 
     def set_entropy(self, mask: int) -> int:
-        """Number of connected target sets meeting the masked vertex set."""
+        """Number of connected target sets meeting the masked vertex set;
+        a mask outside 0..2^n - 1 raises ``IndexError``."""
+        if mask < 0:
+            raise IndexError(f"vertex bitmask {mask} is negative")
         return int(self.entropy[mask])
 
     def conditional_info(self, a: int, b: int, s_mask: int) -> int:

@@ -20,7 +20,9 @@ as array tests over the table; the two oracle suites score every graph
 with one gather over ``OracleScore.entropy`` and decide inclusion in the
 undirected target by line containment.  The latent-witness search keys
 each DAG by the answers of one ``d_separated_table`` call, and the chain
-sweep reads only the graphs and their ``line_mask``.
+sweep reads only the graphs and their ``line_mask``.  The separation-chain
+sampler holds each random graph as neighbor bitmasks and decides each
+chain's premise and endpoint disjunction with one ``separated_table`` call.
 
 Reports are plain dataclasses with an ``ok`` property and a deterministic
 JSON form (no timestamps or runtimes inside, so identical runs serialize
@@ -37,12 +39,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_table, is_chordal
-from .graphs import mask_vertices, separated_table
+from .graphs import mask_vertices, separated_table, vertex_mask
 from .independence import (
     DependencyModel,
+    _chain_statements,
     canonical_triples,
     graphoid_report,
-    chain_disjunction_holds,
     inclusion_optimal,
 )
 from .search import OracleScore, inclusion_boundary
@@ -563,20 +565,18 @@ class ChainSampleReport:
         return self.evaluated >= self.requested and self.holds == self.evaluated
 
 
-def _bfs_layers(g: UndirectedGraph, x: int) -> list[tuple[int, ...]]:
-    """Breadth-first distance layers from x, each ascending."""
-    masks = g.neighbor_masks
-    seen = 1 << x
-    layers = [(x,)]
-    while True:
-        frontier = 0
-        for v in layers[-1]:
+def _bfs_layers(masks: Sequence[int], x: int) -> list[int]:
+    """Breadth-first distance layers from x in the graph of neighbor
+    bitmasks ``masks``, one vertex bitmask per layer."""
+    layers = []
+    seen = frontier = 1 << x
+    while frontier:
+        layers.append(frontier)
+        for v in mask_vertices(frontier):
             frontier |= masks[v]
         frontier &= ~seen
-        if not frontier:
-            return layers
         seen |= frontier
-        layers.append(mask_vertices(frontier))
+    return layers
 
 
 def sample_chain_disjunctions(
@@ -590,7 +590,10 @@ def sample_chain_disjunctions(
     (which satisfy the premise by construction since a path between
     distance d-1 and d+1 must cross distance d), or random nonempty
     subsets of those layers, which are kept only when the premise holds
-    under the separation oracle.
+    under the separation oracle.  Each attempt's graph is held as neighbor
+    bitmasks, and its chain's premise and disjunction are answered by one
+    ``separated_table`` call; an ``UndirectedGraph`` is built only to name
+    a failure.
     """
     rng = rng_from(seed, 0x43A1)
     evaluated = holds = attempts = 0
@@ -599,48 +602,39 @@ def sample_chain_disjunctions(
         attempts += 1
         nv = int(rng.integers(4, max_vars + 1))
         p = float(rng.uniform(0.15, 0.55))
-        lines = [
-            pair
-            for pair in itertools.combinations(range(nv), 2)
-            if rng.random() < p
-        ]
-        g = UndirectedGraph(nv, lines)
+        pairs = list(itertools.combinations(range(nv), 2))
+        lines = list(itertools.compress(pairs, rng.random(len(pairs)) < p))
+        masks = [0] * nv
+        for a, b in lines:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
         x = int(rng.integers(nv))
-        layers = _bfs_layers(g, x)
-        reached = {v for layer in layers for v in layer}
-        far = sorted(set(range(nv)) - reached)
-        depths = []
-        for d in range(3, len(layers) + 1):
-            later = [v for j in range(d, len(layers)) for v in layers[j]] + far
-            if later:
-                depths.append((d, later))
-        if not depths:
+        layers = _bfs_layers(masks, x)
+        far = (1 << nv) - 1 - sum(layers)  # unreached; the layers are disjoint
+        # a depth d >= 3 needs a vertex at depth d or more, or an unreached
+        # one: every d below the layer count has one, the count itself only if far
+        depths = len(layers) - 3 + bool(far)
+        if depths <= 0:
             continue
-        model = DependencyModel.from_undirected(g)
-        d, later = depths[int(rng.integers(len(depths)))]
+        d = 3 + int(rng.integers(depths))
+        later = [v for m in layers[d:] + [far] for v in mask_vertices(m)]
         y = later[int(rng.integers(len(later)))]
-        interior = [list(layers[i]) for i in range(1, d)]
+        chain = [1 << x, *layers[1:d], 1 << y]
         if rng.random() < 0.5:
-            interior = [
-                sorted(
-                    rng.choice(layer, size=int(rng.integers(1, len(layer) + 1)), replace=False).tolist()
-                )
-                for layer in interior
-            ]
-        chain = [(x,)] + [tuple(s) for s in interior] + [(y,)]
-        premise = all(
-            model.independent(chain[i - 1], chain[i + 1], chain[i])
-            for i in range(1, len(chain) - 1)
-        )
-        if not premise:
+            for i in range(1, d):
+                vs = mask_vertices(layers[i])
+                k = int(rng.integers(1, len(vs) + 1))
+                chain[i] = vertex_mask(rng.choice(vs, k, replace=False).tolist())
+        premise, disjunction = _chain_statements(chain)
+        answers = separated_table(masks, premise + disjunction)
+        if not all(answers[: len(premise)]):
             continue
         evaluated += 1
-        if chain_disjunction_holds(model, chain):
+        if any(answers[len(premise) :]):
             holds += 1
         else:
-            failures.append(
-                {"graph": g.fingerprint(), "chain": [list(s) for s in chain]}
-            )
+            graph = UndirectedGraph(nv, lines).fingerprint()
+            failures.append({"graph": graph, "chain": [list(mask_vertices(m)) for m in chain]})
     return ChainSampleReport(count, evaluated, holds, attempts, failures)
 
 

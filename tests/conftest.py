@@ -11,7 +11,9 @@ checked against, ``d_separated`` and ``enumerate_independencies``, the
 set-argument front ends that tests use over the mask kernels,
 ``ref_model_included`` and ``ref_inclusion_optimal``, the
 one-statement-at-a-time model comparison that ``model_included`` and
-``inclusion_optimal`` batch, ``table_score``, the one-table BDeu kernel
+``inclusion_optimal`` batch, ``ref_chain_disjunction_holds``, the
+one-statement-at-a-time chain rule that ``chain_disjunction_holds``
+batches, ``table_score``, the one-table BDeu kernel
 that every local score must equal bit for bit, and ``line_delta``,
 ``move_delta`` and ``per_move_greedy_chordal``, the one-move-at-a-time
 scoring path that the chordal search batches, ``addition_keeps_chordal``,
@@ -215,6 +217,33 @@ def ref_inclusion_optimal(g: ChordalGraph, target, included=ref_model_included) 
         )[0]:
             return False
     return True
+
+
+def ref_chain_disjunction_holds(m, chain) -> bool:
+    """``chain_disjunction_holds`` one validated ``independent`` call at a
+    time, premise first and stopping at the first answer that decides;
+    so an unobserved vertex in a set it never reaches goes unchecked."""
+    sets = [tuple(sorted(set(s))) for s in chain]
+    if len(sets) < 4:
+        raise ValueError("chain needs at least four sets (n >= 3)")
+    if len(sets[0]) != 1 or len(sets[-1]) != 1:
+        raise ValueError("chain ends must be singleton sets")
+    if any(not s for s in sets):
+        raise ValueError("chain sets must be nonempty")
+    seen: set = set()
+    for s in sets:
+        if seen & set(s):
+            raise ValueError("chain sets must be pairwise disjoint")
+        seen |= set(s)
+    for i in range(1, len(sets) - 1):
+        if not m.independent(sets[i - 1], sets[i + 1], sets[i]):
+            return True  # premise fails: vacuous
+    x = sets[0]
+    y = sets[-1]
+    for i in range(1, len(sets) - 1):
+        if m.independent(x, sets[i]):
+            return True
+    return m.independent(x, y, sets[-2])
 
 
 def all_graphs(n: int):

@@ -14,7 +14,6 @@ from chordalearn.graphs import (
     Dag,
     NotChordalError,
     UndirectedGraph,
-    check_chordality,
     d_separated_table,
     find_chordless_cycle,
     is_chordal,
@@ -31,6 +30,7 @@ from chordalearn.graphs import (
     vertex_mask,
 )
 from chordalearn.independence import DependencyModel, canonical_triples
+from chordalearn.search import Move, apply_dag_move
 from chordalearn.verification import all_dags, enumerate_chordal, iter_dags
 
 from conftest import (
@@ -242,9 +242,10 @@ class TestChordality:
 
     def test_chordless_cycle_reported(self):
         g = UndirectedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        res = check_chordality(g)
-        assert not res.is_chordal
-        cyc = res.chordless_cycle
+        with pytest.raises(NotChordalError) as info:
+            ChordalGraph.from_graph(g)
+        cyc = info.value.cycle
+        assert str(info.value) == f"graph has a chordless cycle {cyc}"
         assert len(cyc) >= 4
         # cycle is closed, chordless
         for i, v in enumerate(cyc):
@@ -556,6 +557,30 @@ class TestDag:
         assert d.without_arc(0, 1).arcs == ()
         with pytest.raises(CycleError):
             d.with_arc(1, 0)
+
+    def test_has_arc_false_out_of_range(self):
+        d = Dag(3, [(0, 2)])
+        assert not d.has_arc(0, -1)  # no wrap round to vertex 2
+        assert not d.has_arc(-1, 0)
+        assert not d.has_arc(0, 5) and not d.has_arc(5, 0)
+        assert d.has_arc(0, 2)
+
+    def test_negative_id_removes_no_arc(self):
+        d = Dag(3, [(0, 2)])
+        with pytest.raises(ValueError, match="not present"):
+            d.without_arc(0, -1)
+        with pytest.raises(ValueError, match="not present"):
+            apply_dag_move(d, Move("remove", 0, -1))
+        assert d.arcs == ((0, 2),)
+
+    def test_edits_take_numpy_ids_exactly(self):
+        d = Dag(70)
+        wide = d.with_arc(np.int64(65), np.int64(0))
+        assert wide == Dag(70, [(65, 0)]) and wide.parent_masks[0] == 1 << 65
+        assert d.with_arc(np.int64(3), np.int64(0)).arcs == ((3, 0),)
+        assert wide.without_arc(np.int64(65), np.int64(0)) == d
+        with pytest.raises(TypeError):
+            d.with_arc(1.0, 2)
 
     def test_text_roundtrip(self):
         d = Dag(4, [(0, 2), (3, 1)])

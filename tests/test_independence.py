@@ -32,6 +32,7 @@ from conftest import (
     path_separated,
     random_dag,
     random_graph,
+    ref_chain_disjunction_holds,
     ref_enumerate_independencies,
     ref_inclusion_optimal,
     ref_model_included,
@@ -405,6 +406,28 @@ def su_chain_sets(n):
     return [(v,) for v in range(n)]
 
 
+def random_chain(vertices, rng):
+    """A chain over a shuffled subset of at least four of ``vertices``:
+    singleton ends, the vertices between them cut into at least two
+    nonempty interior sets."""
+    vs = [int(v) for v in rng.permutation(list(vertices))]
+    inner = vs[2 : int(rng.integers(4, len(vs) + 1))]
+    cuts = rng.choice(np.arange(1, len(inner)), int(rng.integers(1, len(inner))), replace=False)
+    bounds = [0, *sorted(cuts.tolist()), len(inner)]
+    return [(vs[0],), *(tuple(inner[i:j]) for i, j in zip(bounds, bounds[1:])), (vs[1],)]
+
+
+def random_chain_model(kind, rng):
+    """A random model on 6 vertices of the given kind; a latent-dag model
+    hides one or two vertices."""
+    if kind == "ug":
+        return DependencyModel.from_undirected(random_graph(6, rng, p=float(rng.random())))
+    d = random_dag(6, rng, p=float(rng.random()))
+    if kind == "dag":
+        return DependencyModel.from_dag(d)
+    return DependencyModel.from_latent_dag(d, rng.choice(6, int(rng.integers(1, 3)), replace=False))
+
+
 class TestChainDisjunction:
     def test_path_chain_holds(self):
         g = UndirectedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
@@ -426,6 +449,27 @@ class TestChainDisjunction:
         assert m.independent([1], [2], [0])
         assert m.independent([0], [3], [2])
         assert not chain_disjunction_holds(m, chain)
+        assert not ref_chain_disjunction_holds(m, chain)
+
+    def test_unobserved_vertices_raise_before_any_answer(self):
+        d = Dag(5, [(0, 2), (1, 2), (2, 3), (4, 3)])
+        m = DependencyModel.from_latent_dag(d, [4])
+        chain = [(0,), (1,), (3,), (4,)]
+        # the premise fails at its first statement (0 and 3 meet through 2
+        # given 1), so asked one statement at a time vertex 4 goes unchecked
+        assert ref_chain_disjunction_holds(m, chain)
+        with pytest.raises(ValueError, match=r"^vertices \[4\] are not observable in this model$"):
+            chain_disjunction_holds(m, chain)
+        # a latent or out-of-range vertex raises in every set of the chain
+        base = [(0,), (1,), (2,), (3,)]
+        for i in range(len(base)):
+            for bad in (4, 5, -1):
+                chain = list(base)
+                chain[i] = (bad,) if i in (0, 3) else base[i] + (bad,)
+                with pytest.raises(ValueError, match=rf"^vertices \[{bad}\] are not observable"):
+                    chain_disjunction_holds(m, chain)
+        with pytest.raises(ValueError, match=r"^vertices \[-1, 4, 5\] are not observable"):
+            chain_disjunction_holds(m, [(0,), (1, 5), (2, 4, -1), (3,)])
 
     def test_validation_errors(self):
         m = DependencyModel.from_undirected(UndirectedGraph(6))
@@ -443,19 +487,31 @@ class TestChainDisjunction:
         m = DependencyModel.from_undirected(g)
         assert chain_disjunction_holds(m, [(0,), (1, 2), (3,), (4,), (5,)])
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(0, 2**15 - 1), st.integers(0, 10**6))
-    def test_random_ug_chains_always_hold(self, mask, pick):
-        pairs = list(itertools.combinations(range(6), 2))
-        g = UndirectedGraph(6, [pairs[i] for i in range(15) if mask >> i & 1])
-        m = DependencyModel.from_undirected(g)
-        # random singleton chain over a permuted vertex subset
-        vs = list(range(6))
-        rng = np.random.default_rng(pick)
-        rng.shuffle(vs)
-        length = int(rng.integers(4, 7))
-        chain = [(v,) for v in vs[:length]]
-        assert chain_disjunction_holds(m, chain)
+    def test_singleton_chains_match_reference_on_all_dags_n4(self):
+        # every 4-vertex DAG in every vertex order; 48 of these chains fail
+        # the disjunction, the collider chain above among them
+        failing = set()
+        for arcs in all_dags(4):
+            m = DependencyModel.from_dag(Dag(4, arcs))
+            for chain in itertools.permutations(su_chain_sets(4)):
+                expected = ref_chain_disjunction_holds(m, chain)
+                assert chain_disjunction_holds(m, chain) == expected
+                if not expected:
+                    failing.add((arcs, chain))
+        assert len(failing) == 48
+        assert (((0, 1), (0, 2), (3, 1)), ((1,), (0,), (2,), (3,))) in failing
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["ug", "dag", "latent-dag"]), st.integers(0, 10**6))
+    def test_random_chains_match_reference(self, kind, seed):
+        # one batch must decide as the reference's one-statement-at-a-time
+        # walk does, and every undirected model satisfies the disjunction
+        rng = np.random.default_rng(seed)
+        m = random_chain_model(kind, rng)
+        chain = random_chain(m.observed, rng)
+        expected = ref_chain_disjunction_holds(m, chain)
+        assert chain_disjunction_holds(m, chain) == expected
+        assert expected or kind != "ug"
 
 
 # ---------------------------------------------------------------------------

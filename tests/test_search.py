@@ -305,6 +305,12 @@ class TestOracleScore:
                 assert oracle.entropy.tolist() == expected, g
                 assert [oracle.set_entropy(w) for w in range(1 << n)] == expected
 
+    def test_set_entropy_rejects_masks_out_of_range(self):
+        oracle = OracleScore(UndirectedGraph(3, [(0, 1)]))
+        for mask in (8, -1, -8):  # -1 and -8 would index from the end
+            with pytest.raises(IndexError):
+                oracle.set_entropy(mask)
+
     def test_conditional_info_zero_iff_separated(self):
         g = UndirectedGraph(4, [(0, 1), (1, 2), (2, 3)])
         oracle = OracleScore(g)

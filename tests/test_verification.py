@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from chordalearn import verification
-from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal
+from chordalearn.graphs import ChordalGraph, Dag, UndirectedGraph, is_chordal, mask_vertices
 from chordalearn.independence import DependencyModel, inclusion_optimal, model_included
 from chordalearn.search import Move, OracleScore, inclusion_boundary
 from chordalearn.verification import (
@@ -521,6 +521,44 @@ class TestChainSamples:
         a = sample_chain_disjunctions(count=150, seed=3)
         b = sample_chain_disjunctions(count=150, seed=3)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "count, seed, digest",
+        [
+            (3000, 5, "7f178a72e671e3ac22eadd0d352b141c14fc5217bc6e3fab1b88864a03b7cf6d"),
+            (2000, 11, "9c3f7237078c9fbf5088be38e874bae36acb63298f864929a4daecd43df2e6f7"),
+        ],
+    )
+    def test_report_pinned(self, count, seed, digest):
+        # every RNG draw and every kept chain, attempts included
+        text = report_to_json(sample_chain_disjunctions(count, seed))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_failures_name_graph_and_chain(self, monkeypatch):
+        # answer each premise truly and every disjunction statement False,
+        # recording the graph and chain of each attempt whose premise holds
+        real = verification.separated_table
+        expected = []
+
+        def no_disjunct(masks, triples):
+            premise = triples[: len(triples) // 2]  # n - 1 of 2n - 1 statements
+            answers = real(masks, premise)
+            if all(answers):
+                lines = [(a, b) for a in range(len(masks)) for b in mask_vertices(masks[a]) if a < b]
+                chain = [premise[0][0], *(c for _, _, c in premise), premise[-1][1]]
+                expected.append(
+                    {
+                        "graph": UndirectedGraph(len(masks), lines).fingerprint(),
+                        "chain": [list(mask_vertices(m)) for m in chain],
+                    }
+                )
+            return answers + [False] * (len(triples) - len(premise))
+
+        monkeypatch.setattr(verification, "separated_table", no_disjunct)
+        rep = sample_chain_disjunctions(count=50, seed=2)
+        assert not rep.ok
+        assert rep.evaluated == 50 and rep.holds == 0
+        assert rep.failures == expected and len(expected) == 50
 
     def test_ok_requires_full_hold(self):
         broken = ChainSampleReport(
