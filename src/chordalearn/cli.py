@@ -34,6 +34,7 @@ from .scoring import Dataset, ScoreCache, check_arities, check_ess, dimension, d
 from .search import BDeuScorer, greedy_chordal, greedy_dag
 from .synthetic import (
     DiscreteBayesNet,
+    FamilyTooLargeError,
     ancestral_sample,
     random_chordal_target,
     random_dag,
@@ -195,13 +196,16 @@ def _make_target(kind: str, n: int, arity: int, max_parents, rng, min_prob):
     arities = (arity,) * n
     mp = max_parents if max_parents is not None else _KIND_PARENTS[kind]
     mp = min(mp, n - 1)
-    if kind == "chordal":
-        graph, net = random_chordal_target(
-            n, rng, arities=arities, max_parents=mp, min_prob=min_prob
-        )
-        return net, graph.graph, graph.graph.to_text()
-    dag = random_dag(n, mp, rng)
-    net = random_parameters(dag, arities, rng, min_prob=min_prob)
+    try:
+        if kind == "chordal":
+            graph, net = random_chordal_target(
+                n, rng, arities=arities, max_parents=mp, min_prob=min_prob
+            )
+            return net, graph.graph, graph.graph.to_text()
+        dag = random_dag(n, mp, rng)
+        net = random_parameters(dag, arities, rng, min_prob=min_prob)
+    except FamilyTooLargeError as exc:
+        raise UsageError(f"{kind} target with n_vars {n}: {exc}") from None
     return net, moralize(dag), dag.to_text()
 
 
@@ -325,10 +329,10 @@ def cmd_generate(args) -> int:
         cfg["seed"] = args.seed
     _check_fields(cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n")
     t0 = time.perf_counter()
+    # the target is built before anything is written
     arts = _generate_cell(cfg, out, cfg["target_kind"], cfg["n_vars"], cfg["replicate"])
+    _write(out / "config.json", json.dumps(cfg, sort_keys=True, indent=2) + "\n")
     print(f"generated {arts['cell']}: net, test, {len(arts['trains'])} train sets")
     print(f"elapsed {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return EXIT_OK

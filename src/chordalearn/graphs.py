@@ -331,10 +331,12 @@ class ChordalGraph:
 
 
 def vertex_mask(vertices: Iterable[int]) -> int:
-    """Bitmask with bit v set for every vertex v of ``vertices``."""
+    """Bitmask with bit v set for every vertex v of ``vertices``; ids go
+    through ``operator.index``, so a numpy integer shifts as a Python int
+    (a fixed-width shift by 64 or more would give 0)."""
     mask = 0
     for v in vertices:
-        mask |= 1 << v
+        mask |= 1 << operator.index(v)
     return mask
 
 
@@ -593,7 +595,7 @@ def separated(
     """Undirected separation: every path from ``a`` to ``b`` meets ``c``."""
     masks = [0, 0, 0]
     for i, (label, vertices) in enumerate((("a", a), ("b", b), ("c", c))):
-        for v in vertices:
+        for v in map(operator.index, vertices):
             if not 0 <= v < g.n:
                 raise ValueError(f"{label} contains out-of-range vertex {v}")
             masks[i] |= 1 << v

@@ -12,22 +12,32 @@ Jordan, UAI 2001).  Greedy search repeatedly applies the best strictly
 improving neighbor and stops when none exists; ties break on the
 lexicographically smallest move, so runs are deterministic.
 
-Two memos keep a chordal step cheap without carrying legality state
-between steps:
+The chordal search carries its state across steps (``_ChordalCarry``).
+Per unordered pair a < b it keeps S = N(a) & N(b), whether the pair's one
+move (addition if absent, removal if present) is legal, and that move's
+signed line delta, all in ``Move.sort_key`` order, so a step is one
+first argmax.  After an edit x-y, with G- the graph without the line x-y
+and G+ the graph with it, only these pairs can change:
 
-* component memo: within one ``inclusion_boundary`` call, every absent
-  pair (a, b) with the same S = N(a) & N(b) looks in the same graph G - S,
-  so each component of G - S is found once, with one ``reach``, and every
-  later pair whose a lies in it reads its legality (b outside it) off the
-  component's bitmask;
-* delta memo: a line's score change depends on the data and on (a, b, S)
-  only, so ``BDeuScorer`` keeps f(b, S + a) - f(b, S) per (a, b, S) for
-  the whole search; a removal reads the exact negation.  Nothing in it is
-  ever invalidated.  A step fills all its misses with one
-  ``ScoreCache.family_scores`` call, whose keys, (b, S | 1 << a) and
-  (b, S), are the bitmasks themselves.
+1. S changes only for (x, w) with w a neighbor of y and (y, w) with w a
+   neighbor of x, and the pair x-y flips presence; these are redone in
+   full, and a delta changes only when its S does;
+2. a present line's removal legality otherwise changes only when x and y
+   both lie in its S, that is for the lines inside N(x) & N(y);
+3. an absent pair's addition legality otherwise changes only when x, y
+   are outside its S and S contains N(x) & N(y), so that x and y lie in
+   different components Cx, Cy of G- with S removed, and the pair has
+   one endpoint in each.  Absent pairs are grouped by S, so each S costs
+   at most two ``reach`` calls.
 
-The DAG hill-climber does carry state between steps.  A move's delta
+A line's delta depends on the data and on (a, b, S) only, so
+``BDeuScorer`` memoizes f(b, S + a) - f(b, S) per (a, b, S) for the whole
+search and a removal reads the exact negation; a step fills the keys of
+its newly legal pairs with one ``ScoreCache.family_scores`` call.  The
+listing path, ``inclusion_boundary`` with every move scored on its own,
+stays as the oracle the carry is tested against.
+
+The DAG hill-climber carries state the same way.  A move's delta
 depends only on its child's parent set (and its parent's, for a
 reversal), so per child it keeps the local terms and the additions and
 removals they score, ranked best first, and rebuilds them only for the
@@ -175,7 +185,7 @@ def apply_move(g: ChordalGraph, move: Move) -> ChordalGraph:
 class ChordalScorer(Protocol):  # pragma: no cover - typing only
     def score(self, g: ChordalGraph) -> object: ...
 
-    def move_scores(self, g: ChordalGraph, current, moves: Sequence[Move]) -> list: ...
+    def line_deltas(self, keys: Sequence[tuple[int, int, int]]) -> list: ...
 
 
 class BDeuScorer:
@@ -187,8 +197,8 @@ class BDeuScorer:
 
     Line deltas are memoized for the scorer's lifetime by (a, b, S), S a
     bitmask, in the add sense; they depend on nothing else, so no entry is
-    ever stale.  ``move_scores`` fills a step's missing entries with one
-    ``ScoreCache.family_scores`` call over the families (b, S | 1 << a)
+    ever stale.  ``line_deltas`` fills the missing entries of its keys with
+    one ``ScoreCache.family_scores`` call over the families (b, S | 1 << a)
     and (b, S), keyed by those parent masks as they are."""
 
     def __init__(self, data: Dataset, ess: float = 1.0, cache: Optional[ScoreCache] = None):
@@ -200,12 +210,10 @@ class BDeuScorer:
     def score(self, g: ChordalGraph) -> float:
         return score_chordal(g, self.data, self.ess, self.cache)
 
-    def _memo_keys(self, g: ChordalGraph, moves: Sequence[Move]) -> list[tuple[int, int, int]]:
-        """The memo key (a, b, S) of each move, every missing entry filled."""
-        masks = g.graph.neighbor_masks
+    def line_deltas(self, keys: Sequence[tuple[int, int, int]]) -> list[float]:
+        """The add-sense delta of each (a, b, S) key, a < b, every missing
+        entry filled."""
         memo = self._line_deltas
-        keys = [(m.a, m.b, masks[m.a] & masks[m.b]) if m.a < m.b
-                else (m.b, m.a, masks[m.a] & masks[m.b]) for m in moves]
         missing = dict.fromkeys([key for key in keys if key not in memo])
         if missing:
             families = []
@@ -214,22 +222,16 @@ class BDeuScorer:
             terms = self.cache.family_scores(families)
             for i, key in enumerate(missing):
                 memo[key] = terms[2 * i] - terms[2 * i + 1]
-        return keys
+        return [memo[key] for key in keys]
 
     def delta(self, g: ChordalGraph, move: Move) -> float:
-        d = self._line_deltas[self._memo_keys(g, [move])[0]]
+        a, b = sorted((move.a, move.b))
+        masks = g.graph.neighbor_masks
+        d = self.line_deltas([(a, b, masks[a] & masks[b])])[0]
         return d if move.kind == "add" else -d
 
     def move_score(self, g: ChordalGraph, current: float, move: Move) -> float:
         return current + self.delta(g, move)
-
-    def move_scores(self, g: ChordalGraph, current: float, moves: Sequence[Move]) -> list[float]:
-        memo = self._line_deltas
-        # current - d is current + (-d) exactly
-        return [
-            current + memo[key] if m.kind == "add" else current - memo[key]
-            for key, m in zip(self._memo_keys(g, moves), moves)
-        ]
 
 
 class OracleScore:
@@ -322,34 +324,163 @@ class OracleScore:
             dim += 1 << pmask.bit_count()
         return (-self.violation_weight(g), -dim)
 
-    def move_scores(self, g: ChordalGraph, current: tuple[int, int], moves: Sequence[Move]):
-        return [self.move_score(g, current, move) for move in moves]
+    def line_deltas(self, keys: Sequence[tuple[int, int, int]]) -> list[tuple[int, int]]:
+        """The add-sense score change of each (a, b, S) key as an integer
+        pair: adding a line can only lower the violation weight, by the
+        information S fails to block, and raises the dimension by 2^|S|.
+        A removal changes the score by the exact negation."""
+        return [(self.conditional_info(a, b, s), -(1 << s.bit_count())) for a, b, s in keys]
 
     def move_score(self, g: ChordalGraph, current: tuple[int, int], move: Move):
         masks = g.graph.neighbor_masks
-        s = masks[move.a] & masks[move.b]
-        info = self.conditional_info(move.a, move.b, s)
-        viol = -current[0]
-        dim = -current[1]
-        # denser graphs assert fewer separations: additions can only lower
-        # the violation weight, removals raise it by the blocked information
+        a, b = sorted((move.a, move.b))
+        info, dim = self.line_deltas([(a, b, masks[a] & masks[b])])[0]
         if move.kind == "add":
-            return (-(viol - info), -(dim + (1 << s.bit_count())))
-        return (-(viol + info), -(dim - (1 << s.bit_count())))
+            return (current[0] + info, current[1] + dim)
+        return (current[0] - info, current[1] - dim)
 
 
 # ---------------------------------------------------------------------------
 # greedy search
 
 
-def _best_move(g, scorer, current, moves):
-    # moves come in sort-key order, and max and index both keep the first
-    # of equal scores
-    scores = scorer.move_scores(g, current, moves)
-    best = max(scores, default=current)
-    if not best > current:
-        return None, current
-    return moves[scores.index(best)], best
+class _ChordalCarry:
+    """What the chordal search keeps between steps.  Pair p is the p-th
+    (a, b), a < b, in lexicographic order; ``s[p]`` is N(a) & N(b),
+    ``legal[p]`` whether its one move is legal, and ``groups`` maps each S
+    to the absent pairs that have it.  ``deltas`` holds every move's line
+    delta in ``Move.sort_key`` order, the addition of pair p at p and its
+    removal at P + p, signed by kind; an illegal move's entry is -inf.  A
+    pair score (``OracleScore``) takes a row of two columns per move.
+    """
+
+    def __init__(self, scorer: ChordalScorer, masks: Sequence[int], total):
+        n = len(masks)
+        self.scorer = scorer
+        self.masks = masks
+        self.ends = ends = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        self.index = [[0] * n for _ in range(n)]
+        for p, (a, b) in enumerate(ends):
+            self.index[a][b] = self.index[b][a] = p
+        self.s = [masks[a] & masks[b] for a, b in ends]
+        self.groups: dict[int, set] = {}
+        for p, (a, b) in enumerate(ends):
+            if not (masks[a] >> b) & 1:
+                self._group(p)
+        self.legal = [self._fresh(p) for p in range(len(ends))]
+        self.deltas = np.full((2 * len(ends),) + np.shape(total), -np.inf)
+        self._fill(range(len(ends)))
+
+    def _fresh(self, p: int) -> bool:
+        a, b = self.ends[p]
+        masks, s = self.masks, self.s[p]
+        if (masks[a] >> b) & 1:
+            return is_complete_mask(masks, s)
+        return not (reach(masks, 1 << a, s) >> b) & 1
+
+    def _group(self, p: int) -> None:
+        self.groups.setdefault(self.s[p], set()).add(p)
+
+    def _ungroup(self, p: int) -> None:
+        group = self.groups[self.s[p]]
+        group.discard(p)
+        if not group:
+            del self.groups[self.s[p]]
+
+    def _fill(self, pairs: Iterable[int]) -> None:
+        """Write the deltas of ``pairs``: one ``line_deltas`` call for the
+        legal ones, -inf for the others."""
+        ends, masks, deltas, half = self.ends, self.masks, self.deltas, len(self.ends)
+        legal = []
+        for p in sorted(pairs):
+            deltas[p] = deltas[p + half] = -np.inf
+            if self.legal[p]:
+                legal.append(p)
+        vals = self.scorer.line_deltas([ends[p] + (self.s[p],) for p in legal])
+        for p, val in zip(legal, vals):
+            a, b = ends[p]
+            if (masks[a] >> b) & 1:
+                deltas[p + half] = val
+                deltas[p + half] *= -1  # the exact negation
+            else:
+                deltas[p] = val
+
+    def best(self, total) -> tuple[Optional[Move], object]:
+        """The first move of largest ``total + delta`` and that score, or
+        (None, total) when none is strictly larger than ``total``.  Pair
+        scores compare lexicographically; their floats hold integers below
+        2^53, so they read back exactly."""
+        half = len(self.ends)
+        if not half:
+            return None, total
+        cand = np.add(total, self.deltas).reshape(2 * half, -1)
+        top = np.arange(2 * half)
+        for col in cand.T:
+            top = top[col[top] == col[top].max()]
+        i = int(top[0])
+        row = cand[i].tolist()
+        if not row > np.ravel(total).tolist():
+            return None, total
+        move = _move("remove" if i >= half else "add", *self.ends[i % half])
+        return move, tuple(map(int, row)) if isinstance(total, tuple) else row[0]
+
+    def apply(self, move: Move, masks: Sequence[int]) -> None:
+        """Carry the state over ``move``, whose edited graph has the
+        neighbor bitmasks ``masks``, redoing only the pairs of the three
+        rules in the module docstring."""
+        x, y = move.a, move.b
+        added = move.kind == "add"
+        plus, minus = (masks, self.masks) if added else (self.masks, masks)
+        self.masks = masks
+        index, ends, s, legal = self.index, self.ends, self.s, self.legal
+        xy = index[x][y]
+        if added:
+            self._ungroup(xy)
+        else:
+            self._group(xy)
+        legal[xy] = True  # undoing the edit gives back a chordal graph
+        touched = {xy}
+        # rule 1: S gains or loses y for (x, w), w a neighbor of y, and x
+        # for (y, w), w a neighbor of x
+        for u, v in ((x, y), (y, x)):
+            for w in mask_vertices(plus[v] & ~(1 << u)):
+                p = index[u][w]
+                a, b = ends[p]
+                absent = not (masks[a] >> b) & 1
+                if absent:
+                    self._ungroup(p)
+                s[p] = masks[a] & masks[b]
+                if absent:
+                    self._group(p)
+                legal[p] = self._fresh(p)
+                touched.add(p)
+        # rule 2: G- is chordal, so N(x) & N(y) is complete and every pair
+        # inside it is a line
+        sxy = s[xy]
+        for a in mask_vertices(sxy):
+            for b in mask_vertices(sxy >> a + 1 << a + 1):
+                p = index[a][b]
+                legal[p] = is_complete_mask(masks, s[p])
+                touched.add(p)
+        # rule 3: the line x-y joins Cx and Cy in G+ - S.  N(x) & N(y)
+        # separates x from y in G-, so any S containing it does too
+        for sg, group in self.groups.items():
+            if sg & (1 << x | 1 << y) or sg & sxy != sxy:
+                continue
+            cx = reach(minus, 1 << x, sg)
+            cy = reach(minus, 1 << y, sg)
+            if cx.bit_count() * cy.bit_count() < len(group):
+                pairs = (index[a][b] for a in mask_vertices(cx) for b in mask_vertices(cy))
+                across = [p for p in pairs if p in group]
+            else:
+                across = [
+                    p for p in group
+                    if (cx >> ends[p][0] & cy >> ends[p][1] | cy >> ends[p][0] & cx >> ends[p][1]) & 1
+                ]
+            for p in across:
+                legal[p] = not added
+            touched.update(across)
+        self._fill(touched)
 
 
 def greedy_chordal(
@@ -358,18 +489,25 @@ def greedy_chordal(
     """Steepest ascent over the inclusion boundary from ``start``; ties
     break on the smallest move.  Stops at the first graph with no strictly
     improving neighbor, so the result is a local optimum of the scorer.
+
+    Legality, memo keys and deltas are carried across steps
+    (``_ChordalCarry``); the trace, tie-breaks and memo entries are those
+    of a search that lists the whole boundary and scores every move at
+    every step.
     """
     g = start
     total = scorer.score(g)
     trace = SearchTrace(start_fingerprint=g.fingerprint(), start_score=total)
+    carry = _ChordalCarry(scorer, g.graph.neighbor_masks, total)
     step = 0
     while True:
-        chosen, new_total = _best_move(g, scorer, total, inclusion_boundary(g))
+        chosen, new_total = carry.best(total)
         if chosen is None:
             trace.terminal = True
             return g, trace
         step += 1
         g = apply_move(g, chosen)
+        carry.apply(chosen, g.graph.neighbor_masks)
         delta = _score_delta(new_total, total)
         total = new_total
         trace.steps.append(

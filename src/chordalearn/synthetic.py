@@ -25,6 +25,16 @@ from .scoring import Dataset, _parent_config_codes
 
 _ROW_SUM_TOL = 1e-12
 
+# The most cells, r * q for a vertex of arity r whose parents have q
+# configurations, that ``random_parameters`` draws for one table: 2^24
+# float64 cells are 128 MiB.  The binary targets generated at n <= 128
+# have at most 19 parents, 2^20 cells.
+MAX_FAMILY_CELLS = 1 << 24
+
+
+class FamilyTooLargeError(ValueError):
+    """A family has more cells than ``MAX_FAMILY_CELLS``."""
+
 
 def rng_from(seed: int, *stream: int) -> np.random.Generator:
     """Generator keyed by a seed plus any number of stream ids; identical
@@ -174,14 +184,21 @@ def random_parameters(
     uniform distribution just enough to guarantee every entry is at least
     min_prob (for binary rows: entries land in [min_prob, 1 - min_prob]);
     useful to keep desk-scale statistical tests identifiable, off by
-    default."""
+    default.  A family of more than ``MAX_FAMILY_CELLS`` cells raises
+    ``FamilyTooLargeError`` before anything is drawn."""
     arities = tuple(int(r) for r in arities)
+    qs = [math.prod(arities[p] for p in mask_vertices(pmask)) for pmask in dag.parent_masks]
+    for v, q in enumerate(qs):
+        if arities[v] * q > MAX_FAMILY_CELLS:
+            raise FamilyTooLargeError(
+                f"the table of vertex {v} would have {arities[v] * q} cells,"
+                f" more than the {MAX_FAMILY_CELLS} a random table may have"
+            )
     tables = []
-    for v in range(dag.n):
+    for v, q in enumerate(qs):
         r = arities[v]
         if min_prob is not None and not 0 <= min_prob * r <= 1:
             raise ValueError("min_prob must lie in [0, 1/arity]")
-        q = math.prod(arities[p] for p in mask_vertices(dag.parent_masks[v]))
         rows = rng.dirichlet(np.ones(r), size=q)
         if min_prob is not None:
             lam = min_prob * r

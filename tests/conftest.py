@@ -14,9 +14,12 @@ one-statement-at-a-time model comparison that ``model_included`` and
 ``inclusion_optimal`` batch, ``ref_chain_disjunction_holds``, the
 one-statement-at-a-time chain rule that ``chain_disjunction_holds``
 batches, ``table_score``, the one-table BDeu kernel
-that every local score must equal bit for bit, and ``line_delta``,
+that every local score must equal bit for bit, ``line_delta``,
 ``move_delta`` and ``per_move_greedy_chordal``, the one-move-at-a-time
-scoring path that the chordal search batches, ``addition_keeps_chordal``,
+scoring path that the chordal search batches, ``listed_scores`` and
+``listing_greedy_chordal``, the search that relists and rescores the
+whole boundary at every step, which the chordal search's carried state
+replaces, ``addition_keeps_chordal``,
 the one-``reach``-per-pair legality rule that the boundary's components
 decide, and ``oriented_parents``.  The ``ref_`` graph algorithms are the
 set-based versions that the bitmask ones in ``graphs`` replaced, kept so
@@ -38,7 +41,7 @@ from chordalearn.graphs import mask_vertices, reach, removal_keeps_chordal, vert
 from chordalearn.independence import ENUMERATION_BOUND, DependencyModel
 from chordalearn.independence import IndependenceStatement, _check_bound, canonical_triples
 from chordalearn.scoring import ScoreCache, _resolve_cache
-from chordalearn.search import Move, apply_move, inclusion_boundary
+from chordalearn.search import Move, SearchTrace, TraceStep, apply_move, inclusion_boundary
 
 
 def to_nx(g: UndirectedGraph) -> nx.Graph:
@@ -397,6 +400,35 @@ def per_move_greedy_chordal(data, ess: float = 1.0):
         g = apply_move(g, best)
         steps.append((best, best_total - total, best_total, g.fingerprint()))
         total = best_total
+
+
+def listed_scores(scorer, g: ChordalGraph, current) -> tuple[list, list]:
+    """The boundary of ``g`` and each move's score, one ``move_score``
+    call per move."""
+    moves = inclusion_boundary(g)
+    return moves, [scorer.move_score(g, current, move) for move in moves]
+
+
+def listing_greedy_chordal(scorer, start: ChordalGraph):
+    """``greedy_chordal`` relisting and rescoring the whole boundary at
+    every step and taking the first listed move of strictly largest
+    score (``max`` and ``index`` both keep the first of equal scores)."""
+    g, total = start, scorer.score(start)
+    trace = SearchTrace(start_fingerprint=g.fingerprint(), start_score=total)
+    while True:
+        moves, scores = listed_scores(scorer, g, total)
+        new = max(scores, default=total)
+        if not new > total:
+            trace.terminal = True
+            return g, trace
+        move = moves[scores.index(new)]
+        g = apply_move(g, move)
+        if isinstance(new, tuple):
+            delta = tuple(x - y for x, y in zip(new, total))
+        else:
+            delta = new - total
+        trace.steps.append(TraceStep(len(trace.steps) + 1, move, delta, new, g.fingerprint()))
+        total = new
 
 
 def addition_keeps_chordal(g: ChordalGraph, a: int, b: int) -> bool:

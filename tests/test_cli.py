@@ -109,6 +109,16 @@ class TestGenerate:
         assert f"config.{field}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_target_too_wide_to_parameterize_usage_error(self, tmp_path, capsys):
+        # the min-fill chordal target at n=256 has a family of 2^32 cells
+        cfg = write_json(tmp_path / "gen.json", {"n_vars": 256, "n_obs": [10], "test_obs": 10, "seed": 1})
+        out = tmp_path / "x"
+        assert cli.main(["generate", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: chordal target with n_vars 256: the table of vertex ")
+        assert "Traceback" not in err
+        assert not (out / "config.json").exists()
+
     def test_empty_n_obs_writes_target_and_test_only(self, tmp_path):
         # unlike the experiment grid, generate takes an empty n_obs list
         cfg = write_json(

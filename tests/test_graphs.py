@@ -645,6 +645,20 @@ def disjoint_triples(n: int):
 
 
 class TestSeparation:
+    def test_numpy_vertex_ids_mask_like_python_ints(self):
+        # a fixed-width shift by 65 gives 0, which reads as an empty set
+        assert vertex_mask([np.int64(65)]) == vertex_mask([65]) == 1 << 65
+        assert vertex_mask([np.int64(0), np.int64(69)]) == 1 | 1 << 69
+        with pytest.raises(TypeError):
+            vertex_mask([65.0])
+
+    def test_numpy_vertex_ids_separate_like_python_ints(self):
+        g = UndirectedGraph(70, [(0, 65)])
+        assert not separated(g, [np.int64(65)], [0])
+        assert separated(g, [np.int64(65)], [np.int64(1)], [np.int64(0)])
+        with pytest.raises(TypeError):
+            separated(g, [65.0], [0])
+
     def test_agrees_with_path_enumeration_exhaustive_n4(self):
         for g in all_graphs(4):
             verts = range(4)

@@ -68,6 +68,11 @@ class TestStatement:
 
 
 class TestDependencyModel:
+    def test_numpy_vertex_ids_answer_like_python_ints(self):
+        m = DependencyModel.from_undirected(UndirectedGraph(70, [(0, 65)]))
+        assert not m.independent([np.int64(65)], [0])
+        assert m.independent([np.int64(65)], [np.int64(1)])
+
     def test_ug_matches_path_separation(self):
         rng = np.random.default_rng(3)
         for g in all_graphs(4):
@@ -429,6 +434,13 @@ def random_chain_model(kind, rng):
 
 
 class TestChainDisjunction:
+    def test_numpy_vertex_ids_decide_like_python_ints(self):
+        # 64 -> 65 -> 66 <- 67: the chain 66, 65, 64, 67 fails the property
+        m = DependencyModel.from_dag(Dag(70, [(64, 65), (65, 66), (67, 66)]))
+        chain = [[66], [65], [64], [67]]
+        assert not chain_disjunction_holds(m, chain)
+        assert not chain_disjunction_holds(m, [[np.int64(v) for v in s] for s in chain])
+
     def test_path_chain_holds(self):
         g = UndirectedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         m = DependencyModel.from_undirected(g)

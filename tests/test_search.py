@@ -40,8 +40,8 @@ from chordalearn.synthetic import (
     rng_from,
 )
 
-from conftest import addition_keeps_chordal, all_graphs, line_delta, per_move_greedy_chordal
-from conftest import random_chordal_graph, to_nx
+from conftest import addition_keeps_chordal, all_graphs, line_delta, listed_scores
+from conftest import listing_greedy_chordal, per_move_greedy_chordal, random_chordal_graph, to_nx
 
 
 class TestMove:
@@ -326,6 +326,22 @@ class TestOracleScore:
 
 
 class TestGreedyChordal:
+    @pytest.fixture(autouse=True)
+    def capped_search(self, monkeypatch):
+        """A wrongly carried delta can make ``greedy_chordal`` cycle: fail
+        once one search has applied n * n moves, rather than hang.  A search
+        goes on from the graph its last move returned."""
+        last, count = None, 0
+
+        def capped(g, move):
+            nonlocal last, count
+            count = count + 1 if g is last else 1
+            assert count < g.n * g.n, "greedy_chordal did not terminate"
+            last = apply_move(g, move)
+            return last
+
+        monkeypatch.setattr(search, "apply_move", capped)
+
     def test_oracle_guided_search_reaches_inclusion_optimum(self):
         # greedy under the constructed score must terminate
         # inclusion-optimal for every UG target on 4 vertices
@@ -403,10 +419,32 @@ class TestGreedyChordal:
         scorer = BDeuScorer(data)
         g, total, ties = ChordalGraph.empty(data.n_vars), trace.start_score, 0
         for step in trace.steps:
-            scores = scorer.move_scores(g, total, inclusion_boundary(g))
+            _, scores = listed_scores(scorer, g, total)
             ties += scores.count(max(scores)) > 1
             g, total = apply_move(g, step.move), step.total
         assert ties >= 3
+
+    @pytest.mark.parametrize("kind", ["chordal", "dag"])
+    @pytest.mark.parametrize("arity", [2, 3])
+    @pytest.mark.parametrize("n, rows", [(12, 300), (48, 3000)])
+    def test_carried_search_equals_per_move_search(self, kind, arity, n, rows):
+        rng = rng_from(131, n, arity)
+        if kind == "chordal":
+            _, net = random_chordal_target(n, rng, arities=(arity,) * n, max_parents=3)
+        else:
+            net = random_parameters(random_dag(n, 3, rng), (arity,) * n, rng)
+        assert_same_search(ancestral_sample(net, rows, rng))
+
+    def test_oracle_search_equals_listing_search_every_target_n5(self):
+        # integer-pair scores through the same carry and first-max pick
+        for n in range(1, 6):
+            for t in all_graphs(n):
+                oracle = OracleScore(t)
+                final, trace = greedy_chordal(oracle, ChordalGraph.empty(n))
+                want_final, want = listing_greedy_chordal(oracle, ChordalGraph.empty(n))
+                assert final == want_final, t
+                assert trace == want, t
+                assert all(type(x) is int for s in trace.steps for x in s.delta + s.total)
 
     def test_strong_chain_recovered(self):
         # strongly coupled chain data: greedy BDeu recovers the chain
@@ -420,6 +458,96 @@ class TestGreedyChordal:
         data = ancestral_sample(net, 20000, rng)
         final, _ = greedy_chordal(BDeuScorer(data), ChordalGraph.empty(4))
         assert final.lines == ((0, 1), (1, 2), (2, 3))
+
+
+class KeyScorer:
+    """A stand-in scorer whose add-sense delta spells out its (a, b, S)
+    key, a, b < 8 and S < 2^6, as one positive float: equal delta tables
+    mean equal legality, keys and signs."""
+
+    def score(self, g):
+        return 0.0
+
+    def line_deltas(self, keys):
+        return [float(1 + a + 8 * b + 64 * s) for a, b, s in keys]
+
+
+def carried_state(carry) -> tuple:
+    return carry.masks, carry.s, carry.legal, carry.groups, carry.deltas.tolist()
+
+
+def restore(carry, state) -> None:
+    masks, s, legal, groups, deltas = state
+    carry.masks, carry.s, carry.legal = masks, s[:], legal[:]
+    carry.groups = {key: set(group) for key, group in groups.items()}
+    carry.deltas = np.array(deltas)
+
+
+def carried_moves(carry) -> list:
+    half = len(carry.ends)
+    legal = np.flatnonzero(np.isfinite(carry.deltas))
+    return [Move("remove" if i >= half else "add", *carry.ends[i % half]) for i in legal]
+
+
+class TestChordalCarry:
+    def test_every_move_carries_to_the_fresh_state_exhaustively_n6(self):
+        # breadth first from the empty graph over every legal move reaches
+        # every chordal graph; after each move the carried state equals the
+        # one built afresh on the result, whose moves are the boundary's
+        counts = []
+        for n in range(1, 7):
+            scorer = KeyScorer()
+            work = search._ChordalCarry(scorer, (0,) * n, 0.0)
+            fresh = {}
+
+            def state_of(masks):
+                if masks not in fresh:
+                    carry = search._ChordalCarry(scorer, masks, 0.0)
+                    g = ChordalGraph.from_lines(n, [e for e in carry.ends if masks[e[0]] >> e[1] & 1])
+                    moves = carried_moves(carry)
+                    assert moves == inclusion_boundary(g), g
+                    fresh[masks] = carried_state(carry), moves
+                    queue.append(masks)
+                return fresh[masks][0]
+
+            queue = []
+            state_of((0,) * n)
+            for masks in queue:
+                base, moves = fresh[masks]
+                for move in moves:
+                    restore(work, base)
+                    edited = list(masks)
+                    edited[move.a] ^= 1 << move.b
+                    edited[move.b] ^= 1 << move.a
+                    edited = tuple(edited)
+                    work.apply(move, edited)
+                    assert carried_state(work) == state_of(edited), (masks, move)
+            counts.append((len(fresh), sum(len(moves) for _, moves in fresh.values())))
+        # chordal graphs and legal moves per vertex count
+        assert counts == [(1, 0), (2, 2), (8, 24), (61, 348), (822, 7220), (18154, 218640)]
+
+    def test_carried_deltas_equal_line_delta_n5(self):
+        # every chordal graph on five vertices, after every legal move out
+        # of it, on three-state data: each legal entry is the line delta of
+        # its move on the edited graph, with the sign of its kind
+        rng = np.random.default_rng(23)
+        data = Dataset(rng.integers(0, 3, size=(200, 5)))
+        scorer, oracle_cache = BDeuScorer(data), ScoreCache(data)
+        checked = 0
+        for graph in all_graphs(5):
+            if not is_chordal(graph):
+                continue
+            g = ChordalGraph.from_graph(graph)
+            for move in inclusion_boundary(g):
+                carry = search._ChordalCarry(scorer, graph.neighbor_masks, 0.0)
+                h = apply_move(g, move)
+                carry.apply(move, h.graph.neighbor_masks)
+                moves = carried_moves(carry)
+                assert moves == inclusion_boundary(h)
+                got = carry.deltas[np.isfinite(carry.deltas)].tolist()
+                assert got == [line_delta(oracle_cache, h, m) for m in moves]
+                checked += len(moves)
+        assert checked > 10_000
 
 
 def assert_same_search(data: Dataset) -> SearchTrace:

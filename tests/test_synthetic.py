@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from chordalearn.graphs import Dag, is_chordal, moralize
 from chordalearn.synthetic import (
+    MAX_FAMILY_CELLS,
     DiscreteBayesNet,
+    FamilyTooLargeError,
     all_joint_rows,
     ancestral_sample,
     random_chordal_target,
@@ -155,6 +157,16 @@ class TestRandomDag:
 
 
 class TestRandomParameters:
+    def test_family_past_the_bound_raises_before_drawing(self):
+        # vertex 25 of a binary star has 25 parents: 2^26 cells, 512 MiB
+        star = Dag(26, [(u, 25) for u in range(25)])
+        rng = rng_from(3)
+        state = rng.bit_generator.state
+        with pytest.raises(FamilyTooLargeError, match=f"vertex 25 would have {1 << 26} cells"):
+            random_parameters(star, (2,) * 26, rng)
+        assert rng.bit_generator.state == state
+        assert 1 << 26 > MAX_FAMILY_CELLS
+
     def test_rows_normalized(self):
         rng = rng_from(11)
         net = random_parameters(random_dag(5, 2, rng), (2, 3, 2, 4, 2), rng)
