@@ -39,6 +39,9 @@ class CycleError(ValueError):
 
 
 def _normalize_line(a: int, b: int) -> tuple[int, int]:
+    """The line a-b as (min, max) of plain int ids, so a numpy id makes
+    no fixed-width mask."""
+    a, b = operator.index(a), operator.index(b)
     if a == b:
         raise ValueError(f"self-loop {a}-{b} is not a valid line")
     return (a, b) if a < b else (b, a)
@@ -52,8 +55,7 @@ class UndirectedGraph:
     def __init__(self, n: int, lines: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        # plain int ids, so a numpy id makes no fixed-width mask
-        norm = {_normalize_line(operator.index(a), operator.index(b)) for a, b in lines}
+        norm = {_normalize_line(a, b) for a, b in lines}
         mask = [0] * n
         for a, b in norm:
             if not (0 <= a < n and 0 <= b < n):
@@ -455,6 +457,7 @@ class Dag:
         return self._topo
 
     def has_arc(self, u: int, v: int) -> bool:
+        u, v = operator.index(u), operator.index(v)  # no fixed-width masks
         n = self.n
         return 0 <= u < n and 0 <= v < n and bool(self.parent_masks[v] >> u & 1)
 
@@ -479,7 +482,7 @@ class Dag:
         """Vertices reachable along arrows starting at v (excluding v
         unless it lies on a cycle, which cannot happen here).
 
-        The search does not call this: ``search._legal_arcs`` decides
+        The search does not call this: ``search._dag_move_table`` decides
         legality from descendant bitmasks.  It is kept as the plain
         reachability oracle for tests and as a named trace point."""
         out = set()

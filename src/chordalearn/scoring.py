@@ -30,7 +30,8 @@ _CODE_BOUND = 2**63  # every int64 code lies below it
 
 class Dataset:
     """A complete discrete dataset: named columns, per-column arity, and
-    rows of integer state indices in [0, arity).
+    rows of integer state indices in [0, arity).  Rows of any other dtype
+    (float, bool, string) raise ``ValueError``.
 
     ``rows`` is a read-only int64 array of shape (records, variables)
     stored column-major (Fortran order), so each column, the unit every
@@ -46,6 +47,11 @@ class Dataset:
         arities: Optional[Sequence[int]] = None,
         names: Optional[Sequence[str]] = None,
     ):
+        rows = np.asarray(rows)
+        # as in ``check_arities``: a float, bool or string is rejected, not
+        # truncated or parsed into a different dataset
+        if rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must hold integer state indices, got dtype {rows.dtype}")
         rows = np.asfortranarray(rows, dtype=np.int64)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-d array (records x variables)")

@@ -37,15 +37,18 @@ its newly legal pairs with one ``ScoreCache.family_scores`` call.  The
 listing path, ``inclusion_boundary`` with every move scored on its own,
 stays as the oracle the carry is tested against.
 
-The DAG hill-climber carries state the same way.  A move's delta
-depends only on its child's parent set (and its parent's, for a
-reversal), so per child it keeps the local terms and the additions and
-removals they score, ranked best first, and rebuilds them only for the
-one or two children a move edits (Chickering, JMLR 2002).  Each step runs
-one legality pass over descendant bitmasks, the one ``dag_moves`` lists
-from, fetches only the terms of newly listed moves, keyed by the
-children's parent bitmasks, and reads each child's best legal move off
-the front of its ranking.
+The DAG hill-climber uses the same design (Chickering, JMLR 2002, for
+the neighbourhood).  One legality pass over descendant bitmasks gives a
+boolean table over (kind, parent, child), kinds in the order add,
+remove, reverse, so its flat order is ``Move.sort_key`` order;
+``dag_moves`` lists its true entries.  A move's delta depends only on its
+child's parent set (and its parent's, for a reversal), so ``_DagCarry``
+keeps per child v the term f(v, P_v) and the toggled terms
+f(v, P_v ^ {u}) fetched since P_v last changed, and resets only the one
+or two children a move edits.  A step fetches the terms its legal moves
+lack, keyed by the children's parent bitmasks, fills a table of the same
+shape with each legal move's delta and -inf elsewhere, and takes its
+first argmax.
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ from .graphs import mask_vertices, reach, removal_keeps_chordal
 from .independence import DependencyModel
 from .scoring import Dataset, ScoreCache, _resolve_cache, score_chordal, score_dag
 
-_KIND_ORDER = {"add": 0, "remove": 1, "reverse": 2}
+_DAG_KINDS = ("add", "remove", "reverse")
+_KIND_ORDER = {kind: k for k, kind in enumerate(_DAG_KINDS)}
 
 
 @dataclass(frozen=True, order=False)
@@ -521,10 +525,19 @@ def _score_delta(new, old):
     return new - old
 
 
-def _legal_arcs(d: Dag) -> tuple[list[int], list[tuple[int, int]]]:
-    """Per child v, the mask of the vertices u for which adding u->v keeps
-    the digraph acyclic, and the arcs, in ``d.arcs`` order, whose reversal
-    keeps it acyclic.
+def _bit_rows(masks: Sequence[int], n: int) -> np.ndarray:
+    """Boolean array with row i holding bits 0..n-1 of ``masks[i]``,
+    bit j in column j, for any n (a mask may exceed 64 bits)."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in masks), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(masks), width), axis=1, count=n, bitorder="little")
+    return bits.view(bool)
+
+
+def _dag_move_table(d: Dag) -> np.ndarray:
+    """The legal arrow edits of ``d`` as a boolean (3, n, n) table: entry
+    [k, u, v] is the move (``_DAG_KINDS[k]``, u, v), so the flat order of
+    the table is ``Move.sort_key`` order.
 
     Legality comes from the proper-descendant bitmask of every vertex,
     built in one reverse pass over the topological order (Chickering,
@@ -547,24 +560,24 @@ def _legal_arcs(d: Dag) -> tuple[list[int], list[tuple[int, int]]]:
         for p in mask_vertices(pmasks[v]):
             via_children[p] |= below
             desc[p] |= below | (1 << v)
-    full = (1 << n) - 1
-    adds = [full & ~(desc[v] | pmasks[v] | (1 << v)) for v in range(n)]
+    arcs = _bit_rows(pmasks, n).T  # [u, v]: the arrow u->v
+    table = np.empty((3, n, n), dtype=bool)
+    table[0] = ~(_bit_rows(desc, n).T | arcs)
+    np.fill_diagonal(table[0], False)
+    table[1] = arcs
     # v is not its own descendant, so only a path through another child of
     # u can put v in via_children[u]
-    reversals = [(u, v) for u, v in d.arcs if not (via_children[u] >> v) & 1]
-    return adds, reversals
+    table[2] = arcs & ~_bit_rows(via_children, n)
+    return table
 
 
 def dag_moves(d: Dag) -> list[Move]:
     """Legal arrow edits: additions, removals, and reversals that keep the
-    digraph acyclic, in ``Move.sort_key`` order (legality as in
-    ``_legal_arcs``)."""
-    n = d.n
-    adds, reversals = _legal_arcs(d)
-    moves = [_move("add", u, v) for u in range(n) for v in range(n) if (adds[v] >> u) & 1]
-    moves += [_move("remove", u, v) for u, v in d.arcs]
-    moves += [_move("reverse", u, v) for u, v in reversals]
-    return moves
+    digraph acyclic, in ``Move.sort_key`` order: the true entries of
+    ``_dag_move_table``."""
+    return [
+        _move(_DAG_KINDS[k], u, v) for k, u, v in np.argwhere(_dag_move_table(d)).tolist()
+    ]
 
 
 def apply_dag_move(d: Dag, move: Move) -> Dag:
@@ -576,94 +589,64 @@ def apply_dag_move(d: Dag, move: Move) -> Dag:
 
 
 class _DagCarry:
-    """What the DAG search keeps between steps, per child v: f(v, P_v),
-    f(v, P_v ^ {u}) for every u fetched since P_v last changed, and the
-    additions and removals into v that those terms score, ranked by
-    (-delta, ``Move.sort_key``).  A move changes the parent set of its
-    child only (and of its parent, for a reversal), so only those one or
-    two children are reset after it; every other child's terms and ranking
-    carry over unchanged.
+    """What the DAG search keeps between steps: ``base[v]`` = f(v, P_v) and
+    ``toggled[v, u]`` = f(v, P_v ^ {u}), NaN for a term not fetched since
+    P_v last changed (no BDeu score is NaN).  A move changes the parent set
+    of its child only (and of its parent, for a reversal), so only those
+    one or two rows are reset after it; every other child's terms carry
+    over unchanged.
     """
 
     def __init__(self, cache: ScoreCache, d: Dag):
         self.cache = cache
         self.d = d
-        self.base: list = [None] * d.n  # f(v, P_v)
-        self.toggled: list = [None] * d.n  # u -> f(v, P_v ^ {u})
-        self.held: list = [0] * d.n  # mask of the u in toggled[v]
-        self.ranked: list = [None] * d.n  # (-delta, kind, u, move), best first
-        self.adds: list = []  # this step's legal-addition masks per child
-        self.reversals: list = []  # this step's legal reversals
+        self.base = np.empty(d.n)
+        self.toggled = np.empty((d.n, d.n))
         for v in range(d.n):
             self._reset(v)
 
     def _reset(self, v: int) -> None:
         self.base[v] = self.cache.family_scores([(v, self.d.parent_masks[v])])[0]
-        self.toggled[v] = {}
-        self.held[v] = 0
-        self.ranked[v] = []
+        self.toggled[v] = np.nan
+
+    def deltas(self) -> np.ndarray:
+        """Every move's delta in a (3, n, n) table laid out as
+        ``_dag_move_table``'s, -inf where the move is illegal.
+
+        Each child first fetches, in one ``ScoreCache.toggled_scores``
+        call, the toggled terms its legal moves need and it does not hold:
+        its legal additions, its parents, and, as the parent of a legal
+        reversal, that reversal's child.  Those are exactly the terms a
+        search scoring every listed move would look up, so the cache ends
+        up with the same entries.  Every delta is the expression of a full
+        rescoring, left to right, so the floats are the same.
+        """
+        d, base, toggled = self.d, self.base, self.toggled
+        legal = _dag_move_table(d)
+        missing = ((legal[0] | legal[1]).T | legal[2]) & np.isnan(toggled)
+        for v in np.flatnonzero(missing.any(axis=1)).tolist():
+            us = np.flatnonzero(missing[v]).tolist()
+            toggled[v, us] = self.cache.toggled_scores(v, d.parent_masks[v], us)
+        arrow = toggled.T - base  # [u, v]: f(v, P_v ^ {u}) - f(v, P_v)
+        deltas = np.where(legal, arrow, -np.inf)
+        u, v = np.nonzero(legal[2])
+        # f(v,P_v-u) - f(v,P_v) + f(u,P_u+v) - f(u,P_u), left to right
+        deltas[2, u, v] = arrow[u, v] + toggled[u, v] - base[u]
+        return deltas
 
     def best(self) -> tuple[Optional[Move], float]:
         """The legal move of largest delta > 0, ties going to the smallest
-        ``Move.sort_key``, and its delta; (None, 0.0) when none improves.
-
-        One legality pass lists the step's moves as masks.  Each child
-        then fetches, in one ``ScoreCache.toggled_scores`` call, the
-        toggled terms of its listed moves that it does not hold: the legal
-        additions, its parents, and, as the parent of a legal reversal,
-        that reversal's child.  Those are exactly the terms a search
-        scoring every listed move would look up, so the cache ends up with
-        the same entries.  A child's best move is then the first legal
-        entry of its ranking, and the few legal reversals are scored
-        directly.  Every delta is the expression of a full rescoring, left
-        to right, so the floats, and the move chosen, are the same.
-        """
-        d, base, toggled, ranked = self.d, self.base, self.toggled, self.ranked
-        self.adds, self.reversals = adds, reversals = _legal_arcs(d)
-        need = [add | pmask for add, pmask in zip(adds, d.parent_masks)]
-        for u, v in reversals:
-            need[u] |= 1 << v
-        for v, mask in enumerate(need):
-            missing = mask & ~self.held[v]
-            if not missing:
-                continue
-            self.held[v] |= missing
-            us = mask_vertices(missing)
-            pmask = d.parent_masks[v]
-            for u, f in zip(us, self.cache.toggled_scores(v, pmask, us)):
-                toggled[v][u] = f
-                kind = "remove" if (pmask >> u) & 1 else "add"
-                ranked[v].append((-(f - base[v]), _KIND_ORDER[kind], u, _move(kind, u, v)))
-            ranked[v].sort()
-        firsts = [next(self.legal(v), (0.0, None)) for v in range(d.n)]
-        top = [
-            (-delta, move.sort_key(), move)
-            for delta, move in firsts + self.reversal_deltas()
-            if delta > 0
-        ]
-        if not top:
+        ``Move.sort_key`` (the first argmax of ``deltas``), and its delta;
+        (None, 0.0) when none improves."""
+        deltas = self.deltas()
+        if not deltas.size:
             return None, 0.0
-        neg, _, move = min(top)
-        return move, -neg
-
-    def legal(self, v: int):
-        """(delta, move) for this step's legal additions and removals into
-        v, best first."""
-        adds = self.adds[v]
-        for neg, kind, u, move in self.ranked[v]:
-            # kind 0 is an addition; every removal is legal
-            if kind or (adds >> u) & 1:
-                yield -neg, move
-
-    def reversal_deltas(self) -> list[tuple[float, Move]]:
-        """(delta, move) for this step's legal reversals, in arc order."""
-        base, toggled = self.base, self.toggled
-        # f(v,P_v-u) - f(v,P_v) + f(u,P_u+v) - f(u,P_u), left to right, so
-        # the float delta equals a full rescoring's
-        return [
-            (toggled[v][u] - base[v] + toggled[u][v] - base[u], _move("reverse", u, v))
-            for u, v in self.reversals
-        ]
+        i = int(np.argmax(deltas))
+        delta = deltas.flat[i].item()
+        if not delta > 0:
+            return None, 0.0
+        k, u, v = np.unravel_index(i, deltas.shape)
+        return _move(_DAG_KINDS[k], int(u), int(v)), delta
 
     def apply(self, move: Move) -> Dag:
         self.d = apply_dag_move(self.d, move)
@@ -679,12 +662,11 @@ def greedy_dag(cache: ScoreCache, start: Optional[Dag] = None) -> tuple[Dag, Sea
     the same deterministic tie-breaking as the chordal search.
 
     A move's delta changes only when its child's parent set changes
-    (Chickering, JMLR 2002), so the search carries, per child, the local
-    terms and the ranked moves that ``_DagCarry`` holds across steps and
-    rebuilds them only for the one or two children a move edits.  Each
-    step runs one legality pass, fetches the terms its newly listed moves
-    need with one ``ScoreCache.toggled_scores`` call per child, and reads
-    each child's best legal move off the front of its ranking.  Trace,
+    (Chickering, JMLR 2002), so the search carries the local terms
+    (``_DagCarry``) across steps and resets them only for the one or two
+    children a move edits.  Each step runs one legality pass, fetches the
+    terms its legal moves lack with one ``ScoreCache.toggled_scores`` call
+    per child, and takes the first maximum of the move table.  Trace,
     tie-breaks and cache entries are those of a search that lists every
     legal move and rescores each from its local terms.
     """

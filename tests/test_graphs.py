@@ -30,7 +30,7 @@ from chordalearn.graphs import (
     vertex_mask,
 )
 from chordalearn.independence import DependencyModel, canonical_triples
-from chordalearn.search import Move, apply_dag_move
+from chordalearn.search import Move, apply_dag_move, apply_move
 from chordalearn.verification import all_dags, enumerate_chordal, iter_dags
 
 from conftest import (
@@ -106,6 +106,24 @@ class TestUndirectedGraph:
         assert is_chordal(g)
         with pytest.raises(TypeError):
             UndirectedGraph(3, [(1.0, 2)])
+
+    def test_has_line_takes_numpy_ids_past_63(self):
+        g = UndirectedGraph(70, [(0, 65)])
+        assert g.has_line(np.int64(0), np.int64(65))
+        assert not g.has_line(np.int64(0), np.int64(66))
+
+    def test_with_line_takes_numpy_ids_past_63(self):
+        g = UndirectedGraph(70, [(0, 65)])
+        assert g.with_line(np.int64(0), np.int64(66)) == UndirectedGraph(70, [(0, 65), (0, 66)])
+
+    def test_without_line_takes_numpy_ids_past_63(self):
+        g = UndirectedGraph(70, [(0, 65)])
+        assert g.without_line(np.int64(0), np.int64(65)) == UndirectedGraph(70)
+
+    def test_apply_move_takes_numpy_ids_past_63(self):
+        cg = ChordalGraph.from_graph(UndirectedGraph(70, [(0, 65)]))
+        got = apply_move(cg, Move("remove", np.int64(0), np.int64(65)))
+        assert got.graph == UndirectedGraph(70)
 
 
 class TestRandomChordalGraph:
@@ -581,6 +599,11 @@ class TestDag:
         assert wide.without_arc(np.int64(65), np.int64(0)) == d
         with pytest.raises(TypeError):
             d.with_arc(1.0, 2)
+
+    def test_has_arc_takes_numpy_ids_past_63(self):
+        d = Dag(70, [(66, 65)])
+        assert d.has_arc(np.int64(66), np.int64(65))
+        assert not d.has_arc(np.int64(65), np.int64(66))
 
     def test_text_roundtrip(self):
         d = Dag(4, [(0, 2), (3, 1)])

@@ -195,6 +195,26 @@ class TestDataset:
         d = Dataset([[0, 1]], arities=np.array([2, 3]))
         assert d.arities == (2, 3) and all(type(r) is int for r in d.arities)
 
+    @pytest.mark.parametrize(
+        "rows, dtype",
+        [
+            ([[0.5, 1.7]], "float64"),
+            ([[0.0, 1.0]], "float64"),
+            ([[True, False]], "bool"),
+            ([["0", "1"]], "<U1"),
+            (np.zeros((2, 0)), "float64"),
+        ],
+    )
+    def test_non_integer_rows_rejected(self, rows, dtype):
+        # rows are not truncated or parsed into a different dataset
+        with pytest.raises(ValueError, match=f"got dtype {dtype}"):
+            Dataset(rows, arities=[2] * np.shape(rows)[1])
+
+    def test_integer_rows_of_any_width_accepted(self):
+        for dtype in (np.int8, np.uint8, np.int32, np.uint64):
+            d = Dataset(np.array([[0, 1], [1, 0]], dtype=dtype))
+            assert d.rows.dtype == np.int64 and d.rows.tolist() == [[0, 1], [1, 0]]
+
     def test_rows_read_only(self):
         d = Dataset([[0, 1]])
         with pytest.raises(ValueError):

@@ -846,30 +846,44 @@ def first_best_move(d: Dag, cache: ScoreCache):
     return best, best_delta
 
 
+def assert_carried_table(carry, d: Dag, cache: ScoreCache) -> None:
+    """The finite entries of the carried table are exactly the legal moves
+    of ``d``, in move order, each with the delta of fresh lookups as a
+    float."""
+    table = carry.deltas()
+    legal = np.argwhere(np.isfinite(table)).tolist()
+    kinds = ("add", "remove", "reverse")
+    carried = {Move(kinds[k], u, v): table[k, u, v] for k, u, v in legal}
+    assert list(carried) == dag_moves(d) == slow_dag_moves(d), d
+    for m, dl in carried.items():
+        assert dl == _dag_move_delta(d, m, cache), (d, m)
+
+
+def wide_dag_run(rng):
+    """Data on 70 variables whose last seven follow a seeded net, and a
+    start DAG with the net's arcs reversed among vertices 63..69, so the
+    legality and delta tables need bit rows past 64."""
+    net = random_parameters(random_dag(7, 3, rng), (2,) * 7, rng)
+    tail = ancestral_sample(net, 200, rng).rows
+    rows = np.column_stack([rng.integers(0, 2, size=(200, 63)), tail])
+    start = Dag(70, [(63 + v, 63 + u) for u, v in net.dag.arcs])
+    return Dataset(rows), start
+
+
 class TestDagCarry:
-    def test_carried_moves_equal_relisted_moves(self):
-        # at every step of every seeded run, the carried rankings and
-        # reversals hold exactly the legal moves, each with the delta of
-        # a fresh lookup as a float, ranked best first, and yield the
-        # relisting search's choice
+    def test_carried_table_equals_relisted_moves(self):
+        # at every step of every seeded run, the carried table holds
+        # exactly the legal moves, each with the delta of a fresh lookup
+        # as a float, and its first maximum is the relisting search's
+        # choice
         kinds = set()
         for data, start in seeded_dag_runs():
             cache = ScoreCache(data)
             carry = search._DagCarry(cache, start)
             d = start
             while True:
+                assert_carried_table(carry, d, cache)
                 move, delta = carry.best()
-                carried = {}
-                for v in range(d.n):
-                    ranked = list(carry.legal(v))
-                    keys = [(-dl, m.sort_key()) for dl, m in ranked]
-                    assert keys == sorted(keys), (d, v)
-                    assert all(m.b == v for _, m in ranked)
-                    carried.update((m, dl) for dl, m in ranked)
-                carried.update((m, dl) for dl, m in carry.reversal_deltas())
-                assert sorted(carried, key=Move.sort_key) == dag_moves(d), d
-                for m, dl in carried.items():
-                    assert dl == _dag_move_delta(d, m, cache), (d, m)
                 assert (move, delta) == first_best_move(d, cache), d
                 if move is None:
                     break
@@ -877,6 +891,24 @@ class TestDagCarry:
                 d = carry.apply(move)
                 assert carry.d == d
         assert kinds == {"add", "remove", "reverse"}
+
+    def test_carried_table_past_64_vertices(self):
+        # arcs among vertices 63..69 put legality and terms in bit rows
+        # past int64; the first steps still match fresh lookups
+        data, start = wide_dag_run(rng_from(53))
+        assert start.arcs and min(u for arc in start.arcs for u in arc) >= 63
+        cache = ScoreCache(data)
+        carry = search._DagCarry(cache, start)
+        d = start
+        moved = set()
+        for _ in range(3):
+            assert_carried_table(carry, d, cache)
+            move, delta = carry.best()
+            assert (move, delta) == first_best_move(d, cache), d
+            assert move is not None
+            moved.update((move.a, move.b))
+            d = carry.apply(move)
+        assert max(moved) >= 64
 
     def test_trace_equals_lazy_search_from_every_dag_n4(self, monkeypatch):
         # every labeled DAG on 4 vertices as the start, on two datasets
@@ -904,3 +936,30 @@ class TestDagCarry:
                 assert got.start_score == want.start_score
                 assert got.terminal and want.terminal
             assert got_cache._table == want_cache._table
+
+
+DEGENERATE_DATA = {
+    "no variables": lambda: Dataset(np.zeros((5, 0), dtype=np.int64)),
+    "one variable": lambda: Dataset(rng_from(59).integers(0, 3, size=(50, 1))),
+    "no rows": lambda: Dataset(np.zeros((0, 3), dtype=np.int64), arities=[2, 2, 3]),
+}
+
+
+class TestDegenerateData:
+    # with nothing to learn, each learner stops at once at the empty
+    # structure, and the move tables it reads are empty or all illegal
+
+    @pytest.mark.parametrize("make", DEGENERATE_DATA.values(), ids=DEGENERATE_DATA)
+    def test_chordal_learner_returns_empty_graph(self, make):
+        data = make()
+        empty = UndirectedGraph(data.n_vars)
+        graph, trace = greedy_chordal(BDeuScorer(data), ChordalGraph.from_graph(empty))
+        assert graph.graph == empty
+        assert trace.terminal and trace.steps == [] and trace.to_jsonl() == ""
+
+    @pytest.mark.parametrize("make", DEGENERATE_DATA.values(), ids=DEGENERATE_DATA)
+    def test_dag_learner_returns_empty_dag(self, make):
+        data = make()
+        d, trace = greedy_dag(ScoreCache(data))
+        assert d == Dag(data.n_vars)
+        assert trace.terminal and trace.steps == [] and trace.to_jsonl() == ""
