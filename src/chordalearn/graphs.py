@@ -120,7 +120,7 @@ class UndirectedGraph:
 
     def fingerprint(self) -> str:
         """Canonical one-line text form, stable across runs."""
-        return f"n={self.n};" + ",".join(f"{a}-{b}" for a, b in self.lines)
+        return lines_fingerprint(self.n, self.lines)
 
     # -- text serialization ------------------------------------------------
 
@@ -133,6 +133,12 @@ class UndirectedGraph:
     def from_text(cls, text: str) -> "UndirectedGraph":
         n, pairs = _parse_graph_text(text)
         return cls(n, pairs)
+
+
+def lines_fingerprint(n: int, lines: Iterable[tuple[int, int]]) -> str:
+    """``UndirectedGraph.fingerprint`` of the graph on n vertices with the
+    sorted normalised ``lines``."""
+    return f"n={n};" + ",".join(f"{a}-{b}" for a, b in lines)
 
 
 def _parse_graph_text(text: str) -> tuple[int, list[tuple[int, int]]]:

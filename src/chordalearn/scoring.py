@@ -91,10 +91,20 @@ class Dataset:
     # -- CSV: header row of names, then integer state indices ------------
 
     def to_csv(self, path) -> None:
+        """Write the names, then the rows, as ``csv.writer`` does.  When
+        every state is one digit the rows are laid out as one byte array
+        (digit, comma, ..., ``\\r\\n``), the bytes ``csv.writer`` writes."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(self.names)
-            w.writerows(self.rows.tolist())
+            if self.rows.size and self.rows.max() < 10:
+                out = np.empty((self.n_rows, 2 * self.n_vars + 1), dtype=np.uint8)
+                out[:, :-2:2] = self.rows + ord("0")
+                out[:, 1:-2:2] = ord(",")
+                out[:, -2:] = np.frombuffer(b"\r\n", np.uint8)
+                fh.write(out.tobytes().decode("ascii"))
+            else:
+                w.writerows(self.rows.tolist())
 
     @classmethod
     def from_csv(cls, path, arities: Optional[Sequence[int]] = None) -> "Dataset":
@@ -106,9 +116,13 @@ class Dataset:
         """Parse a header row of column names, then rows of integer states.
 
         The header goes through ``csv.reader``, so quoted names may hold
-        commas and newlines.  The data rows take one of two paths:
+        commas and newlines.  The data rows take one of three paths:
 
-        * fast path: one ``np.loadtxt`` call over the rest of the text.
+        * digit rows: when every data row is ``d,d,...,d`` with one-digit
+          cells, each row ended by the same ``\\n`` or ``\\r\\n`` (what
+          ``to_csv`` writes for states below 10), one byte view of the
+          rest of the text is checked in place and read off.
+        * loadtxt: one ``np.loadtxt`` call over the rest of the text.
           Its C parser accepts a subset of what the fallback accepts and
           reads it as ``int()`` does (blank and ``\\r\\n`` lines skipped,
           surrounding whitespace and a sign allowed); ``comments=None``
@@ -122,8 +136,8 @@ class Dataset:
           errors: "non-integer state on line N", "wrong column count on
           line N", counting records from the header as line 1.
 
-        Both paths give the same array for every text the fallback
-        accepts, and texts it rejects never pass the fast path.
+        All three give the same array for every text the fallback
+        accepts, and texts it rejects pass neither of the other two.
         """
         buf = io.StringIO(text)
         reader = csv.reader(buf)
@@ -137,8 +151,8 @@ class Dataset:
                 "the first row holds only integers"
             )
         start = buf.tell()
-        rows = None
-        if not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        rows = _digit_rows(text[start:], len(names))
+        if rows is None and not any(c in text for c in _LOADTXT_ONLY_SPACE):
             rows = _load_int_rows(buf, len(names))
         if rows is None:
             buf.seek(start)
@@ -148,6 +162,29 @@ class Dataset:
 
 # loadtxt strips these around a number as whitespace; int() rejects them
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _digit_rows(text: str, n_cols: int) -> Optional[np.ndarray]:
+    """The rows of ``text`` as an int64 array when each is ``n_cols``
+    one-digit cells joined by commas and ended by the first row's line
+    end, ``\\n`` or ``\\r\\n``; otherwise None.  Every byte is checked at
+    its place in the (rows, width) view, so no other text passes."""
+    raw = text.encode("ascii", errors="replace")  # "?" fails every check
+    cells = 2 * n_cols - 1
+    if n_cols == 0 or len(raw) <= cells:
+        return None
+    eol = b"\r\n" if raw[cells] == ord("\r") else b"\n"
+    if len(raw) % (cells + len(eol)):
+        return None
+    view = np.frombuffer(raw, np.uint8).reshape(-1, cells + len(eol))
+    digits = view[:, :cells:2] - np.uint8(ord("0"))  # wraps below "0"
+    if (
+        (digits < 10).all()
+        and (view[:, 1:cells:2] == ord(",")).all()
+        and (view[:, cells:] == np.frombuffer(eol, np.uint8)).all()
+    ):
+        return np.asfortranarray(digits, dtype=np.int64)
+    return None
 
 
 def _load_int_rows(buf: io.StringIO, n_cols: int) -> Optional[np.ndarray]:

@@ -12,12 +12,14 @@ Jordan, UAI 2001).  Greedy search repeatedly applies the best strictly
 improving neighbor and stops when none exists; ties break on the
 lexicographically smallest move, so runs are deterministic.
 
-The chordal search carries its state across steps (``_ChordalCarry``).
-Per unordered pair a < b it keeps S = N(a) & N(b), whether the pair's one
-move (addition if absent, removal if present) is legal, and that move's
-signed line delta, all in ``Move.sort_key`` order, so a step is one
-first argmax.  After an edit x-y, with G- the graph without the line x-y
-and G+ the graph with it, only these pairs can change:
+The chordal search carries its state across steps (``_ChordalCarry``) and
+steps the neighbor bitmasks only; the perfect ordering that certifies
+chordality is built once, on the final graph.  Per unordered pair a < b
+it keeps S = N(a) & N(b), whether the pair's one move (addition if
+absent, removal if present) is legal, and that move's signed line delta,
+all in ``Move.sort_key`` order, so a step is one first argmax.  After an
+edit x-y, with G- the graph without x-y and G+ the graph with it, only
+these pairs can change:
 
 1. S changes only for (x, w) with w a neighbor of y and (y, w) with w a
    neighbor of x, and the pair x-y flips presence; these are redone in
@@ -53,6 +55,7 @@ first argmax.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 from dataclasses import dataclass, field
@@ -60,7 +63,7 @@ from typing import Iterable, Optional, Protocol, Sequence
 
 import numpy as np
 
-from .graphs import ChordalGraph, Dag, UndirectedGraph, is_complete_mask
+from .graphs import ChordalGraph, Dag, UndirectedGraph, is_complete_mask, lines_fingerprint
 from .graphs import mask_vertices, reach, removal_keeps_chordal
 from .independence import DependencyModel
 from .scoring import Dataset, ScoreCache, _resolve_cache, score_chordal, score_dag
@@ -118,19 +121,13 @@ class SearchTrace:
     terminal: bool = False
 
     def to_jsonl(self) -> str:
-        out = []
-        for s in self.steps:
-            out.append(
-                json.dumps(
-                    {
-                        "step": s.step,
-                        "move": s.move.to_string(),
-                        "delta": s.delta,
-                        "total": s.total,
-                    },
-                    sort_keys=True,
-                )
+        out = [
+            json.dumps(
+                {"step": s.step, "move": s.move.to_string(), "delta": s.delta, "total": s.total},
+                sort_keys=True,
             )
+            for s in self.steps
+        ]
         return "\n".join(out) + ("\n" if out else "")
 
 
@@ -361,7 +358,7 @@ class _ChordalCarry:
     def __init__(self, scorer: ChordalScorer, masks: Sequence[int], total):
         n = len(masks)
         self.scorer = scorer
-        self.masks = masks
+        self.masks = masks = list(masks)
         self.ends = ends = [(a, b) for a in range(n) for b in range(a + 1, n)]
         self.index = [[0] * n for _ in range(n)]
         for p, (a, b) in enumerate(ends):
@@ -428,14 +425,15 @@ class _ChordalCarry:
         move = _move("remove" if i >= half else "add", *self.ends[i % half])
         return move, tuple(map(int, row)) if isinstance(total, tuple) else row[0]
 
-    def apply(self, move: Move, masks: Sequence[int]) -> None:
-        """Carry the state over ``move``, whose edited graph has the
-        neighbor bitmasks ``masks``, redoing only the pairs of the three
-        rules in the module docstring."""
+    def apply(self, move: Move) -> None:
+        """Carry the state over ``move``, editing the neighbor bitmasks in
+        place and redoing only the pairs of the three rules in the module
+        docstring."""
         x, y = move.a, move.b
         added = move.kind == "add"
-        plus, minus = (masks, self.masks) if added else (self.masks, masks)
-        self.masks = masks
+        masks = self.masks
+        masks[x] ^= 1 << y
+        masks[y] ^= 1 << x
         index, ends, s, legal = self.index, self.ends, self.s, self.legal
         xy = index[x][y]
         if added:
@@ -447,7 +445,7 @@ class _ChordalCarry:
         # rule 1: S gains or loses y for (x, w), w a neighbor of y, and x
         # for (y, w), w a neighbor of x
         for u, v in ((x, y), (y, x)):
-            for w in mask_vertices(plus[v] & ~(1 << u)):
+            for w in mask_vertices(masks[v] & ~(1 << u)):
                 p = index[u][w]
                 a, b = ends[p]
                 absent = not (masks[a] >> b) & 1
@@ -467,12 +465,13 @@ class _ChordalCarry:
                 legal[p] = is_complete_mask(masks, s[p])
                 touched.add(p)
         # rule 3: the line x-y joins Cx and Cy in G+ - S.  N(x) & N(y)
-        # separates x from y in G-, so any S containing it does too
+        # separates x from y in G-, so any S containing it does too, and
+        # Cx is x's component with y blocked as well, in G- or G+
         for sg, group in self.groups.items():
             if sg & (1 << x | 1 << y) or sg & sxy != sxy:
                 continue
-            cx = reach(minus, 1 << x, sg)
-            cy = reach(minus, 1 << y, sg)
+            cx = reach(masks, 1 << x, sg | 1 << y)
+            cy = reach(masks, 1 << y, sg | 1 << x)
             if cx.bit_count() * cy.bit_count() < len(group):
                 pairs = (index[a][b] for a in mask_vertices(cx) for b in mask_vertices(cy))
                 across = [p for p in pairs if p in group]
@@ -487,36 +486,36 @@ class _ChordalCarry:
         self._fill(touched)
 
 
-def greedy_chordal(
-    scorer: ChordalScorer, start: ChordalGraph
-) -> tuple[ChordalGraph, SearchTrace]:
+def greedy_chordal(scorer: ChordalScorer, start: ChordalGraph) -> tuple[ChordalGraph, SearchTrace]:
     """Steepest ascent over the inclusion boundary from ``start``; ties
     break on the smallest move.  Stops at the first graph with no strictly
     improving neighbor, so the result is a local optimum of the scorer.
 
-    Legality, memo keys and deltas are carried across steps
-    (``_ChordalCarry``); the trace, tie-breaks and memo entries are those
-    of a search that lists the whole boundary and scores every move at
-    every step.
+    Legality, memo keys and deltas are carried across steps on neighbor
+    bitmasks (``_ChordalCarry``); the trace, tie-breaks and memo entries
+    are those of a search that lists the whole boundary and scores every
+    move at every step.  The perfect ordering is built once, on the final
+    graph (``start`` itself when no step is taken), so a carry bug that
+    made a non-chordal graph raises ``NotChordalError``.
     """
-    g = start
-    total = scorer.score(g)
-    trace = SearchTrace(start_fingerprint=g.fingerprint(), start_score=total)
-    carry = _ChordalCarry(scorer, g.graph.neighbor_masks, total)
-    step = 0
+    total = scorer.score(start)
+    trace = SearchTrace(start_fingerprint=start.fingerprint(), start_score=total)
+    carry = _ChordalCarry(scorer, start.graph.neighbor_masks, total)
+    lines = list(start.lines)
     while True:
         chosen, new_total = carry.best(total)
         if chosen is None:
-            trace.terminal = True
-            return g, trace
-        step += 1
-        g = apply_move(g, chosen)
-        carry.apply(chosen, g.graph.neighbor_masks)
-        delta = _score_delta(new_total, total)
-        total = new_total
-        trace.steps.append(
-            TraceStep(step, chosen, delta, total, g.fingerprint())
-        )
+            break
+        carry.apply(chosen)
+        if chosen.kind == "add":  # the lines serve only the fingerprints
+            bisect.insort(lines, (chosen.a, chosen.b))
+        else:
+            del lines[bisect.bisect_left(lines, (chosen.a, chosen.b))]
+        delta, total = _score_delta(new_total, total), new_total
+        fingerprint = lines_fingerprint(start.n, lines)
+        trace.steps.append(TraceStep(len(trace.steps) + 1, chosen, delta, total, fingerprint))
+    trace.terminal = True
+    return (ChordalGraph.from_graph(UndirectedGraph(start.n, lines)) if trace.steps else start), trace
 
 
 def _score_delta(new, old):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from chordalearn import search
-from chordalearn.graphs import ChordalGraph, CycleError, Dag, UndirectedGraph, is_chordal
+from chordalearn.graphs import ChordalGraph, CycleError, Dag, NotChordalError, UndirectedGraph
+from chordalearn.graphs import is_chordal
 from chordalearn.independence import (
     DependencyModel,
     inclusion_optimal,
@@ -329,18 +330,18 @@ class TestGreedyChordal:
     @pytest.fixture(autouse=True)
     def capped_search(self, monkeypatch):
         """A wrongly carried delta can make ``greedy_chordal`` cycle: fail
-        once one search has applied n * n moves, rather than hang.  A search
-        goes on from the graph its last move returned."""
+        once one search's carry has applied n * n moves, rather than hang."""
+        carry_apply = search._ChordalCarry.apply
         last, count = None, 0
 
-        def capped(g, move):
+        def capped(carry, move):
             nonlocal last, count
-            count = count + 1 if g is last else 1
-            assert count < g.n * g.n, "greedy_chordal did not terminate"
-            last = apply_move(g, move)
-            return last
+            count = count + 1 if carry is last else 1
+            last = carry
+            assert count < len(carry.masks) ** 2, "greedy_chordal did not terminate"
+            carry_apply(carry, move)
 
-        monkeypatch.setattr(search, "apply_move", capped)
+        monkeypatch.setattr(search._ChordalCarry, "apply", capped)
 
     def test_oracle_guided_search_reaches_inclusion_optimum(self):
         # greedy under the constructed score must terminate
@@ -443,8 +444,42 @@ class TestGreedyChordal:
                 final, trace = greedy_chordal(oracle, ChordalGraph.empty(n))
                 want_final, want = listing_greedy_chordal(oracle, ChordalGraph.empty(n))
                 assert final == want_final, t
+                assert final.ordering == want_final.ordering, t
                 assert trace == want, t
                 assert all(type(x) is int for s in trace.steps for x in s.delta + s.total)
+
+    @pytest.mark.parametrize("n, rows", [(12, 300), (40, 2000)])
+    def test_ordering_certifies_the_final_graph(self, n, rows):
+        # the ordering is built once, on the final graph: the one a search
+        # that rebuilds it on every step ends with
+        rng = rng_from(137, n)
+        net = random_parameters(random_dag(n, 3, rng), (2,) * n, rng)
+        data = ancestral_sample(net, rows, rng)
+        final, trace = greedy_chordal(BDeuScorer(data), ChordalGraph.empty(n))
+        want_final, want = listing_greedy_chordal(BDeuScorer(data), ChordalGraph.empty(n))
+        assert len(trace.steps) >= n // 2 and trace == want
+        assert final.ordering == ChordalGraph.from_graph(final.graph).ordering
+        assert final.ordering == want_final.ordering
+
+    def test_start_returned_when_no_move_improves(self):
+        class FlatScorer(KeyScorer):
+            def line_deltas(self, keys):
+                return [0.0] * len(keys)
+
+        start = ChordalGraph.from_lines(4, [(0, 1), (1, 2), (2, 3)])
+        final, trace = greedy_chordal(FlatScorer(), start)
+        assert final is start
+        assert trace.terminal and trace.steps == []
+
+    def test_carry_that_breaks_chordality_raises(self, monkeypatch):
+        # a carry that picks the addition 0-3 on the path 0-1-2-3 closes a
+        # chordless 4-cycle: the certificate built at the end refuses it
+        picks = [search._move("add", 0, 3), None]
+        monkeypatch.setattr(search._ChordalCarry, "best", lambda carry, total: (picks.pop(0), total))
+        start = ChordalGraph.from_lines(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(NotChordalError) as err:
+            greedy_chordal(KeyScorer(), start)
+        assert sorted(err.value.cycle) == [0, 1, 2, 3]
 
     def test_strong_chain_recovered(self):
         # strongly coupled chain data: greedy BDeu recovers the chain
@@ -473,12 +508,12 @@ class KeyScorer:
 
 
 def carried_state(carry) -> tuple:
-    return carry.masks, carry.s, carry.legal, carry.groups, carry.deltas.tolist()
+    return tuple(carry.masks), carry.s, carry.legal, carry.groups, carry.deltas.tolist()
 
 
 def restore(carry, state) -> None:
     masks, s, legal, groups, deltas = state
-    carry.masks, carry.s, carry.legal = masks, s[:], legal[:]
+    carry.masks, carry.s, carry.legal = list(masks), s[:], legal[:]
     carry.groups = {key: set(group) for key, group in groups.items()}
     carry.deltas = np.array(deltas)
 
@@ -520,7 +555,7 @@ class TestChordalCarry:
                     edited[move.a] ^= 1 << move.b
                     edited[move.b] ^= 1 << move.a
                     edited = tuple(edited)
-                    work.apply(move, edited)
+                    work.apply(move)
                     assert carried_state(work) == state_of(edited), (masks, move)
             counts.append((len(fresh), sum(len(moves) for _, moves in fresh.values())))
         # chordal graphs and legal moves per vertex count
@@ -541,7 +576,8 @@ class TestChordalCarry:
             for move in inclusion_boundary(g):
                 carry = search._ChordalCarry(scorer, graph.neighbor_masks, 0.0)
                 h = apply_move(g, move)
-                carry.apply(move, h.graph.neighbor_masks)
+                carry.apply(move)
+                assert carry.masks == list(h.graph.neighbor_masks)
                 moves = carried_moves(carry)
                 assert moves == inclusion_boundary(h)
                 got = carry.deltas[np.isfinite(carry.deltas)].tolist()
@@ -909,6 +945,28 @@ class TestDagCarry:
             moved.update((move.a, move.b))
             d = carry.apply(move)
         assert max(moved) >= 64
+
+    def test_reversal_delta_sums_left_to_right(self):
+        # found by search over seeds rng_from(74, s): at the start of this
+        # run two legal reversals' deltas differ in the last bit between
+        # the left-to-right sum and arrow + (toggled - base[u]); the carry
+        # must give the left-to-right one, as a full rescoring does
+        rng = rng_from(74, 389)
+        net = random_parameters(random_dag(5, 3, rng), (3,) * 5, rng)
+        data = ancestral_sample(net, 400, rng)
+        start = Dag(5, [(v, u) for u, v in net.dag.arcs])
+        cache = ScoreCache(data)
+        table = search._DagCarry(cache, start).deltas()
+        reassociated = 0
+        for u, v in np.argwhere(np.isfinite(table[2])).tolist():
+            arrow = _dag_move_delta(start, Move("remove", u, v), cache)
+            toggled = cache.local_score(u, start.parents[u] | {v})
+            base = cache.local_score(u, start.parents[u])
+            assert table[2, u, v] == arrow + toggled - base == _dag_move_delta(
+                start, Move("reverse", u, v), cache
+            )
+            reassociated += arrow + (toggled - base) != arrow + toggled - base
+        assert reassociated == 2
 
     def test_trace_equals_lazy_search_from_every_dag_n4(self, monkeypatch):
         # every labeled DAG on 4 vertices as the start, on two datasets
