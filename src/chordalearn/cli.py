@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage, 2 verification violation, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -557,7 +558,10 @@ def cmd_experiment(args) -> int:
 # argument wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each parse fills a
+    fresh namespace, so nothing carries over between ``main`` calls."""
     p = _Parser(prog="chordalearn", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -10,6 +10,15 @@ bitmask per vertex next to its sorted arcs and topological order.  Every
 algorithm here runs on those masks, which keep line queries O(1) at the
 scale this package targets (n up to a few dozen).
 
+Separation is decided by one reachability kernel, ``reach``, for one
+graph (``separated_table`` and ``d_separated_table`` answer a statement
+list of one graph), and by its numpy form ``reach_stack`` for a stack of
+graphs held as an array of bitmask rows (``separated_stack`` and
+``d_separated_stack`` answer one statement list of every graph at once).
+Chordality is decided on masks too: ``is_chordal`` runs the maximum
+cardinality search and the perfect-order test of ``_mcs_order`` and
+``_perfect_masks`` on a graph's neighbor bitmasks.
+
 Ordering convention used throughout: a vertex ordering is *perfect* for a
 graph when every vertex's earlier-ordered neighbors form a complete
 subgraph.  The reverse of such an ordering is a perfect elimination
@@ -23,6 +32,8 @@ from __future__ import annotations
 import functools
 import operator
 from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 
 class NotChordalError(ValueError):
@@ -167,11 +178,16 @@ def maximum_cardinality_order(g: UndirectedGraph) -> tuple[int, ...]:
 
     Each step selects an unvisited vertex with the most visited neighbors.
     """
-    masks = g.neighbor_masks
-    weight = [0] * g.n
+    return _mcs_order(g.neighbor_masks)
+
+
+def _mcs_order(masks: Sequence[int]) -> tuple[int, ...]:
+    """``maximum_cardinality_order`` of the graph of neighbor bitmasks
+    ``masks``."""
+    weight = [0] * len(masks)
     seen = 0
     order = []
-    for _ in range(g.n):
+    for _ in masks:
         v = weight.index(max(weight))  # the first, so the lowest index
         weight[v] = -1  # visited: below every unvisited weight
         seen |= 1 << v
@@ -187,19 +203,22 @@ def maximum_cardinality_order(g: UndirectedGraph) -> tuple[int, ...]:
 def is_perfect_order(g: UndirectedGraph, order: Sequence[int]) -> bool:
     """True when every vertex's earlier-ordered neighbors are pairwise
     adjacent (so the reversed order is a perfect elimination ordering)."""
-    if sorted(order) != list(range(g.n)):
-        return False
-    seen_mask = 0
+    return sorted(order) == list(range(g.n)) and _perfect_masks(g.neighbor_masks, order)
+
+
+def _perfect_masks(masks: Sequence[int], order: Sequence[int]) -> bool:
+    """``is_perfect_order`` of the graph of neighbor bitmasks ``masks`` for
+    ``order``, known to be a permutation of its vertices."""
+    seen = 0
     for v in order:
-        earlier = g.neighbor_mask(v) & seen_mask
+        earlier = masks[v] & seen
         rest = earlier
         while rest:
             low = rest & -rest
-            u = low.bit_length() - 1
             rest ^= low
-            if earlier & ~g.neighbor_mask(u) & ~(1 << u):
+            if earlier & ~(masks[low.bit_length() - 1] | low):
                 return False
-        seen_mask |= 1 << v
+        seen |= 1 << v
     return True
 
 
@@ -251,7 +270,8 @@ def _shortest_path(
 
 
 def is_chordal(g: UndirectedGraph) -> bool:
-    return is_perfect_order(g, maximum_cardinality_order(g))
+    masks = g.neighbor_masks
+    return _perfect_masks(masks, _mcs_order(masks))
 
 
 class ChordalGraph:
@@ -277,8 +297,9 @@ class ChordalGraph:
         """``graph`` certified by its maximum cardinality search order;
         raises ``NotChordalError`` with a chordless cycle when that order
         is not perfect."""
-        order = maximum_cardinality_order(graph)
-        if not is_perfect_order(graph, order):
+        masks = graph.neighbor_masks
+        order = _mcs_order(masks)
+        if not _perfect_masks(masks, order):
             cycle = find_chordless_cycle(graph)
             if cycle is None:  # pragma: no cover - would indicate an algorithm bug
                 raise AssertionError("search order imperfect but no witness cycle found")
@@ -620,7 +641,8 @@ def separated_table(masks: Sequence[int], triples: Iterable[tuple[int, int, int]
     """For each (a, b, c) of ``triples``, whether the vertex bitmask ``c``
     separates ``a`` from ``b`` in the graph of neighbor bitmasks ``masks``:
     one ``reach`` per distinct (a, c), kept for the call only, with no
-    per-statement validation."""
+    per-statement validation.  ``separated_stack`` asks one list of many
+    graphs."""
     reached = functools.cache(lambda a, c: reach(masks, a, c))
     return [not reached(a, c) & b for a, b, c in triples]
 
@@ -647,7 +669,8 @@ def d_separated_table(
     (Lauritzen, Dawid, Larsen & Leimer, Networks 1990), whether c separates
     them in the moral graph of the ancestral closure of a | b | c.  That
     closure is taken once per distinct union and its moral graph built once
-    per distinct closure, so each statement costs one ``reach``."""
+    per distinct closure, so each statement costs one ``reach``.
+    ``d_separated_stack`` asks one list of many DAGs."""
     anc_of: dict = {}  # A ∪ B ∪ C -> its ancestral closure
     moral_of: dict = {}  # ancestral set -> its moral graph
     out = []
@@ -661,3 +684,76 @@ def d_separated_table(
             adj = moral_of[anc] = _moral_masks(parent_masks, anc)
         out.append(not reach(adj, a, c) & b)
     return out
+
+
+# ---------------------------------------------------------------------------
+# stacked separation: one query list over many graphs at once
+
+
+def _mask_stack(masks) -> np.ndarray:
+    """``masks`` (graphs × vertices, bitmasks) as an array of the narrowest
+    unsigned dtype that holds a vertex bitmask: uint8 while n <= 8, Python
+    ints (object) past 64 vertices."""
+    n = len(masks[0]) if len(masks) else 0
+    return np.array(masks, dtype=np.min_scalar_type((1 << n) - 1)).reshape(len(masks), n)
+
+
+def reach_stack(masks: np.ndarray, src, blocked) -> np.ndarray:
+    """``reach`` over a stack of graphs: ``masks[..., v]`` is the bitmask of
+    the vertices one step from v, and ``src`` and ``blocked`` broadcast
+    against ``masks[..., 0]``.  Every graph of the stack advances its
+    frontier in the same array step, one array operation per vertex, so
+    the loop runs at most n times."""
+    src = np.asarray(src, dtype=masks.dtype)
+    open_ = ~np.asarray(blocked, dtype=masks.dtype)
+    shape = np.broadcast_shapes(masks.shape[:-1], np.shape(src), np.shape(open_))
+    seen = frontier = np.broadcast_to(src, shape)
+    while frontier.any():
+        step = np.zeros(shape, dtype=masks.dtype)
+        for v in range(masks.shape[-1]):
+            step |= masks[..., v] * (frontier >> v & 1)
+        frontier = step & open_ & ~seen
+        seen = seen | frontier
+    return seen
+
+
+def separated_stack(masks, triples: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """``separated_table`` for every graph of a stack: ``masks[g]`` holds
+    the neighbor bitmasks of graph g, and entry (g, t) says whether c
+    separates a from b there, (a, b, c) being triple t.  One ``reach_stack``
+    over the (graphs × triples) grid answers them all."""
+    masks = _mask_stack(masks)
+    a, b, c = np.array(triples, dtype=masks.dtype).reshape(-1, 3).T
+    return reach_stack(masks[:, None, :], a, c) & b == 0
+
+
+def _moral_stack(parent_masks: np.ndarray, anc: np.ndarray) -> np.ndarray:
+    """``_moral_masks`` of every DAG g of the stack ``parent_masks`` for
+    each of its ancestral sets ``anc[g, u]``: an array (DAGs × sets ×
+    vertices) of moral neighbor bitmasks."""
+    n = parent_masks.shape[-1]
+    adj = np.zeros(anc.shape + (n,), dtype=parent_masks.dtype)
+    for v in range(n):
+        ps = parent_masks[:, None, v] * (anc >> v & 1)  # 0 where v is outside
+        adj[..., v] |= ps
+        for p in range(n):
+            # marry p to its child and to every co-parent (and itself,
+            # cleared below)
+            adj[..., p] |= ((1 << v) | ps) * (ps >> p & 1)
+    adj &= ~(np.ones(1, adj.dtype) << np.arange(n, dtype=adj.dtype))
+    return adj
+
+
+def d_separated_stack(parent_masks, triples: Sequence[tuple[int, int, int]]) -> np.ndarray:
+    """``d_separated_table`` for every DAG of a stack: ``parent_masks[g]``
+    holds the parent bitmasks of DAG g, and entry (g, t) says whether
+    triple t is d-separated there.  The ancestral closure of each distinct
+    a | b | c and its moral graph are built once per DAG, all DAGs at once,
+    and one ``reach_stack`` over the (DAGs × triples) grid decides every
+    statement."""
+    pm = _mask_stack(parent_masks)
+    a, b, c = np.array(triples, dtype=pm.dtype).reshape(-1, 3).T
+    unions, which = np.unique(a | b | c, return_inverse=True)
+    anc = reach_stack(pm[:, None, :], unions, 0)
+    moral = _moral_stack(pm, anc)
+    return reach_stack(moral[:, which, :], a, c) & b == 0

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_table, mask_vertices
-from .graphs import removal_keeps_chordal, separated_table, vertex_mask
+from .graphs import removal_keeps_chordal, separated_stack, separated_table, vertex_mask
 
 ENUMERATION_BOUND = 7  # observed-vertex cap for statement enumeration
 
@@ -227,23 +227,27 @@ def inclusion_optimal(g: ChordalGraph, target: DependencyModel) -> bool:
 
     The target answers every ``_inclusion_triples`` statement once.  Under
     the pairwise reduction g - ab is included iff ``g`` is and the pair
-    (a, b) holds; for latent margins each subgraph's separations are one
-    ``separated_table`` over its neighbor masks.  No ``ChordalGraph`` is
-    built.
+    (a, b) holds; for latent margins the separations of ``g`` and of each
+    removable subgraph are one ``separated_stack`` over their neighbor
+    masks.  No ``ChordalGraph`` is built.
     """
     triples = _inclusion_triples(g.n, target)
     holds = np.array(target.independent_table(triples), dtype=bool)
-
-    def included(masks) -> bool:
-        return not (np.array(_separated(masks, triples, target), dtype=bool) & ~holds).any()
-
-    if not included(g.graph.neighbor_masks):
-        return False
+    masks = g.graph.neighbor_masks
     removable = [(a, b) for a, b in g.lines if removal_keeps_chordal(g, a, b)]
     if target.kind != "latent-dag":
+        if (np.array(_separated(masks, triples, target), dtype=bool) & ~holds).any():
+            return False
         pair_holds = dict(zip(itertools.combinations(range(g.n), 2), holds))
         return not any(pair_holds[line] for line in removable)
-    return not any(included(g.graph.without_line(a, b).neighbor_masks) for a, b in removable)
+    stack = [masks]
+    for a, b in removable:
+        sub = list(masks)
+        sub[a] ^= 1 << b
+        sub[b] ^= 1 << a
+        stack.append(sub)
+    included = ~(separated_stack(stack, triples) & ~holds).any(axis=1)
+    return bool(included[0]) and not included[1:].any()
 
 
 # ---------------------------------------------------------------------------

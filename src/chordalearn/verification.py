@@ -8,19 +8,24 @@ chordal graphs, the oracle score's consistency and local consistency, the
 targets, graphoid axioms, separation-chain disjunctions, and the search
 for a latent-margin target with a non-optimal local optimum.
 
-The naive chordality side decides every line mask of a size at once from
-one table of the cycles through all vertices of each vertex set of size
-at least four (``naive_chordal_masks``).  The oracle self-checks, the
-local-optimum sweep, the DAG probe and the latent-witness search share
-one per-n catalogue of the labeled chordal graphs (``_Records``): arrays
-of their families and dimensions, and one flat table of all their
-boundary moves whose statements ``_Records.statements`` decides with one
+The naive chordality side decides a block of line masks at once from one
+table of the cycles through all vertices of each vertex set of size at
+least four (``naive_chordal_masks``), and the cross-check runs
+``is_chordal``'s mask kernel on neighbor bitmask rows built in numpy, with
+no graph objects.  The oracle self-checks, the local-optimum sweep, the
+DAG probe and the latent-witness search share one per-n catalogue of the
+labeled chordal graphs (``_Records``): arrays of their families and
+dimensions, and one flat table of all their boundary moves whose
+statements ``_Records.statements`` decides with one
 ``DependencyModel.independent_table`` call per model, so those suites run
 as array tests over the table; the two oracle suites score every graph
 with one gather over ``OracleScore.entropy`` and decide inclusion in the
-undirected target by line containment.  The latent-witness search keys
-each DAG by the answers of one ``d_separated_table`` call, and the chain
-sweep reads only the graphs and their ``line_mask``.  The separation-chain
+undirected target by line containment.  Where a sweep asks one statement
+list of many graphs, it asks them all at once with the stacked kernels of
+``graphs``: the local-optimum sweep asks the move table's statements of
+every target in one ``separated_stack``, and the latent-witness search
+keys each block of DAGs by one ``d_separated_stack``.  The chain sweep
+reads only the graphs and their ``line_mask``.  The separation-chain
 sampler holds each random graph as neighbor bitmasks and decides each
 chain's premise and endpoint disjunction with one ``separated_table`` call.
 
@@ -38,8 +43,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .graphs import ChordalGraph, Dag, UndirectedGraph, d_separated_table, is_chordal
-from .graphs import mask_vertices, separated_table, vertex_mask
+from .graphs import ChordalGraph, Dag, UndirectedGraph, _mcs_order, _perfect_masks
+from .graphs import d_separated_stack, is_chordal, mask_vertices, separated_stack
+from .graphs import separated_table, vertex_mask
 from .independence import (
     DependencyModel,
     _chain_statements,
@@ -54,6 +60,9 @@ MAX_ENUM_VERTICES = 6
 # all_dags walks 3^(n(n-1)/2) orientation states: n=6 would exhaust
 # memory, and the largest suite (the latent-witness search) needs n=5
 MAX_DAG_VERTICES = 5
+# rows per array block: the chordality cross-check's graphs, the witness
+# search's DAGs
+CHUNK_ROWS = 1024
 
 
 class VerificationError(RuntimeError):
@@ -103,9 +112,25 @@ def naive_is_chordal(graph: UndirectedGraph) -> bool:
 
 def all_undirected(n: int) -> Iterable[UndirectedGraph]:
     """Every labeled undirected graph on n vertices, in line-mask order."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        yield UndirectedGraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+    for bits in range(1 << (n * (n - 1) // 2)):
+        yield _graph_of_line_mask(n, bits)
+
+
+def _graph_of_line_mask(n: int, bits: int) -> UndirectedGraph:
+    """The graph on n vertices with the line mask ``bits``."""
+    pairs = itertools.combinations(range(n), 2)
+    return UndirectedGraph(n, [p for i, p in enumerate(pairs) if bits >> i & 1])
+
+
+def _neighbor_rows(n: int, lines: np.ndarray) -> np.ndarray:
+    """Neighbor bitmask rows (graphs × vertices) of the graphs on n vertices
+    with the line masks ``lines``."""
+    rows = np.zeros((len(lines), n), dtype=np.int64)
+    for i, (a, b) in enumerate(itertools.combinations(range(n), 2)):
+        bit = lines >> i & 1
+        rows[:, a] |= bit << b
+        rows[:, b] |= bit << a
+    return rows
 
 
 def _line_bit(n: int, a: int, b: int) -> int:
@@ -142,22 +167,25 @@ class ChordalityReport:
 
 
 def chordality_cross_check(n: int) -> ChordalityReport:
-    """Run both chordality oracles over every graph on n vertices: the
-    naive side decides all line masks at once, ``is_chordal`` each graph."""
+    """Run both chordality oracles over every graph on n vertices, in
+    blocks of ``CHUNK_ROWS`` line masks: the naive side decides a block at
+    once, and ``is_chordal``'s mask kernel runs on each graph's neighbor
+    bitmask row, built in numpy from its line mask.  An ``UndirectedGraph``
+    is built only to name a mismatch."""
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise ValueError(f"cross-check supports 1..{MAX_ENUM_VERTICES} vertices")
-    naive = naive_chordal_masks(n, np.arange(1 << (n * (n - 1) // 2), dtype=np.int64))
+    total = 1 << (n * (n - 1) // 2)
     mismatches = []
-    checked = 0
     chordal = 0
-    for g, slow in zip(all_undirected(n), naive.tolist()):
-        checked += 1
-        fast = is_chordal(g)
-        if fast:
-            chordal += 1
-        if fast != slow:
-            mismatches.append(g.fingerprint())
-    return ChordalityReport(n, checked, chordal, mismatches)
+    for start in range(0, total, CHUNK_ROWS):
+        lines = np.arange(start, min(start + CHUNK_ROWS, total), dtype=np.int64)
+        naive = naive_chordal_masks(n, lines).tolist()
+        for bits, row, slow in zip(lines.tolist(), _neighbor_rows(n, lines).tolist(), naive):
+            fast = _perfect_masks(row, _mcs_order(row))
+            chordal += fast
+            if fast != slow:
+                mismatches.append(_graph_of_line_mask(n, bits).fingerprint())
+    return ChordalityReport(n, total, chordal, mismatches)
 
 
 # ---------------------------------------------------------------------------
@@ -451,18 +479,22 @@ def sweep_local_optima(
     and every test runs on the move table as a whole: a move is better
     when its result's score beats its source's, lexicographically, and a
     graph is a local optimum when none of its moves is better.  Any move
-    whose result is not chordal is itself reported as a violation.
+    whose result is not chordal is itself reported as a violation.  The
+    move table's statements are asked of all targets in one
+    ``separated_stack`` (targets × statements), and each target gathers
+    its per-move answers from its own row.
     """
     recs = _Records(n)
     tlist = list(targets) if targets is not None else list(all_undirected(n))
+    if any(t.n != n for t in tlist):
+        raise ValueError("target vertex count mismatch")
+    answers = separated_stack([t.neighbor_masks for t in tlist], recs.triples)
     src, dst, dims = recs.src, recs.dst, recs.dims
     legal = dst >= 0
     violations: list = []
     self_check: list = []
     optima = 0
-    for t in tlist:
-        if t.n != n:
-            raise ValueError("target vertex count mismatch")
+    for t, row in zip(tlist, answers):
         model = DependencyModel.from_undirected(t)
         tfp = t.fingerprint()
         weight = recs.oracle_scores(OracleScore(t).entropy)
@@ -489,7 +521,7 @@ def sweep_local_optima(
         # dst == -1 reads the last graph; legal masks those rows out
         ws, wd = weight[src], weight[dst]
         better = legal & ((wd < ws) | ((wd == ws) & (dims[dst] < dims[src])))
-        holds = recs.statements(model)
+        holds = row[recs.stmt]
         for k in np.flatnonzero(recs.remove & legal & (holds != better)):
             self_check.append(
                 {
@@ -652,11 +684,17 @@ def iter_dags(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """``all_dags(n)`` generated one arc count at a time, so a scan that
     stops early generates no larger count; raises ``ValueError`` above
     ``MAX_DAG_VERTICES`` on the call itself."""
+    return itertools.chain.from_iterable(_dag_buckets(n))
+
+
+def _dag_buckets(n: int) -> Iterator[list]:
+    """The lists ``_dags_with_arcs`` for k = 0, 1, ..., each generated
+    when it is reached; raises ``ValueError`` above ``MAX_DAG_VERTICES``
+    on the call itself."""
     if n > MAX_DAG_VERTICES:
         raise ValueError(f"DAG enumeration supports at most {MAX_DAG_VERTICES} vertices")
     pairs = list(itertools.combinations(range(n), 2))
-    buckets = (_dags_with_arcs(n, pairs, k) for k in range(len(pairs) + 1))
-    return itertools.chain.from_iterable(buckets)
+    return (_dags_with_arcs(n, pairs, k) for k in range(len(pairs) + 1))
 
 
 def _dags_with_arcs(n: int, pairs: list, k: int) -> list[tuple[tuple[int, int], ...]]:
@@ -689,13 +727,13 @@ def _dags_with_arcs(n: int, pairs: list, k: int) -> list[tuple[tuple[int, int], 
 
 
 def _ug_margin_keys(observed: Sequence[int], triples) -> set:
-    """Separation answer vectors of every undirected graph on the observed
-    vertices, used to skip margins that some undirected graph realizes
-    exactly (the undirected sweep covers those targets exhaustively)."""
-    return {
-        tuple(separated_table(g.neighbor_masks, triples))
-        for g in all_undirected(len(observed))
-    }
+    """Separation answer vectors, as bytes, of every undirected graph on the
+    observed vertices, used to skip margins that some undirected graph
+    realizes exactly (the undirected sweep covers those targets
+    exhaustively); one ``separated_stack`` over all those graphs."""
+    k = len(observed)
+    lines = np.arange(1 << (k * (k - 1) // 2), dtype=np.int64)
+    return {row.tobytes() for row in separated_stack(_neighbor_rows(k, lines), triples)}
 
 
 @dataclass(frozen=True)
@@ -732,14 +770,17 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
     by its answer vector over the observed triples: margins some
     undirected graph realizes exactly are skipped, since the undirected
     sweep proves those targets clean, and identical answer vectors are
-    swept once.
+    swept once.  The keys come from one ``d_separated_stack`` per block
+    of at most ``CHUNK_ROWS`` DAGs, blocks never crossing the end of an
+    arc count, so no arc count past the witness's is generated; the scan
+    then walks the block's DAGs one at a time.
 
     The first witness in enumeration order is rechecked on a fresh
     margin model before being returned.  Raises ``ValueError`` when
     observed_count + 1 exceeds ``MAX_DAG_VERTICES``.
     """
     n = observed_count + 1
-    dags = iter_dags(n)  # first, so an oversized n raises before other work
+    buckets = _dag_buckets(n)  # first, so an oversized n raises before other work
     latent = n - 1
     observed = tuple(range(observed_count))
     triples = canonical_triples(observed)
@@ -749,12 +790,8 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
     scanned = 0
     swept = 0
     skipped = 0
-    for arcs in dags:
+    for arcs, key in _keyed_dags(n, buckets, triples):
         scanned += 1
-        parmasks = [0] * n
-        for u, v in arcs:
-            parmasks[v] |= 1 << u
-        key = tuple(d_separated_table(parmasks, triples))
         if key in ug_keys:
             skipped += 1
             continue
@@ -778,6 +815,21 @@ def find_nonoptimal_local_optimum(observed_count: int = 4) -> WitnessReport:
                 inclusion_optimal_result=inclusion_optimal(cg, real),
             )
     return WitnessReport(False, scanned, swept, skipped)
+
+
+def _keyed_dags(n: int, buckets: Iterable[list], triples) -> Iterator[tuple]:
+    """(arcs, answer key) for each DAG of ``buckets`` in order, the key the
+    bytes of its ``d_separated_table`` row over ``triples``: one
+    ``d_separated_stack`` per block of at most ``CHUNK_ROWS`` DAGs of one
+    bucket."""
+    for bucket in buckets:
+        for start in range(0, len(bucket), CHUNK_ROWS):
+            block = bucket[start : start + CHUNK_ROWS]
+            parmasks = [[0] * n for _ in block]
+            for row, arcs in zip(parmasks, block):
+                for u, v in arcs:
+                    row[v] |= 1 << u
+            yield from zip(block, (row.tobytes() for row in d_separated_stack(parmasks, triples)))
 
 
 # ---------------------------------------------------------------------------

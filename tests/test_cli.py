@@ -165,6 +165,24 @@ class TestGenerate:
 
 
 class TestLearn:
+    def test_parser_built_once_and_parses_fresh(self, gen_run, tmp_path, monkeypatch):
+        # the parser is cached per process; a flag given to one call must
+        # not leak into the next call's namespace
+        _, run = gen_run
+        seen = []
+        learn = cli._learn
+
+        def spy(data, learner, ess):
+            seen.append(ess)
+            return learn(data, learner, ess)
+
+        monkeypatch.setattr(cli, "_learn", spy)
+        data = str(run / "data/chordal_n4_r0/train_80.csv")
+        assert cli.main(["learn", "--data", data, "--ess", "2", "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(["learn", "--data", data, "--out", str(tmp_path / "b")]) == 0
+        assert seen == [2.0, 1.0]
+        assert cli.build_parser() is cli.build_parser()
+
     def test_chordal_learner(self, gen_run, tmp_path):
         _, run = gen_run
         out = tmp_path / "learned"

@@ -14,6 +14,9 @@ from chordalearn.graphs import (
     Dag,
     NotChordalError,
     UndirectedGraph,
+    _mcs_order,
+    _perfect_masks,
+    d_separated_stack,
     d_separated_table,
     find_chordless_cycle,
     is_chordal,
@@ -25,7 +28,9 @@ from chordalearn.graphs import (
     moralize,
     orient_by_ordering,
     reach,
+    reach_stack,
     separated,
+    separated_stack,
     separated_table,
     vertex_mask,
 )
@@ -814,3 +819,67 @@ class TestBatchSeparationKernels:
                 masks = g.neighbor_masks
                 expected = [not reach(masks, a, c) & b for a, b, c in triples]
                 assert separated_table(masks, triples) == expected, g
+
+
+class TestStackedKernels:
+    """The stacked kernels answer every graph of a stack exactly as the
+    one-graph tables do, and the mask-level chordality search exactly as
+    the graph-level one."""
+
+    def test_separated_stack_equals_table_n5(self):
+        for n in range(1, 6):
+            triples = canonical_triples(tuple(range(n)))
+            masks = [g.neighbor_masks for g in all_graphs(n)]
+            expected = [separated_table(m, triples) for m in masks]
+            assert separated_stack(masks, triples).tolist() == expected, n
+
+    def test_d_separated_stack_equals_table_n4(self):
+        for n in range(1, 5):
+            full = canonical_triples(tuple(range(n)))
+            margin = canonical_triples(tuple(range(n - 1)))
+            masks = [parent_masks(n, arcs) for arcs in all_dags(n)]
+            for triples in (full, margin):
+                expected = [d_separated_table(m, triples) for m in masks]
+                assert d_separated_stack(masks, triples).tolist() == expected, n
+
+    def test_d_separated_stack_equals_table_on_witness_scan(self):
+        triples = canonical_triples((0, 1, 2, 3))
+        masks = [parent_masks(5, arcs) for arcs in itertools.islice(iter_dags(5), 4432)]
+        expected = [d_separated_table(m, triples) for m in masks]
+        assert d_separated_stack(masks, triples).tolist() == expected
+
+    @pytest.mark.parametrize("n", [9, 17, 33, 70])
+    def test_wider_masks_use_wider_dtypes(self, n):
+        # past 8 vertices a bitmask needs uint16, uint32, uint64, then
+        # Python ints
+        rng = np.random.default_rng(n)
+        graphs = [random_graph(n, rng, p=0.15) for _ in range(6)]
+        dags = [random_dag(n, rng, p=0.1) for _ in range(6)]
+        full = (1 << n) - 1
+        triples = [
+            (1 << a, 1 << b, int(rng.integers(1 << 62)) & full & ~(1 << a | 1 << b))
+            for a, b in itertools.combinations(range(0, n, 4), 2)
+        ]
+        assert separated_stack([g.neighbor_masks for g in graphs], triples).tolist() == [
+            separated_table(g.neighbor_masks, triples) for g in graphs
+        ]
+        assert d_separated_stack([d.parent_masks for d in dags], triples).tolist() == [
+            d_separated_table(d.parent_masks, triples) for d in dags
+        ]
+
+    def test_reach_stack_equals_reach(self):
+        rng = np.random.default_rng(3)
+        graphs = [random_graph(6, rng) for _ in range(20)]
+        masks = np.array([g.neighbor_masks for g in graphs], dtype=np.uint8)
+        for src, blocked in [(1, 0), (0b11, 0b100), (0b100000, 0b11110), (0b1001, 0)]:
+            got = reach_stack(masks, src, blocked).tolist()
+            assert got == [reach(g.neighbor_masks, src, blocked) for g in graphs]
+
+    def test_mcs_order_on_masks_equals_graph_order_n5(self):
+        # the graph-level order, as maximum_cardinality_order computed it
+        # before it wrapped the mask form, is the reference
+        for n in range(6):
+            for g in all_graphs(n):
+                order = _mcs_order(g.neighbor_masks)
+                assert order == reference_maximum_cardinality_order(g), g
+                assert _perfect_masks(g.neighbor_masks, order) == nx_is_chordal(g), g

@@ -9,6 +9,7 @@ catch a planted bug proves nothing when it passes.
 import hashlib
 import itertools
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import asdict
 from types import SimpleNamespace
@@ -61,6 +62,21 @@ class TestNaiveChordality:
         assert rep.ok
         assert rep.graphs_checked == 1024
         assert rep.chordal_count == 822
+
+    def test_cross_check_names_a_planted_mismatch(self, monkeypatch):
+        # a mask kernel that calls a graph chordal iff it has other than
+        # three lines is wrong on the 20 three-line graphs and the three
+        # 4-cycles; each is named by its fingerprint, in line-mask order
+        def wrong(masks, order):
+            return sum(map(int.bit_count, masks)) != 6
+
+        monkeypatch.setattr(verification, "_perfect_masks", wrong)
+        rep = chordality_cross_check(4)
+        wrong_on = [
+            g.fingerprint() for g in all_undirected(4) if (len(g.lines) != 3) != nx_is_chordal(g)
+        ]
+        assert rep.mismatches == wrong_on and len(wrong_on) == 23
+        assert rep.chordal_count == 64 - 20
 
     def test_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -718,6 +734,45 @@ class TestLatentWitness:
         assert digest == (
             "3a9bac9cd3576870129cd32c5d87ffb639330f8af544e42a74461e04b6df8807"
         )
+
+
+    def test_witness_search_generates_arc_counts_to_five(self, monkeypatch):
+        # the witness is DAG 4432, with five arcs; key blocks stop at the
+        # end of an arc count, so no count past five is generated
+        built = []
+        inner = verification._dags_with_arcs
+
+        def spy(n, pairs, k):
+            built.append(k)
+            return inner(n, pairs, k)
+
+        monkeypatch.setattr(verification, "_dags_with_arcs", spy)
+        rep = find_nonoptimal_local_optimum(4)
+        assert rep.targets_scanned == 4432
+        assert built == [0, 1, 2, 3, 4, 5]
+
+
+class TestMemory:
+    """The stacked sweeps ask their statements in bounded blocks: a gather
+    of every target's per-move answers at once, (1,024 × 7,220) bools for
+    ``sweep_local_optima(5)``, would take more than the bound alone."""
+
+    @pytest.mark.parametrize(
+        "suite, args",
+        [
+            (sweep_local_optima, (5,)),
+            (chordality_cross_check, (6,)),
+            (find_nonoptimal_local_optimum, ()),
+        ],
+    )
+    def test_peak_under_4mb(self, suite, args):
+        tracemalloc.start()
+        try:
+            assert suite(*args).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, f"{suite.__name__} peaked at {peak / 2**20:.2f} MB"
 
 
 class TestReportJson:
